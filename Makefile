@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race-hot ci bench bench-check benchcheck bench-all replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary examples cover clean
+.PHONY: all build test vet check race-hot ci bench bench-test bench-all replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary examples cover clean
 
 all: build vet test
 
@@ -21,13 +21,12 @@ test:
 check: vet
 	$(GO) test -race ./...
 
-# CI gate: build, vet, race-detected tests, the benchmark-regression
-# check against the newest BENCH_*.json snapshot (wall time within
-# tolerance, allocs/op not increased, kernel events/sec and serving
-# decisions/sec above their absolute floors), the log-replay consistency
-# gate (a seeded cell's event log must replay to a byte-identical
-# metrics export and a bit-exact energy attribution), the doctor
-# gate (runtime invariants over both log encodings plus the
+# CI gate: build, vet, the tests (once plain, so the exact allocation pins
+# in alloc_test.go run, and once race-detected), the benchmark's own tests
+# (bench/ is a separate module that `go test ./...` does not reach), the
+# log-replay consistency gate (a seeded cell's event log must replay to a
+# byte-identical metrics export and a bit-exact energy attribution), the
+# doctor gate (runtime invariants over both log encodings plus the
 # paper-fidelity scorecard), the serving gate (a live eschedd run under
 # load must drain clean and doctor-clean), the carbon gate (live
 # gCO2e/$ totals byte-identical to their tracelens replay under flat,
@@ -36,7 +35,7 @@ check: vet
 # flight dump that decodes with tracelens last/shards and replays
 # doctor-clean), and the documentation gate (vet + package doc comments
 # everywhere).
-ci: build check race-hot bench-check replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check
+ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check
 
 # Focused race pass over the packages with deliberate concurrency around
 # shared state: the sweep cache's single-flight map in internal/experiments
@@ -46,17 +45,21 @@ ci: build check race-hot bench-check replay-gate doctor-gate serve-gate carbon-g
 # traces, state logs and figure output across shard counts, the
 # calendar-queue/heap equivalence property, and a small multi-shard fleet
 # sweep — under -race, where a missed epoch barrier shows up as a data
-# race and a missed event shows up as a byte diff.
+# race and a missed event shows up as a byte diff — and finally the serving
+# engine's Sequential-mode sequencer under many concurrent submitters,
+# where a lost release strands requests and hangs the test.
 race-hot:
 	$(GO) test -race -count 4 ./internal/experiments ./internal/cache
 	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestFreeRun|TestShardOf|TestShardsValidate|TestFleet' ./internal/simkernel ./internal/storage
 	$(GO) test -race -count 1 -run 'TestFigureOutputShardInvariant|TestScaleValidateShards' ./internal/experiments
+	$(GO) test -race -count 4 -run 'TestShardedSequential|TestSequential' ./internal/serve
 
-bench-check:
-	scripts/bench.sh -check
-
-# Alias: the regression gate under the name the docs use.
-benchcheck: bench-check
+# The benchmark's own tests: its statistics, golden files and checks.
+# -parallel 1 gives each workload test the CPUs to itself: the traced fleet
+# run's coverage check measures the workers' share of wall time, and on a
+# 2-CPU machine the other workloads' tests running beside it starve them.
+bench-test:
+	$(GO) -C bench test -parallel 1 ./...
 
 # Log-replay consistency gate: record a seeded cell with esched
 # -events/-metrics in both encodings, then `tracelens verify` and
@@ -101,11 +104,10 @@ flight-gate:
 doc-check:
 	scripts/doccheck.sh
 
-# Benchmark-regression harness: runs the tier-1 figure benchmarks plus the
-# offline pipeline benchmark and records a BENCH_<date>.json snapshot that
-# benchstat can diff against a previous recording (see scripts/bench.sh).
+# The benchmark: every workload end to end, once (see bench/README.md for
+# -runs, -compare, -ladder and -trace).
 bench:
-	scripts/bench.sh
+	sh bench/run.sh
 
 # Every benchmark in every package (component and ablation benches too).
 bench-all:

@@ -3,19 +3,13 @@ package repro
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/account"
 	"repro/internal/diskmodel"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/monitor"
 	"repro/internal/offline"
 	"repro/internal/placement"
 	"repro/internal/sched"
@@ -23,228 +17,23 @@ import (
 	"repro/internal/workload"
 )
 
-// benchScale keeps one benchmark iteration well under a second while
-// preserving every qualitative trend; pass -scale full to cmd/figures for
-// paper-scale numbers (recorded in EXPERIMENTS.md).
-func benchScale() experiments.Scale {
-	return experiments.Scale{
-		NumDisks:       12,
-		NumRequests:    1500,
-		NumBlocks:      800,
-		Seed:           1,
-		BatchInterval:  100 * time.Millisecond,
-		MWISSuccessors: 4,
-		MWISMaxNodes:   1_000_000,
-		MWISPasses:     2,
-		ZipfSteps:      []float64{0, 1},
-		Alphas:         []float64{0, 1},
-		Betas:          []float64{10},
-	}
-}
-
-// --- One benchmark per paper table/figure ------------------------------
-
-func BenchmarkFigure2BatchExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure2()
-	}
-}
-
-func BenchmarkFigure3OfflineExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure3()
-	}
-}
-
-func BenchmarkFigure4MWISWalkthrough(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure4()
-	}
-}
-
-func BenchmarkFigure5PowerConfig(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure5()
-	}
-}
-
-func benchSweep(b *testing.B, tr experiments.Trace, render func(*experiments.ReplicationSweep) *experiments.Table) {
-	b.Helper()
-	// Prime the process-wide sweep cache so every iteration measures the
-	// steady state (hit + render): each figure shares one simulated sweep,
-	// exactly as cmd/figures does, and allocs/op stays deterministic for the
-	// regression gate. BenchmarkSweepCached/cold records the miss cost.
-	if _, err := experiments.SweepReplication(benchScale(), tr); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sw, err := experiments.SweepReplication(benchScale(), tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out := render(sw).Render(); len(out) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkSweepCached records the two sides of the sweep cache on private
-// cache instances: cold (simulate + store) and warm (content-hash + lookup).
-// scripts/benchcheck enforces warm ≥50× faster than cold.
-func BenchmarkSweepCached(b *testing.B) {
-	s := benchScale()
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.NewSweepCache().Sweep(s, experiments.Cello); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		c := experiments.NewSweepCache()
-		if _, err := c.Sweep(s, experiments.Cello); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Sweep(s, experiments.Cello); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFigure6EnergyVsReplication(b *testing.B) {
-	benchSweep(b, experiments.Cello, (*experiments.ReplicationSweep).Figure6)
-}
-
-func BenchmarkFigure7SpinUpsVsReplication(b *testing.B) {
-	benchSweep(b, experiments.Cello, (*experiments.ReplicationSweep).Figure7)
-}
-
-func BenchmarkFigure8ResponseVsReplication(b *testing.B) {
-	benchSweep(b, experiments.Cello, (*experiments.ReplicationSweep).Figure8)
-}
-
-func BenchmarkFigure9PerDiskBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(benchScale(), experiments.Cello); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure10LocalitySurface(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure10(benchScale(), experiments.Cello); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure11CostFunctionSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure11(benchScale(), experiments.Cello); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12ResponseCCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12(benchScale(), experiments.Cello); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure13P90Response(b *testing.B) {
-	benchSweep(b, experiments.Cello, (*experiments.ReplicationSweep).Figure13)
-}
-
-func BenchmarkFigure14FinancialEnergy(b *testing.B) {
-	benchSweep(b, experiments.Financial, (*experiments.ReplicationSweep).Figure6)
-}
-
-func BenchmarkFigure15FinancialSpinUps(b *testing.B) {
-	benchSweep(b, experiments.Financial, (*experiments.ReplicationSweep).Figure7)
-}
-
-func BenchmarkFigure16FinancialResponse(b *testing.B) {
-	benchSweep(b, experiments.Financial, (*experiments.ReplicationSweep).Figure8)
-}
-
-func BenchmarkFigure17FinancialBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(benchScale(), experiments.Financial); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Component benchmarks ----------------------------------------------
-
-func benchFixture(b *testing.B, rf int) ([]Request, *placement.Placement, storage.Config) {
-	b.Helper()
-	s := benchScale()
+// benchFixture is the 12-disk fixture the ablations, the replay benchmark
+// and the allocation pins (alloc_test.go) share: 1,500 Cello-like requests over 800
+// Zipf-placed blocks at replication factor rf.
+func benchFixture(tb testing.TB, rf int) ([]Request, *placement.Placement, storage.Config) {
+	tb.Helper()
+	const disks, blocks, requests = 12, 800, 1500
 	plc, err := placement.Generate(placement.GenerateConfig{
-		NumDisks: s.NumDisks, NumBlocks: s.NumBlocks,
+		NumDisks: disks, NumBlocks: blocks,
 		ReplicationFactor: rf, ZipfExponent: 1, Seed: 7,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	reqs := workload.CelloLike(s.NumRequests, s.NumBlocks, 1)
+	reqs := workload.CelloLike(requests, blocks, 1)
 	cfg := storage.DefaultConfig()
-	cfg.NumDisks = s.NumDisks
+	cfg.NumDisks = disks
 	return reqs, plc, cfg
-}
-
-// BenchmarkSimulateOnline measures end-to-end event-driven simulation
-// throughput (requests scheduled, serviced and power-managed per op).
-func BenchmarkSimulateOnline(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	h := sched.Heuristic{Locations: plc.Locations, Cost: sched.DefaultCost(cfg.Power)}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := storage.RunOnline(cfg, plc.Locations, h, reqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateBatchWSC measures the batch path including greedy set
-// cover at every interval.
-func BenchmarkSimulateBatchWSC(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	w := sched.WSC{Locations: plc.Locations, Cost: sched.DefaultCost(cfg.Power)}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := storage.RunBatch(cfg, plc.Locations, w, reqs, 100*time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOfflineMWISPipeline measures graph construction + GWMIN +
-// schedule derivation + refinement on the bench trace at full parallelism
-// (the offline batch cell of the regression harness).
-func BenchmarkOfflineMWISPipeline(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := offline.SolveRefined(reqs, plc.Locations, cfg.Power,
-			offline.BuildOptions{MaxSuccessors: 4, Workers: runtime.GOMAXPROCS(0)}, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) -------
@@ -396,45 +185,12 @@ func BenchmarkAblationGreedyMWISVariant(b *testing.B) {
 	}
 }
 
-// BenchmarkDoctorLive measures the live runtime-verification overhead: the
-// same online cell as BenchmarkSimulateOnline with the full invariant
-// monitor suite (power machine, energy, requests, replicas, threshold,
-// latency) teed into the event stream. Compare against
-// BenchmarkSimulateOnline for the cost of -doctor; the alloc gate on the
-// un-monitored benchmarks proves a disabled doctor costs nothing.
-func BenchmarkDoctorLive(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	b.ResetTimer()
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		suite := monitor.NewSuite(monitor.Config{
-			Power: cfg.Power, Mech: cfg.Mech, Policy: cfg.Policy, Locations: plc.Locations,
-		})
-		tr := obs.NewTracer(1)
-		h := sched.Heuristic{Locations: plc.Locations, Cost: sched.DefaultCost(cfg.Power), Tracer: tr}
-		if _, err := storage.RunOnline(cfg, plc.Locations, h, reqs,
-			storage.WithTracer(tr), storage.WithMonitor(suite)); err != nil {
-			b.Fatal(err)
-		}
-		if !suite.Passed() {
-			b.Fatalf("doctor reported %d violations in the benchmark cell", suite.Total())
-		}
-		events = suite.Events()
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(events)*float64(b.N)/secs, "events/sec")
-	}
-}
-
 // --- Trace analytics --------------------------------------------------
 
 // BenchmarkAnalyzeReplay measures the tracelens replay engine: decode a
 // recorded binary event log, reconstruct the run (lifecycles, power-state
 // timelines, decision index) and replay it into a fresh metrics collector.
-// Throughput is reported as events/sec — the analyzer-side number the
-// regression harness records alongside the simulator benchmarks.
+// Throughput is reported as events/sec.
 func BenchmarkAnalyzeReplay(b *testing.B) {
 	reqs, plc, cfg := benchFixture(b, 3)
 	var log bytes.Buffer
@@ -471,179 +227,5 @@ func BenchmarkAnalyzeReplay(b *testing.B) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(len(events))*float64(b.N)/secs, "events/sec")
-	}
-}
-
-// BenchmarkCarbonAttribution measures the carbon/cost integrator: feed a
-// recorded event stream through a fresh account.Accumulator under the
-// diurnal grid and finalize the windowed gCO2e/$ report. Throughput is
-// reported as events/sec alongside the doctor and analyzer numbers. The
-// accounting-off path needs no separate gate: no other benchmark attaches
-// an accumulator, so their alloc counts (checked exactly by
-// scripts/bench.sh -check) already pin the disabled path.
-func BenchmarkCarbonAttribution(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	var log bytes.Buffer
-	tr := obs.NewTracer(1024)
-	tr.SetSink(&log, true)
-	h := sched.Heuristic{Locations: plc.Locations, Cost: sched.DefaultCost(cfg.Power), Tracer: tr}
-	if _, err := storage.RunOnline(cfg, plc.Locations, h, reqs,
-		storage.WithTracer(tr)); err != nil {
-		b.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	events, err := analyze.Read(bytes.NewReader(log.Bytes()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var gco2e float64
-	for i := 0; i < b.N; i++ {
-		acct, err := account.NewAccumulator(cfg.Power, account.DiurnalGrid(), account.DefaultCostModel())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, ev := range events {
-			acct.Observe(ev)
-		}
-		rep := acct.Finalize()
-		if rep.GCO2e <= 0 {
-			b.Fatalf("degenerate report: %+v", rep)
-		}
-		gco2e = rep.GCO2e
-	}
-	b.StopTimer()
-	_ = gco2e
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(len(events))*float64(b.N)/secs, "events/sec")
-	}
-}
-
-// BenchmarkFlightRecorder prices the always-on flight recorder at the run
-// level, in three steps. "off" is the plain untraced run — the recorder-off
-// hot path, whose allocs/op scripts/bench.sh -check pins EXACTLY (zero
-// tolerance, via benchcheck -exactallocs): the recorder must cost nothing
-// when absent. "base" adds the streaming binary tracer the recorder rides
-// on, and "on" attaches the recorder to it; on-vs-base is the recorder's
-// marginal cost (one ring copy plus a pending-trigger check per event),
-// which benchcheck -overheadtol holds under the <5% budget.
-func BenchmarkFlightRecorder(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	rec := flight.New(flight.Config{Dir: b.TempDir()})
-	// One ring-buffered run up front pins the deterministic event count, so
-	// the traced sub-benchmarks can report events/sec without counting
-	// inside the timed loop.
-	pre := obs.NewTracer(1 << 16)
-	hpre := sched.Heuristic{Locations: plc.Locations, Cost: sched.DefaultCost(cfg.Power), Tracer: pre}
-	if _, err := storage.RunOnline(cfg, plc.Locations, hpre, reqs, storage.WithTracer(pre)); err != nil {
-		b.Fatal(err)
-	}
-	eventsPerRun := pre.Len()
-	run := func(b *testing.B, traced bool, rec *flight.Recorder) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var opts []storage.RunOption
-			h := sched.Heuristic{Locations: plc.Locations, Cost: sched.DefaultCost(cfg.Power)}
-			if traced {
-				tr := obs.NewTracer(512)
-				tr.SetSink(io.Discard, true)
-				h.Tracer = tr
-				opts = append(opts, storage.WithTracer(tr))
-			}
-			if rec != nil {
-				opts = append(opts, storage.WithFlight(rec))
-			}
-			if _, err := storage.RunOnline(cfg, plc.Locations, h, reqs, opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if traced {
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(eventsPerRun)*float64(b.N)/secs, "events/sec")
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, false, nil) })
-	b.Run("base", func(b *testing.B) { run(b, true, nil) })
-	b.Run("on", func(b *testing.B) { run(b, true, rec) })
-	if rec.Dumps() != 0 {
-		b.Fatalf("untriggered recorder wrote %d dumps", rec.Dumps())
-	}
-}
-
-// --- Sharded kernel / fleet -------------------------------------------
-
-// benchFleetConfig is the kernel-throughput workload: a closed-loop
-// rack-partitioned fleet with burst gaps long enough to spin disks down,
-// so the event mix covers the full request/service/power-cycle machinery.
-func benchFleetConfig(disks, racks, reqsPerDisk, shards int) storage.FleetConfig {
-	cfg := storage.DefaultFleetConfig()
-	cfg.NumDisks = disks
-	cfg.NumRacks = racks
-	cfg.RequestsPerDisk = reqsPerDisk
-	cfg.Shards = shards
-	cfg.Seed = 42
-	// Fleet-regime burst shape: enough requests per disk per burst that
-	// spin cycles amortize (the paper's bursty Cello traces), keeping the
-	// event mix dominated by request service rather than power timers.
-	cfg.BurstLen = 800
-	cfg.InterArrival = 25 * time.Microsecond
-	return cfg
-}
-
-// BenchmarkKernelThroughput measures raw event throughput of the serial
-// engine (shards=0) against the sharded free-running kernel at several
-// shard counts. events/sec is computed over the event loop only (setup
-// excluded); the regression harness gates its floor via benchcheck
-// -eventsfloor.
-func BenchmarkKernelThroughput(b *testing.B) {
-	counts := []int{0, 1, 4, 40, runtime.GOMAXPROCS(0) * 4}
-	seen := map[int]bool{}
-	for _, shards := range counts {
-		if seen[shards] {
-			continue
-		}
-		seen[shards] = true
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var events uint64
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := storage.RunFleet(benchFleetConfig(2000, 40, 400, shards))
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-				wall += res.Wall
-			}
-			if s := wall.Seconds(); s > 0 {
-				b.ReportMetric(float64(events)/s, "events/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkFleet100k is the headline scale point: a 100k-disk fleet at
-// fleet event density (hundreds of millions of events). One iteration is
-// the whole run; run with -benchtime 1x. One shard per rack keeps each
-// sub-kernel's working set small enough to stay cache-resident, and the
-// GC stays off for the run (see FleetConfig.RelaxGC) — the same shape
-// cmd/figures -fleet records.
-func BenchmarkFleet100k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchFleetConfig(100_000, 1_000, 1_400, 1_000)
-		cfg.RelaxGC = true
-		res, err := storage.RunFleet(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Served != 100_000*1_400 {
-			b.Fatalf("served %d requests", res.Served)
-		}
-		b.ReportMetric(res.EventsPerSec, "events/sec")
-		b.ReportMetric(float64(res.Events), "events")
 	}
 }

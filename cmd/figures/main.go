@@ -338,8 +338,7 @@ func run() error {
 }
 
 // runFleet executes the headline scale point: a 100,000-disk fleet in 1000
-// racks at fleet event density (~315 million kernel events), the same
-// configuration BenchmarkFleet100k records in BENCH_*.json. One shard per
+// racks at fleet event density (~315 million kernel events). One shard per
 // rack keeps each sub-kernel's calendar queue and disk stripe
 // cache-resident, and the GC stays off for the run (FleetConfig.RelaxGC).
 func runFleet(shards int, kstats string) error {

@@ -398,8 +398,7 @@ type Engine struct {
 	seqNext   core.RequestID
 	seqLast   time.Duration
 	seqParked map[core.RequestID]*pending
-	seqMark   []bool   // scratch: shards touched by one release run
-	seqTouch  []*shard // scratch: same, in touch order
+	seqMark   []bool // scratch: shards touched by one release run
 
 	// mergeMu serializes journal merging (maintenance flushes, accounting
 	// snapshots, flight sweeps) in multi-shard mode.
@@ -642,7 +641,9 @@ func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, err
 // submitted, then releases the maximal run of consecutive IDs to their
 // home shards. Ring pushes happen under seqMu so each shard's ring
 // receives its requests in global ID order; combining runs after the
-// release, outside the lock.
+// release, outside the lock, over the releaser's own list of touched
+// shards: a list shared across releasers would be overwritten by the next
+// one under the lock, stranding this run's requests in their rings.
 func (e *Engine) submitSequential(p *pending) {
 	e.seqMu.Lock()
 	e.seqParked[p.req.ID] = p
@@ -650,7 +651,8 @@ func (e *Engine) submitSequential(p *pending) {
 		e.seqMu.Unlock()
 		return
 	}
-	touched := e.seqTouch[:0]
+	var buf [8]*shard // on the stack; a run touching more shards spills
+	touched := buf[:0]
 	for {
 		q, ok := e.seqParked[e.seqNext]
 		if !ok {
@@ -673,7 +675,6 @@ func (e *Engine) submitSequential(p *pending) {
 	for _, s := range touched {
 		e.seqMark[s.idx] = false
 	}
-	e.seqTouch = touched[:0]
 	e.seqMu.Unlock()
 	for _, s := range touched {
 		e.combineOn(s)

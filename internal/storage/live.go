@@ -2,14 +2,12 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/account"
 	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/obs"
-	"repro/internal/offline"
 	"repro/internal/sched"
 	"repro/internal/simkernel"
 )
@@ -243,25 +241,13 @@ func (l *Live) Finish(name string) (*Result, error) {
 		return nil, errors.New("storage: Finish called twice on a Live system")
 	}
 	l.finished = true
+	if err := l.DrainOutstanding(); err != nil {
+		return nil, err
+	}
 	s := l.sys
-	if s.err != nil {
-		return nil, s.err
-	}
-	// Drain: keep stepping while disks hold work, then settle the trailing
-	// idle timeouts and spin-downs, mirroring system.finish's late-completion
-	// loop.
-	for s.err == nil && l.Outstanding() > 0 {
-		if !s.eng.Step() {
-			break
-		}
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	end := s.eng.Now() + s.cfg.Power.Breakeven() + s.cfg.Power.SpinDownTime + time.Second
-	end = s.eng.RunUntil(end)
-	if s.err != nil {
-		return nil, s.err
+	end := s.eng.Now() + settleTail(s.cfg.Power)
+	if err := l.SettleUntil(end); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Scheduler: name,
@@ -269,54 +255,13 @@ func (l *Live) Finish(name string) (*Result, error) {
 		Dropped:   s.dropped,
 		Horizon:   end,
 		Response:  s.resp,
-		PerDisk:   make([]diskmodel.Stats, len(s.disks)),
+		PerDisk:   l.CloseDisks(),
 	}
-	for i, d := range s.disks {
-		st := d.Close()
-		res.PerDisk[i] = st
-		res.Energy += st.Energy
-		res.SpinUps += st.SpinUps
-		res.SpinDowns += st.SpinDowns
-		for ps := core.StateStandby; ps <= core.StateSpinDown; ps++ {
-			res.EnergyByState[ps] += st.EnergyIn[ps]
-		}
-	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(s.cfg.Power, s.cfg.NumDisks, end)
-	s.tr.RunEnd(end, s.eng.Fired())
-	if s.acct != nil {
-		// Mirror system.finish: close the carbon/cost accounting at the
-		// horizon and pin its windowed integral to the meters.
-		s.acct.Finalize()
-		if s.mon != nil {
-			s.mon.VerifyWindows(s.acct.ByState(), res.EnergyByState)
-		}
-	}
-	if s.mon != nil {
-		s.mon.VerifyResult(res.EnergyByState)
-		s.mon.Finish()
-	}
-	if s.rm != nil {
-		s.rm.ReconcileEnergy(res.EnergyByState)
-		s.rm.SpinUps.Reconcile(float64(res.SpinUps))
-		s.rm.SpinDowns.Reconcile(float64(res.SpinDowns))
-		s.rm.Served.Reconcile(float64(res.Served))
-		s.rm.Dropped.Reconcile(float64(res.Dropped))
-		s.rm.SimTime.Set(end.Seconds())
-		s.rm.EventsFired.Set(float64(s.eng.Fired()))
-	}
-	if s.tr != nil {
-		if err := s.tr.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: event sink: %w", err)
-		}
-	}
-	if want := l.ingested - s.dropped; s.served != want {
-		return nil, fmt.Errorf("storage: served %d of %d ingested requests", s.served, want)
-	}
-	return res, nil
+	return s.closeRun(s.cfg, res, s.eng.Fired(), l.ingested)
 }
 
-// The methods below decompose Finish into the phases LiveSet's two-phase
-// drain needs: every shard drains its outstanding work first (the global
+// The methods below are Finish's phases, exported to LiveSet's two-phase
+// drain: every shard drains its outstanding work first (the global
 // settle horizon is the maximum of the post-drain clocks, matching the
 // serial engine's stop time), then each shard settles to that shared
 // horizon and closes its disks.
@@ -349,9 +294,5 @@ func (l *Live) SettleUntil(end time.Duration) error {
 // settled; no further simulation may run after this.
 func (l *Live) CloseDisks() []diskmodel.Stats {
 	l.finished = true
-	out := make([]diskmodel.Stats, len(l.sys.disks))
-	for i, d := range l.sys.disks {
-		out[i] = d.Close()
-	}
-	return out
+	return l.sys.closeDisks()
 }

@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"repro/internal/account"
-	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
-	"repro/internal/offline"
 	"repro/internal/sched"
 	"repro/internal/simkernel"
 )
@@ -237,7 +235,7 @@ func (ls *LiveSet) Finish(name string) (*Result, error) {
 			maxNow = n
 		}
 	}
-	end := maxNow + ls.cfg.Power.Breakeven() + ls.cfg.Power.SpinDownTime + time.Second
+	end := maxNow + settleTail(ls.cfg.Power)
 	// Phase two: settle every shard to the shared horizon, then close the
 	// disks (their end-of-run events land in the journals) and merge.
 	for _, lv := range ls.shards {
@@ -268,46 +266,9 @@ func (ls *LiveSet) Finish(name string) (*Result, error) {
 			res.Response.Append(&lv.sys.resp)
 		}
 	}
-	// Accumulate energy in global disk order so float summation matches the
-	// serial path bit for bit.
-	for _, st := range res.PerDisk {
-		res.Energy += st.Energy
-		res.SpinUps += st.SpinUps
-		res.SpinDowns += st.SpinDowns
-		for ps := core.StateStandby; ps <= core.StateSpinDown; ps++ {
-			res.EnergyByState[ps] += st.EnergyIn[ps]
-		}
+	ob := observers{tr: ls.opts.tracer, mon: ls.opts.monitor, acct: ls.opts.acct}
+	if ls.m != nil {
+		ob.rm = ls.m.rm
 	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(ls.cfg.Power, ls.cfg.NumDisks, end)
-	o := ls.opts
-	o.tracer.RunEnd(end, fired)
-	if o.acct != nil {
-		o.acct.Finalize()
-		if o.monitor != nil {
-			o.monitor.VerifyWindows(o.acct.ByState(), res.EnergyByState)
-		}
-	}
-	if o.monitor != nil {
-		o.monitor.VerifyResult(res.EnergyByState)
-		o.monitor.Finish()
-	}
-	if ls.m != nil && ls.m.rm != nil {
-		rm := ls.m.rm
-		rm.ReconcileEnergy(res.EnergyByState)
-		rm.SpinUps.Reconcile(float64(res.SpinUps))
-		rm.SpinDowns.Reconcile(float64(res.SpinDowns))
-		rm.Served.Reconcile(float64(res.Served))
-		rm.Dropped.Reconcile(float64(res.Dropped))
-		rm.SimTime.Set(end.Seconds())
-		rm.EventsFired.Set(float64(fired))
-	}
-	if o.tracer != nil {
-		if err := o.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: event sink: %w", err)
-		}
-	}
-	if want := ingested - res.Dropped; res.Served != want {
-		return nil, fmt.Errorf("storage: served %d of %d ingested requests", res.Served, want)
-	}
-	return res, nil
+	return ob.closeRun(ls.cfg, res, fired, ingested)
 }

@@ -114,15 +114,12 @@ type system struct {
 	// base is the global ID of disks[0]: a full system has base 0, a
 	// serving-shard sub-range system (see LiveSet) owns the global disks
 	// [base, base+len(disks)) and indexes disks by gid-base.
-	base         int
-	serial       simkernel.Engine // backs eng on the serial (Shards <= 1) path
-	disks        []*diskmodel.Disk
-	resp         metrics.ResponseTimes
-	tr           *obs.Tracer
-	rm           *obs.RunMetrics
+	base   int
+	serial simkernel.Engine // backs eng on the serial (Shards <= 1) path
+	disks  []*diskmodel.Disk
+	resp   metrics.ResponseTimes
+	observers
 	jr           *shardJournal // canonical-order capture for sub-range systems
-	mon          *monitor.Suite
-	acct         *account.Accumulator
 	err          error
 	served       int
 	dropped      int
@@ -132,6 +129,14 @@ type system struct {
 }
 
 var _ sched.View = (*system)(nil)
+
+// observers are the run-level sinks a run closes when it ends.
+type observers struct {
+	tr   *obs.Tracer
+	rm   *obs.RunMetrics
+	mon  *monitor.Suite
+	acct *account.Accumulator
+}
 
 func newSystem(cfg Config, o runOptions) (*system, error) {
 	return newSystemRange(cfg, o, 0, cfg.NumDisks, nil)
@@ -158,7 +163,8 @@ func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal)
 	if policy == nil {
 		policy = power.TwoCompetitive{Config: cfg.Power}
 	}
-	s := &system{cfg: cfg, base: base, disks: make([]*diskmodel.Disk, count), tr: o.tracer, jr: jr, mon: o.monitor, acct: o.acct}
+	s := &system{cfg: cfg, base: base, disks: make([]*diskmodel.Disk, count), jr: jr,
+		observers: observers{tr: o.tracer, mon: o.monitor, acct: o.acct}}
 	var se *simkernel.Sharded
 	if cfg.Shards > 1 {
 		se = simkernel.NewSharded(cfg.NumDisks, cfg.Shards, 0)
@@ -376,8 +382,7 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 		return nil, s.err
 	}
 	if stepped && s.eng.Now() > end {
-		tail := s.cfg.Power.Breakeven() + s.cfg.Power.SpinDownTime + time.Second
-		end = s.eng.RunUntil(s.eng.Now() + tail)
+		end = s.eng.RunUntil(s.eng.Now() + settleTail(s.cfg.Power))
 	}
 	res := &Result{
 		Scheduler:    name,
@@ -388,11 +393,39 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 		CacheHits:    s.cacheHits,
 		Horizon:      end,
 		Response:     s.resp,
-		PerDisk:      make([]diskmodel.Stats, len(s.disks)),
+		PerDisk:      s.closeDisks(),
 	}
+	return s.closeRun(s.cfg, res, s.eng.Fired(), len(reqs))
+}
+
+// settleTail is how far a run's clock advances past its last completion so
+// the trailing idle timeouts and spin-downs settle inside the horizon.
+func settleTail(p power.Config) time.Duration {
+	return p.Breakeven() + p.SpinDownTime + time.Second
+}
+
+// closeDisks closes every disk in range order, emitting their end-of-run
+// accounting events, and returns their final stats (index i is global
+// disk base+i). No further simulation may run after this.
+func (s *system) closeDisks() []diskmodel.Stats {
+	out := make([]diskmodel.Stats, len(s.disks))
 	for i, d := range s.disks {
-		st := d.Close()
-		res.PerDisk[i] = st
+		out[i] = d.Close()
+	}
+	return out
+}
+
+// closeRun is the end-of-run sequence every runner shares. The caller has
+// closed the disks into res.PerDisk (global disk order) and filled in the
+// request counters and the horizon. closeRun sums the disks in that order,
+// so float totals match bit for bit across runners, computes the always-on
+// baseline, emits the run-end marker, closes the carbon/cost accounting,
+// runs the doctor's end-of-stream checks, reconciles the metrics export to
+// the exact totals, flushes the event sink, and checks that every one of
+// the ingested requests was served or dropped. fired is the kernel's
+// executed-event count.
+func (ob *observers) closeRun(cfg Config, res *Result, fired uint64, ingested int) (*Result, error) {
+	for _, st := range res.PerDisk {
 		res.Energy += st.Energy
 		res.SpinUps += st.SpinUps
 		res.SpinDowns += st.SpinDowns
@@ -400,45 +433,45 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 			res.EnergyByState[ps] += st.EnergyIn[ps]
 		}
 	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(s.cfg.Power, s.cfg.NumDisks, end)
-	// The disks' "end" events (emitted by Close above, in disk order) plus
+	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(cfg.Power, cfg.NumDisks, res.Horizon)
+	// The disks' "end" events (emitted as they closed, in disk order) plus
 	// this run-end marker make the log self-contained: a replay recovers the
 	// horizon, the kernel event count and the exact meter totals.
-	s.tr.RunEnd(end, s.eng.Fired())
-	if s.acct != nil {
+	ob.tr.RunEnd(res.Horizon, fired)
+	if ob.acct != nil {
 		// Close the carbon/cost accounting at the horizon (reconciling any
 		// bound metric families) and pin its windowed integral to the meters.
-		s.acct.Finalize()
-		if s.mon != nil {
-			s.mon.VerifyWindows(s.acct.ByState(), res.EnergyByState)
+		ob.acct.Finalize()
+		if ob.mon != nil {
+			ob.mon.VerifyWindows(ob.acct.ByState(), res.EnergyByState)
 		}
 	}
-	if s.mon != nil {
+	if ob.mon != nil {
 		// The stream is complete: cross-check the meters' totals against the
 		// live integral, then run the suite's end-of-stream checks.
-		s.mon.VerifyResult(res.EnergyByState)
-		s.mon.Finish()
+		ob.mon.VerifyResult(res.EnergyByState)
+		ob.mon.Finish()
 	}
-	if s.rm != nil {
+	if rm := ob.rm; rm != nil {
 		// Overwrite the live approximations with the authoritative end-of-run
 		// values so exporter output matches the report aggregates exactly.
-		s.rm.ReconcileEnergy(res.EnergyByState)
-		s.rm.SpinUps.Reconcile(float64(res.SpinUps))
-		s.rm.SpinDowns.Reconcile(float64(res.SpinDowns))
-		s.rm.Served.Reconcile(float64(res.Served))
-		s.rm.Dropped.Reconcile(float64(res.Dropped))
-		s.rm.Redispatched.Reconcile(float64(res.Redispatched))
-		s.rm.CacheHits.Reconcile(float64(res.CacheHits))
-		s.rm.SimTime.Set(end.Seconds())
-		s.rm.EventsFired.Set(float64(s.eng.Fired()))
+		rm.ReconcileEnergy(res.EnergyByState)
+		rm.SpinUps.Reconcile(float64(res.SpinUps))
+		rm.SpinDowns.Reconcile(float64(res.SpinDowns))
+		rm.Served.Reconcile(float64(res.Served))
+		rm.Dropped.Reconcile(float64(res.Dropped))
+		rm.Redispatched.Reconcile(float64(res.Redispatched))
+		rm.CacheHits.Reconcile(float64(res.CacheHits))
+		rm.SimTime.Set(res.Horizon.Seconds())
+		rm.EventsFired.Set(float64(fired))
 	}
-	if s.tr != nil {
-		if err := s.tr.Flush(); err != nil {
+	if ob.tr != nil {
+		if err := ob.tr.Flush(); err != nil {
 			return nil, fmt.Errorf("storage: event sink: %w", err)
 		}
 	}
-	if want := len(reqs) - s.dropped; s.served != want {
-		return nil, fmt.Errorf("storage: served %d of %d requests", s.served, want)
+	if want := ingested - res.Dropped; res.Served != want {
+		return nil, fmt.Errorf("storage: served %d of %d requests", res.Served, want)
 	}
 	return res, nil
 }

@@ -1,0 +1,5 @@
+//go:build race
+
+package repro
+
+func init() { raceEnabled = true }
