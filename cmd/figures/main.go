@@ -6,7 +6,7 @@
 //	figures -fig 6,7,8          # a subset
 //	figures -tsv -out results/  # write TSV files instead of stdout tables
 //	figures -fleet              # 100k-disk fleet throughput benchmark
-//	figures -shards 8           # run simulated cells on the sharded kernel
+//	figures -fleet -shards 500  # the fleet benchmark over 500 sub-kernels
 //
 // The standard profiling flags -cpuprofile, -memprofile, -trace and -pprof
 // are available for profiling full-scale regenerations, and -telemetry
@@ -58,7 +58,7 @@ func run() error {
 		doctor    = flag.Bool("doctor", false, "run live invariant monitors over every simulated cell; non-zero exit on any violation (doctored cells always bypass the sweep cache)")
 		cacheDir  = flag.String("cache", "", "persist replication-sweep results in this directory, keyed by a content hash of every input; repeat runs with unchanged inputs reuse them")
 		fleet     = flag.Bool("fleet", false, "run the 100k-disk fleet throughput benchmark (sharded kernel, hundreds of millions of events) instead of figures")
-		shards    = flag.Int("shards", 0, "kernel shard count (0 or 1 = serial engine); with -fleet, sub-kernels over the fleet's racks (0 = one per rack)")
+		shards    = flag.Int("shards", 0, "with -fleet: sub-kernels over the fleet's racks (0 = one per rack, 1 = serial engine)")
 		kstats    = flag.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`)")
 		flightDir = flag.String("flight", "", "with -doctor: arm a flight recorder on every monitored cell; a doctor violation freezes the cell's recent events into a replayable dump under this directory (inspect with `tracelens last`)")
 		grid      = flag.String("grid", "", "also emit carbon & what-if tables under this grid profile: flat | diurnal | coal | profile.json")
@@ -87,6 +87,9 @@ func run() error {
 	if *kstats != "" {
 		return fmt.Errorf("-kernelstats applies to the -fleet benchmark only")
 	}
+	if *shards != 0 {
+		return fmt.Errorf("-shards applies to the -fleet benchmark only (figure cells run on the serial kernel)")
+	}
 
 	var scale experiments.Scale
 	switch *scaleName {
@@ -98,7 +101,6 @@ func run() error {
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
 	scale.Doctor = *doctor
-	scale.Shards = *shards
 	if *flightDir != "" {
 		if !*doctor {
 			return fmt.Errorf("-flight requires -doctor: without the monitors no trigger can fire")

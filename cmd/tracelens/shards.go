@@ -43,8 +43,8 @@ func writeShardReport(w io.Writer, ks *simkernel.KernelStats) error {
 	if ks.Timed {
 		mode = "timed"
 	}
-	fmt.Fprintf(w, "kernel telemetry: %d shards, %d events (%d coordinator), %s\n",
-		len(ks.Shards), ks.Events, ks.CoordEvents, mode)
+	fmt.Fprintf(w, "kernel telemetry: %d shards, %d events, %s\n",
+		len(ks.Shards), ks.Events, mode)
 	fmt.Fprintf(w, "  %5s %10s %6s %6s %6s %6s %10s %10s %6s %6s %6s %8s %8s\n",
 		"shard", "events", "exec%", "queue%", "stall%", "slot%",
 		"pushes", "pops", "rebld", "recal", "migr", "farHW", "poolHW")
@@ -83,9 +83,9 @@ func writeShardReport(w io.Writer, ks *simkernel.KernelStats) error {
 			}
 			return float64(ns) / denom * 100
 		}
-		fmt.Fprintf(w, "attribution: execute %.1f%% + queue ops %.1f%% + stall %.1f%% = %.1f%% of %d x %v wall (merge %v)\n",
+		fmt.Fprintf(w, "attribution: execute %.1f%% + queue ops %.1f%% + stall %.1f%% = %.1f%% of %d x %v wall\n",
 			share(exec), share(queue), share(stall), cov*100,
-			len(ks.Shards), time.Duration(wall), time.Duration(ks.MergeNS))
+			len(ks.Shards), time.Duration(wall))
 	} else {
 		fmt.Fprintln(w, "wall-clock attribution off: arm telemetry (figures -fleet -kernelstats, eschedd, or FleetConfig.Telemetry) to bucket execute/queue/stall time")
 	}

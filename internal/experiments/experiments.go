@@ -53,12 +53,10 @@ type Scale struct {
 	// concurrently running cells by SolverWorkers. 0 or 1 means serial;
 	// results are bit-identical for every value.
 	Workers int
-	// Shards partitions each simulated cell's event kernel into per-rack
-	// sub-kernels (see simkernel.Sharded). 0 or 1 selects the serial
-	// kernel; larger values must evenly divide NumDisks so every shard
-	// owns whole racks of equal size. Results — figures, traces, sample
-	// order — are bit-identical at any value, so Shards only affects
-	// speed (and is excluded from the sweep-cache key for that reason).
+	// Shards is ignored: every simulated cell runs on the serial kernel.
+	// It is excluded from the sweep-cache key.
+	//
+	// Deprecated: kept only so existing callers compile; it has no effect.
 	Shards int
 	// Monitor, when non-nil, receives live per-cell progress from the
 	// parallel sweeps (see Monitor.Serve for the HTTP endpoint). Telemetry
@@ -127,12 +125,6 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("experiments: batch interval %s", s.BatchInterval)
 	case s.MWISPasses < 0:
 		return fmt.Errorf("experiments: MWIS passes %d", s.MWISPasses)
-	case s.Shards < 0:
-		return fmt.Errorf("experiments: negative shard count %d", s.Shards)
-	case s.Shards > s.NumDisks:
-		return fmt.Errorf("experiments: %d shards exceed %d disks (a shard must own at least one disk)", s.Shards, s.NumDisks)
-	case s.Shards > 1 && s.NumDisks%s.Shards != 0:
-		return fmt.Errorf("experiments: %d shards do not evenly divide %d disks (a rack must not straddle shards)", s.Shards, s.NumDisks)
 	}
 	return nil
 }
@@ -224,7 +216,6 @@ type Run struct {
 func cell(s Scale, reqs []core.Request, plc *placement.Placement, algo string, cost sched.CostConfig) (Run, error) {
 	cfg := storage.DefaultConfig()
 	cfg.NumDisks = s.NumDisks
-	cfg.Shards = s.Shards
 
 	if algo == AlgoMWIS {
 		schedule, _, err := offline.SolveRefined(reqs, plc.Locations, cfg.Power, offline.BuildOptions{

@@ -300,65 +300,3 @@ func TestFinancialSweepSharesTrends(t *testing.T) {
 		t.Error("Financial sweep should render as Figure 16")
 	}
 }
-
-func TestScaleValidateShards(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name    string
-		shards  int
-		wantErr string // substring of the error, "" for valid
-	}{
-		{"serial-default", 0, ""},
-		{"serial-explicit", 1, ""},
-		{"even-split", 2, ""},
-		{"one-disk-shards", 24, ""},
-		{"negative", -1, "negative shard count"},
-		{"more-shards-than-disks", 25, "exceed"},
-		{"uneven-split", 7, "evenly divide"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := SmallScale() // 24 disks
-			s.Shards = tc.shards
-			err := s.Validate()
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("Shards=%d rejected: %v", tc.shards, err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("Shards=%d accepted, want error containing %q", tc.shards, tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Shards=%d error = %q, want substring %q", tc.shards, err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestFigureOutputShardInvariant pins the top-level determinism contract:
-// rendered figure tables are byte-identical at every kernel shard count.
-// The sweeps run fresh (bypassing the cache, which deliberately ignores
-// Shards) so a divergence cannot hide behind a shared cache entry.
-func TestFigureOutputShardInvariant(t *testing.T) {
-	t.Parallel()
-	s := SmallScale()
-	s.NumRequests = 1500 // byte equality needs no statistical weight
-	s.NumBlocks = 800
-	render := func(shards int) string {
-		s.Shards = shards
-		sw, err := sweepReplicationFresh(s, Cello)
-		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
-		}
-		return sw.Figure6().Render() + sw.Figure7().Render() +
-			sw.Figure8().Render() + sw.Figure13().Render()
-	}
-	want := render(1)
-	for _, shards := range []int{2, 8, 24} {
-		if got := render(shards); got != want {
-			t.Errorf("figure output at Shards=%d differs from serial render", shards)
-		}
-	}
-}

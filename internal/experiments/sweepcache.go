@@ -113,7 +113,7 @@ func sweepKey(s Scale, tr Trace, cost sched.CostConfig) string {
 	ks.Monitor = nil // pointer: nondeterministic and result-neutral
 	ks.Doctor = false
 	ks.FlightDir = "" // recorder is an observer, never a participant
-	ks.Shards = 0     // kernel sharding is bit-identical, so shard counts share entries
+	ks.Shards = 0     // deprecated no-op: shard counts share entries
 	h := sha256.New()
 	fmt.Fprintf(h, "replication-sweep-v1\n")
 	fmt.Fprintf(h, "scale=%+v\n", ks)

@@ -93,9 +93,9 @@ func (m Mode) String() string {
 
 // Config parameterizes an Engine.
 type Config struct {
-	// System is the simulated disk population (storage.Config); Shards must
-	// be 0 or 1 (each serving shard runs its own serial kernel; use the
-	// serve-level Shards field below to parallelize).
+	// System is the simulated disk population (storage.Config). Each
+	// serving shard runs its own serial kernel; use the serve-level Shards
+	// field below to parallelize.
 	System storage.Config
 	// Router resolves blocks to replica locations.
 	Router *Router

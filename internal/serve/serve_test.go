@@ -359,11 +359,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("router/system disk mismatch accepted")
 	}
-	sharded := cfg
-	sharded.System.Shards = 4
-	if _, err := New(sharded); err == nil {
-		t.Error("sharded kernel accepted on the serving path")
-	}
 }
 
 // blockLoop occupies every decision shard for d without deciding: it seizes

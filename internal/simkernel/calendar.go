@@ -42,9 +42,8 @@ type calQueue struct {
 	// full lap of the ring; base is the lap's origin. Every near item lies
 	// in [base, limit) — the strict one-lap invariant — so a bucket only
 	// ever holds items from its own window and never aliased ones a lap
-	// apart. Pushes before base rebase the lap (exact mode schedules into
-	// the past of the cursor after a span merge; free-running mode never
-	// does).
+	// apart. Pushes before base rebase the lap (the kernel never schedules
+	// into the past of its clock, so this is a safeguard, not a hot path).
 	far   []*eventItem
 	base  time.Duration
 	limit time.Duration
@@ -86,8 +85,7 @@ type calQueue struct {
 
 // calSlot pairs an item with an inline copy of its ordering key: the
 // per-bucket min scans touch only the contiguous slot array, never the
-// pooled items they point at. The copy is refreshed by Scan when the
-// sharded kernel renumbers sequence numbers in place.
+// pooled items they point at.
 type calSlot struct {
 	at  time.Duration
 	seq uint64
@@ -262,8 +260,7 @@ func (q *calQueue) Push(it *eventItem) {
 	q.memo = nil
 	if it.at < q.base {
 		// The ring cannot represent a time before its lap origin without
-		// aliasing it into a bucket a lap away; rebase the lap there. Only
-		// exact-mode pushes behind a merged span ever take this path.
+		// aliasing it into a bucket a lap away; rebase the lap there.
 		q.rebuild(len(q.buckets), q.shift, it.at)
 	}
 	q.pushes++
@@ -426,8 +423,8 @@ func (q *calQueue) migrate() {
 // keys. The scan length is charged to the calibration cost meter: deep
 // buckets mean the width has gone stale for the density at the cursor.
 // A fruitless full lap is only possible if the invariant was disturbed
-// (exact-mode pushes into the past of a rewound cursor); the direct scan
-// restores it by repositioning the cursor.
+// (pushes into the past of a rewound cursor); the direct scan restores it
+// by repositioning the cursor.
 func (q *calQueue) searchMin() (*eventItem, int, int) {
 	width := time.Duration(1) << q.shift
 	idx, start := q.curIdx, q.curStart
@@ -479,23 +476,4 @@ func (q *calQueue) directMin() (*eventItem, int, int) {
 	q.curIdx = q.bucketOf(best.at)
 	q.curStart = q.windowStart(best.at)
 	return best.it, bIdx, bPos
-}
-
-// Scan calls fn for every queued item in unspecified order, across both
-// tiers. The sharded kernel uses it to renumber provisional sequence
-// numbers after a span merge; rewriting seq in place is safe because
-// renumbering never changes the relative (at, seq) order of any queued
-// pair. Slot key copies are refreshed after each callback so bucket order
-// stays coherent with the rewritten items.
-func (q *calQueue) Scan(fn func(*eventItem)) {
-	for _, bucket := range q.buckets {
-		for i := range bucket {
-			it := bucket[i].it
-			fn(it)
-			bucket[i].at, bucket[i].seq = it.at, it.seq
-		}
-	}
-	for _, it := range q.far {
-		fn(it)
-	}
 }

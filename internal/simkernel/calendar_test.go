@@ -37,10 +37,9 @@ func TestCalendarMatchesHeap(t *testing.T) {
 			}
 			return time.Duration(rng.Int63n(int64(100 * time.Microsecond)))
 		}},
-		// Pushes behind the cursor — exact mode does this after a span
-		// merge. Regression shape for lap aliasing: a push before the
-		// ring's lap origin must rebase the lap, not land in a bucket a
-		// lap away where the cursor sweep overlooks it.
+		// Pushes behind the cursor. Regression shape for lap aliasing: a
+		// push before the ring's lap origin must rebase the lap, not land
+		// in a bucket a lap away where the cursor sweep overlooks it.
 		{"time-warp", func(rng *rand.Rand) time.Duration {
 			if rng.Intn(20) == 0 {
 				return -time.Duration(rng.Int63n(int64(time.Second)))
@@ -176,29 +175,5 @@ func TestCalendarResizeEdges(t *testing.T) {
 	}
 	if len(q.buckets) != calMinBuckets {
 		t.Fatalf("ring never shrank: buckets = %d, want %d", len(q.buckets), calMinBuckets)
-	}
-}
-
-// TestCalendarScan pins Scan's contract: every queued item is visited
-// exactly once, and rewriting seq in place keeps pops ordered (the sharded
-// kernel renumbers provisional sequence numbers this way).
-func TestCalendarScan(t *testing.T) {
-	q := newCalQueue()
-	for i := 0; i < 100; i++ {
-		q.Push(&eventItem{at: time.Duration(i) * time.Millisecond, seq: 1000 + uint64(i)})
-	}
-	seen := 0
-	q.Scan(func(it *eventItem) {
-		it.seq -= 1000 // order-preserving rewrite
-		seen++
-	})
-	if seen != 100 {
-		t.Fatalf("Scan visited %d items, want 100", seen)
-	}
-	for i := 0; i < 100; i++ {
-		it := q.Pop()
-		if it.seq != uint64(i) {
-			t.Fatalf("pop %d: seq = %d after renumbering", i, it.seq)
-		}
 	}
 }

@@ -10,105 +10,59 @@ import (
 	"repro/internal/core"
 )
 
-// Sharded is a conservatively synchronized parallel simulation kernel that
-// produces results byte-identical to the serial Engine at any shard or
-// worker count.
+// Sharded is the fleet's free-running parallel kernel: the disk population
+// is split into per-rack shards, each with its own calendar queue and event
+// arena, and RunFree drains every shard to empty concurrently with no
+// cross-shard ordering at all.
 //
-// The event population is split in two ordering domains:
-//
-//   - Shard events live in per-shard calendar queues. A shard owns a
-//     contiguous stripe of disks (the same striping as placement.RackOf),
-//     and disk events only ever schedule or cancel events on their own
-//     disk, so shards never interact directly.
-//   - Coordinator events — preloaded arrivals, batch ticks, failure
-//     injections: anything that reads or writes cross-disk state — live in
-//     an embedded serial Engine that shares the global sequence counter.
-//
-// Execution alternates between coordinator events and "spans": the next
-// coordinator key (time, seq) is a lower bound on any future cross-shard
-// influence, so every shard event strictly below that key is independent
-// and may run early, concurrently across shards. That key is the epoch's
-// lookahead bound. Within a span each shard executes its own events in
-// local (time, seq) order; side effects that touch shared state are
-// buffered via ShardView.Defer and replayed afterwards in the exact global
-// order the serial kernel would have produced (see mergeSpans), which is
-// what makes traces, metrics, and response-time sample orders bit-for-bit
-// identical.
+// That is sound only for workloads whose shards never interact: disk events
+// schedule and cancel events on their own shard only, there are no
+// coordinator (cross-disk) events, and result sinks are shard-local with a
+// shard-count-invariant aggregation (integer sums, histograms, per-disk
+// reductions). Within a shard, events still fire in strict (time, seq)
+// order, so each shard's history — and therefore every such aggregate — is
+// identical at any shard or worker count. Ordered runs that need one global
+// canonical order (traces, response-sample order, cross-disk scheduling)
+// use the serial Engine.
 type Sharded struct {
-	coord    Engine // coordinator: cross-shard events + preloaded arrivals
-	seq      uint64 // global sequence counter; coord draws from it via seqRef
 	now      time.Duration
 	fired    uint64
-	halted   bool
-	inSpan   bool
-	freeRun  bool
+	running  bool
 	workers  int
 	numDisks int
 	shards   []*shard
-	active   []*shard // scratch for span assembly
-	probe    func(now time.Duration, fired uint64)
 
-	// Wall-clock telemetry (see EnableTelemetry): drain wall and
-	// deferred-effect merge time, accumulated on the coordinator goroutine.
+	// Wall-clock telemetry (see EnableTelemetry): total drain wall,
+	// accumulated on the calling goroutine.
 	telemetry bool
 	wallNS    int64
-	mergeNS   int64
-}
-
-// provSeqBase is the first provisional sequence number. Events scheduled
-// inside a span cannot draw from the global counter without racing, so the
-// scheduling shard assigns provBase+k (k = shard-local scheduling order)
-// and the post-span merge rewrites each to the real value the serial kernel
-// would have assigned. Real sequence numbers stay far below 1<<63 for any
-// feasible run, so the two ranges never collide, and provisional numbers
-// compare after real ones at equal timestamps — exactly the serial order,
-// since an event scheduled during a span is necessarily scheduled later
-// than any event that was already queued when the span began.
-const provSeqBase = uint64(1) << 63
-
-// execRec records one executed shard event during a span: its ordering key
-// (seq may be provisional), the provisional numbers it assigned to children
-// [provA, provB), and its buffered effects [fxA, fxB).
-type execRec struct {
-	at           time.Duration
-	seq          uint64
-	provA, provB uint32
-	fxA, fxB     int32
 }
 
 // shard is one sub-kernel: a calendar queue, a private event arena (the
-// PR-5 generation-counted pool, duplicated per shard so shards never
-// contend on a free list), and the span bookkeeping.
+// generation-counted pool, duplicated per shard so shards never contend on
+// a free list) and a shard-local sequence counter and clock.
 type shard struct {
 	idx       int32
 	q         calQueue
 	free      []*eventItem
 	now       time.Duration
+	seq       uint64
 	cancelled int
-	provSeq   uint64 // next provisional seq; reset to provSeqBase after each merge
-	execs     []execRec
-	head      int
-	effects   []func()
-	remap     []uint64 // provisional index -> real seq, filled during merge
-	fired     uint64   // free-running mode's local event count
-	// slot holds the earliest event scheduled since the last consume in
-	// free-running mode: self-chaining workloads (a generator tick
+	fired     uint64 // events fired in the current RunFree, folded into the kernel after it
+	// slot holds the earliest event scheduled since the last consume while
+	// RunFree is draining: self-chaining workloads (a generator tick
 	// scheduling the next tick, a service completion starting the next
 	// service) usually schedule the very event that fires next, and the
 	// slot lets it bypass the calendar queue's push/pop round trip
-	// entirely. Never populated outside RunFree.
+	// entirely.
 	slot *eventItem
 	view ShardView
 
 	// Introspection counters (see ShardStats).
-	firedTotal     uint64 // lifetime events, surviving RunFree's fold-and-reset
-	poolBlocks     int    // event-arena blocks ever allocated
-	spanRounds     uint64 // exact-mode spans this shard executed events in
-	lookaheadWaits uint64 // spans it held events above the lookahead bound
-	deferred       uint64 // deferred effects replayed by mergeSpans
-	replayHW       int    // deepest single-span effect replay
-	slotHits       uint64 // free-running slot fast-path consumes
-	telem          *shardTimes
+	firedTotal uint64 // lifetime events, surviving RunFree's fold-and-reset
+	poolBlocks int    // event-arena blocks ever allocated
+	slotHits   uint64 // slot fast-path consumes
+	telem      *shardTimes
 }
 
 // inSlot marks an item held in a shard's fast-path slot: not in either
@@ -116,7 +70,7 @@ type shard struct {
 const inSlot = -4
 
 // NewSharded builds a kernel with numShards sub-kernels over numDisks
-// disks. workers caps the goroutines used per span; workers <= 0 means
+// disks. workers caps the goroutines RunFree uses; workers <= 0 means
 // GOMAXPROCS. Shard counts are clamped to [1, numDisks].
 func NewSharded(numDisks, numShards, workers int) *Sharded {
 	if numDisks < 1 {
@@ -132,21 +86,9 @@ func NewSharded(numDisks, numShards, workers int) *Sharded {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	se := &Sharded{workers: workers, numDisks: numDisks}
-	se.coord.seqRef = &se.seq
-	// The coordinator's probe shim folds its executions into the global
-	// clock and event count so Fired() and the storage probe see one
-	// stream, exactly as the serial kernel reports it.
-	se.coord.SetProbe(func(now time.Duration, _ uint64) {
-		se.now = now
-		se.fired++
-		if se.probe != nil {
-			se.probe(se.now, se.fired)
-		}
-	})
 	se.shards = make([]*shard, numShards)
-	se.active = make([]*shard, 0, numShards)
 	for i := range se.shards {
-		sh := &shard{idx: int32(i), provSeq: provSeqBase}
+		sh := &shard{idx: int32(i)}
 		sh.q.init()
 		sh.view = ShardView{se: se, sh: sh}
 		se.shards[i] = sh
@@ -188,77 +130,8 @@ func (se *Sharded) DiskSim(d core.DiskID) *ShardView {
 	return &se.shards[ShardOf(d, se.numDisks, len(se.shards))].view
 }
 
-// --- Kernel surface (serial phase only) ---
-
-// Now returns the current virtual time.
-func (se *Sharded) Now() time.Duration { return se.now }
-
-// At schedules a coordinator event: one that may touch cross-shard state.
-// It must not be called while a span is executing.
-func (se *Sharded) At(t time.Duration, fn Event) Handle {
-	if t < se.now {
-		panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, t, se.now))
-	}
-	return se.coord.At(t, fn)
-}
-
-// After schedules a coordinator event d after the current virtual time.
-func (se *Sharded) After(d time.Duration, fn Event) Handle {
-	return se.At(se.now+d, fn)
-}
-
-// Preload installs a batch of request deliveries as coordinator events.
-func (se *Sharded) Preload(reqs []core.Request, fn func(core.Request, time.Duration)) {
-	se.coord.Preload(reqs, fn)
-}
-
-// Cancel prevents a scheduled event from firing, routing the bookkeeping to
-// the engine that owns the item (a shard or the coordinator).
-func (se *Sharded) Cancel(h Handle) {
-	it := h.item
-	if it == nil || it.gen != h.gen || it.index == fired || it.cancelled {
-		return
-	}
-	it.cancelled = true
-	if it.owner >= 0 {
-		se.shards[it.owner].cancelled++
-	} else {
-		se.coord.cancelled++
-	}
-}
-
-// Halt stops RunUntil after the current event completes. Like the serial
-// kernel it takes effect between events; it must be called from coordinator
-// events or probes, not from inside a span.
-func (se *Sharded) Halt() { se.halted = true }
-
-// Fired returns the number of events executed so far, identical to the
-// serial kernel's count for the same workload.
+// Fired returns the number of events executed so far across all shards.
 func (se *Sharded) Fired() uint64 { return se.fired }
-
-// SetProbe installs the per-event observer. In exact (span-merged) mode the
-// probe fires for every event in canonical global order with the same
-// (now, fired) pairs as the serial kernel. Free-running mode does not
-// support probes.
-func (se *Sharded) SetProbe(fn func(now time.Duration, fired uint64)) { se.probe = fn }
-
-// keyLess orders two events by the kernel's strict total order.
-func keyLess(a1 time.Duration, s1 uint64, a2 time.Duration, s2 uint64) bool {
-	return a1 < a2 || (a1 == a2 && s1 < s2)
-}
-
-// peekLive returns the shard's next live event, reaping cancelled ones.
-func (sh *shard) peekLive() *eventItem {
-	for {
-		it := sh.q.Peek()
-		if it == nil || !it.cancelled {
-			return it
-		}
-		sh.q.Pop()
-		sh.cancelled--
-		sh.release(it)
-	}
-}
 
 func (sh *shard) alloc() *eventItem {
 	if n := len(sh.free); n > 0 {
@@ -283,277 +156,10 @@ func (sh *shard) release(it *eventItem) {
 	sh.free = append(sh.free, it)
 }
 
-// Step executes the single globally next event — coordinator or shard — in
-// serial phase. The storage layer's drain loop uses it; it is not the fast
-// path.
-func (se *Sharded) Step() bool {
-	cAt, cSeq, cOK := se.coord.peekKey()
-	var best *shard
-	var bestIt *eventItem
-	for _, sh := range se.shards {
-		it := sh.peekLive()
-		if it == nil {
-			continue
-		}
-		if bestIt == nil || keyLess(it.at, it.seq, bestIt.at, bestIt.seq) {
-			best, bestIt = sh, it
-		}
-	}
-	if cOK && (bestIt == nil || keyLess(cAt, cSeq, bestIt.at, bestIt.seq)) {
-		return se.coord.Step()
-	}
-	if bestIt == nil {
-		return false
-	}
-	se.execInline(best, bestIt)
-	return true
-}
-
-// execInline runs one shard event in serial phase: real sequence numbers,
-// direct effects, global clock.
-func (se *Sharded) execInline(sh *shard, it *eventItem) {
-	sh.q.Pop()
-	at, fn := it.at, it.fn
-	sh.now, se.now = at, at
-	se.fired++
-	sh.firedTotal++
-	sh.release(it)
-	if se.probe != nil {
-		se.probe(se.now, se.fired)
-	}
-	fn(at)
-}
-
-// RunUntil executes all events with timestamps <= deadline in canonical
-// order, then advances the clock to the deadline. Equivalent to the serial
-// kernel's RunUntil, event for event.
-func (se *Sharded) RunUntil(deadline time.Duration) time.Duration {
-	se.halted = false
-	for !se.halted {
-		cAt, cSeq, cOK := se.coord.peekKey()
-		if !cOK || cAt > deadline {
-			// No coordinator event inside the horizon: settle every shard
-			// event at or before it. boundSeq ^uint64(0) makes the bound
-			// exclusive only in seq, i.e. "all events with at <= deadline".
-			se.runSpan(deadline, ^uint64(0))
-			break
-		}
-		// Every shard event strictly below the coordinator's key is
-		// independent of it; run those, then the coordinator event itself.
-		se.runSpan(cAt, cSeq)
-		if se.halted {
-			break
-		}
-		se.coord.Step()
-	}
-	if se.now < deadline {
-		se.now = deadline
-	}
-	return se.now
-}
-
-// runSpan executes every shard event with key strictly below the bound.
-// Shards cannot schedule onto other shards, so a single pass settles the
-// span: afterwards no shard holds an event below the bound.
-func (se *Sharded) runSpan(boundAt time.Duration, boundSeq uint64) {
-	active := se.active[:0]
-	for _, sh := range se.shards {
-		it := sh.peekLive()
-		if it == nil {
-			continue
-		}
-		if keyLess(it.at, it.seq, boundAt, boundSeq) {
-			active = append(active, sh)
-			sh.spanRounds++
-		} else {
-			sh.lookaheadWaits++
-		}
-	}
-	switch len(active) {
-	case 0:
-		return
-	case 1:
-		// One shard active: its events are already globally ordered, so run
-		// them inline with real sequence numbers and direct effects. This is
-		// the common case between consecutive arrivals and keeps the merge
-		// machinery off the serial-dominated paths.
-		sh := active[0]
-		for {
-			it := sh.peekLive()
-			if it == nil || !keyLess(it.at, it.seq, boundAt, boundSeq) {
-				return
-			}
-			se.execInline(sh, it)
-		}
-	}
-	se.inSpan = true
-	var spanStart time.Time
-	if se.telemetry {
-		spanStart = time.Now()
-	}
-	if se.workers <= 1 || len(active) == 1 {
-		for _, sh := range active {
-			if sh.telem != nil && se.telemetry {
-				sh.runSpanLocalTimed(boundAt, boundSeq)
-			} else {
-				sh.runSpanLocal(boundAt, boundSeq)
-			}
-		}
-	} else {
-		timed := se.telemetry
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		n := min(se.workers, len(active))
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(active) {
-						return
-					}
-					if timed {
-						active[i].runSpanLocalTimed(boundAt, boundSeq)
-					} else {
-						active[i].runSpanLocal(boundAt, boundSeq)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	se.inSpan = false
-	if se.telemetry {
-		// Barrier stall: the span holds every active shard until the slowest
-		// one (or the worker pool) finishes; the gap between a shard's own
-		// span wall and the barrier wall is its sync-stall time.
-		spanWall := int64(time.Since(spanStart))
-		se.wallNS += spanWall
-		for _, sh := range active {
-			if d := spanWall - sh.telem.lastSpan; d > 0 {
-				sh.telem.stallNS += d
-			}
-		}
-		mergeStart := time.Now()
-		se.mergeSpans(active)
-		se.mergeNS += int64(time.Since(mergeStart))
-		return
-	}
-	se.mergeSpans(active)
-}
-
-// runSpanLocal drains one shard's events below the bound, recording each
-// execution and assigning provisional sequence numbers to anything it
-// schedules. Runs concurrently with other shards; touches only shard state.
-func (sh *shard) runSpanLocal(boundAt time.Duration, boundSeq uint64) {
-	for {
-		it := sh.peekLive()
-		if it == nil || !keyLess(it.at, it.seq, boundAt, boundSeq) {
-			return
-		}
-		sh.q.Pop()
-		rec := execRec{
-			at:    it.at,
-			seq:   it.seq,
-			provA: uint32(sh.provSeq - provSeqBase),
-			fxA:   int32(len(sh.effects)),
-		}
-		fn := it.fn
-		sh.now = it.at
-		sh.firedTotal++
-		sh.release(it)
-		fn(rec.at)
-		rec.provB = uint32(sh.provSeq - provSeqBase)
-		rec.fxB = int32(len(sh.effects))
-		sh.execs = append(sh.execs, rec)
-	}
-}
-
-// mergeSpans replays the span's executions in canonical global order,
-// reconstructing the exact sequence numbers the serial kernel would have
-// assigned and firing buffered effects in that order.
-//
-// The k-way merge compares each shard's next unreplayed execution by
-// (at, real seq). A provisional seq is resolved through the shard's remap
-// table; the entry is always populated by the time it is needed, because
-// the event that scheduled it ran earlier on the same shard and was
-// therefore merged earlier (its key is strictly smaller). When an execution
-// is merged, the global counter hands its children their real sequence
-// numbers, in the scheduling order the serial kernel would have used.
-func (se *Sharded) mergeSpans(active []*shard) {
-	for {
-		var best *shard
-		var bestAt time.Duration
-		var bestSeq uint64
-		for _, sh := range active {
-			if sh.head >= len(sh.execs) {
-				continue
-			}
-			rec := &sh.execs[sh.head]
-			seq := rec.seq
-			if seq >= provSeqBase {
-				seq = sh.remap[seq-provSeqBase]
-			}
-			if best == nil || keyLess(rec.at, seq, bestAt, bestSeq) {
-				best, bestAt, bestSeq = sh, rec.at, seq
-			}
-		}
-		if best == nil {
-			break
-		}
-		rec := &best.execs[best.head]
-		best.head++
-		for k := rec.provA; k < rec.provB; k++ {
-			best.remap[k] = se.seq
-			se.seq++
-		}
-		se.now = rec.at
-		se.fired++
-		if se.probe != nil {
-			se.probe(se.now, se.fired)
-		}
-		for i := rec.fxA; i < rec.fxB; i++ {
-			best.effects[i]()
-		}
-	}
-	// Surviving span-scheduled events keep their real numbers so future
-	// comparisons against serial-phase events order correctly. Rewriting in
-	// place is safe: renumbering maps provisional order onto ascending real
-	// seqs past every pre-span number, so no queued pair's relative order
-	// changes.
-	for _, sh := range active {
-		if sh.provSeq > provSeqBase {
-			sh.q.Scan(func(it *eventItem) {
-				if it.seq >= provSeqBase {
-					it.seq = sh.remap[it.seq-provSeqBase]
-				}
-			})
-		}
-		sh.deferred += uint64(len(sh.effects))
-		if len(sh.effects) > sh.replayHW {
-			sh.replayHW = len(sh.effects)
-		}
-		sh.head = 0
-		sh.execs = sh.execs[:0]
-		clear(sh.effects)
-		sh.effects = sh.effects[:0]
-		sh.remap = sh.remap[:0]
-		sh.provSeq = provSeqBase
-	}
-}
-
-// RunFree drains every shard to empty with no cross-shard ordering, no
-// execution records, and no effect buffering: the free-running mode behind
-// the fleet benchmark. It requires a workload with no coordinator events
-// (self-scheduling generators) and shard-local result sinks; any
-// shard-count-invariant aggregation (integer sums, histograms, per-disk
-// reductions) then yields identical results at every shard count. Probes
-// are not supported. Returns the final virtual time: the max over shards.
+// RunFree drains every shard to empty, shards running concurrently on up to
+// workers goroutines. Probes are not supported. Returns the final virtual
+// time: the max over shards.
 func (se *Sharded) RunFree() time.Duration {
-	if _, _, ok := se.coord.peekKey(); ok {
-		panic("simkernel: RunFree with pending coordinator events")
-	}
 	timed := se.telemetry
 	var loop0 []int64
 	var start time.Time
@@ -564,7 +170,7 @@ func (se *Sharded) RunFree() time.Duration {
 		}
 		start = time.Now()
 	}
-	se.inSpan, se.freeRun = true, true
+	se.running = true
 	if w := min(se.workers, len(se.shards)); w <= 1 {
 		for _, sh := range se.shards {
 			if timed {
@@ -595,7 +201,7 @@ func (se *Sharded) RunFree() time.Duration {
 		}
 		wg.Wait()
 	}
-	se.inSpan, se.freeRun = false, false
+	se.running = false
 	if timed {
 		// A shard's stall is the drain wall minus its own loop wall: time it
 		// spent finished (or waiting for a worker slot) while the straggler
@@ -650,17 +256,19 @@ func (sh *shard) runFreeLocal() {
 	}
 }
 
-// ShardView is the Sim a disk schedules against: shard-local during spans
-// (provisional sequence numbers, buffered effects), global otherwise.
+// ShardView is the Sim a disk schedules against: its shard's sequence
+// counter and queue. Events scheduled before RunFree seed the shard;
+// events scheduled from inside a running shard extend it.
 type ShardView struct {
 	se *Sharded
 	sh *shard
 }
 
-// Now returns the executing shard's clock during a span, the global clock
-// otherwise.
+// Now returns the executing shard's clock while RunFree drains, the
+// kernel's clock (the max over shards) otherwise — so disks closed after a
+// drain all account up to the same horizon.
 func (v *ShardView) Now() time.Duration {
-	if v.se.inSpan {
+	if v.se.running {
 		return v.sh.now
 	}
 	return v.se.now
@@ -668,40 +276,30 @@ func (v *ShardView) Now() time.Duration {
 
 // At schedules fn on this view's shard at absolute time t.
 func (v *ShardView) At(t time.Duration, fn Event) Handle {
-	se, sh := v.se, v.sh
+	sh := v.sh
+	if now := v.Now(); t < now {
+		panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, t, now))
+	}
 	it := sh.alloc()
-	if se.inSpan {
-		if t < sh.now {
-			panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, t, sh.now))
+	it.at, it.seq, it.fn, it.cancelled = t, sh.seq, fn, false
+	sh.seq++
+	if v.se.running {
+		// Fast path: hold the earliest pending schedule in the slot. A
+		// later-keyed schedule goes through the queue; an earlier one takes
+		// the slot and demotes the previous holder to the queue (the
+		// returned handle must stay on the new item).
+		s := sh.slot
+		if s == nil {
+			it.index = inSlot
+			sh.slot = it
+			return Handle{item: it, gen: it.gen}
 		}
-		it.at, it.seq, it.fn, it.cancelled = t, sh.provSeq, fn, false
-		sh.provSeq++
-		if se.freeRun {
-			// Free-running fast path: hold the earliest pending schedule in
-			// the slot. A later-keyed schedule goes through the queue; an
-			// earlier one takes the slot and demotes the previous holder to
-			// the queue (the returned handle must stay on the new item).
-			s := sh.slot
-			if s == nil {
-				it.index = inSlot
-				sh.slot = it
-				return Handle{item: it, gen: it.gen}
-			}
-			if it.at < s.at {
-				it.index = inSlot
-				sh.slot = it
-				sh.q.Push(s)
-				return Handle{item: it, gen: it.gen}
-			}
-		} else {
-			sh.remap = append(sh.remap, 0)
+		if it.at < s.at {
+			it.index = inSlot
+			sh.slot = it
+			sh.q.Push(s)
+			return Handle{item: it, gen: it.gen}
 		}
-	} else {
-		if t < se.now {
-			panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, t, se.now))
-		}
-		it.at, it.seq, it.fn, it.cancelled = t, se.seq, fn, false
-		se.seq++
 	}
 	sh.q.Push(it)
 	return Handle{item: it, gen: it.gen}
@@ -713,24 +311,15 @@ func (v *ShardView) After(d time.Duration, fn Event) Handle {
 }
 
 // Cancel prevents the handled event from firing; same semantics as the
-// serial kernel, including stale-handle detection by generation.
-func (v *ShardView) Cancel(h Handle) { v.se.Cancel(h) }
-
-// Defer queues fn to run at effect-replay time when called inside an exact
-// span, and runs it immediately otherwise. The storage layer wraps every
-// callback that touches shared state (tracer emission, response recording,
-// run metrics) in Defer; replay order is the canonical global event order,
-// so downstream consumers cannot tell a sharded run from a serial one.
-// Deferred effects must not schedule or cancel events.
-func (v *ShardView) Defer(fn func()) {
-	if v.se.inSpan && !v.se.freeRun {
-		v.sh.effects = append(v.sh.effects, fn)
+// serial kernel, including stale-handle detection by generation. The
+// bookkeeping goes to the shard that owns the item.
+func (v *ShardView) Cancel(h Handle) {
+	it := h.item
+	if it == nil || it.gen != h.gen || it.index == fired || it.cancelled {
 		return
 	}
-	fn()
+	it.cancelled = true
+	v.se.shards[it.owner].cancelled++
 }
 
-var (
-	_ Sim    = (*ShardView)(nil)
-	_ Kernel = (*Sharded)(nil)
-)
+var _ Sim = (*ShardView)(nil)

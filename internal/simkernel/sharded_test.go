@@ -10,167 +10,73 @@ import (
 	"repro/internal/placement"
 )
 
-// shardHarness drives an identical synthetic workload on either kernel:
-// numDisks independent event chains (disk events scheduling same-disk
-// follow-ups, with occasional timers that get cancelled — the disk-model
-// shape), poked by preloaded coordinator arrivals. Every execution appends
-// to a shared log through the kernel's effect path, so the log captures the
-// exact global execution order including same-instant ties.
-type shardHarness struct {
-	numDisks int
-	sims     []Sim
-	deferFn  []func(func())
-	log      []string
-	probes   []string
-	counters []int
-	timers   []Handle
+// chainWorkload is the disk-model event shape, one independent chain per
+// disk: every event logs itself to its disk's own log, may cancel the
+// disk's armed timer, may re-arm it, and schedules a follow-up at a
+// deterministic pseudo-random delay (quantized so same-instant ties are
+// common). All state is per disk, so the workload is shard-local and runs
+// unchanged on the serial Engine or under RunFree.
+type chainWorkload struct {
+	sims   []Sim
+	logs   [][]string
+	timers []Handle
 }
 
-func newSerialHarness(numDisks int) (*shardHarness, *Engine) {
-	eng := &Engine{}
-	h := &shardHarness{numDisks: numDisks}
-	for d := 0; d < numDisks; d++ {
-		h.sims = append(h.sims, eng)
-		h.deferFn = append(h.deferFn, func(fn func()) { fn() })
+// chainEvents bounds each disk's chain: a disk stops scheduling once it
+// has logged this many events.
+const chainEvents = 150
+
+func newChainWorkload(sims []Sim) *chainWorkload {
+	w := &chainWorkload{sims: sims, logs: make([][]string, len(sims)), timers: make([]Handle, len(sims))}
+	for d := range sims {
+		sims[d].At(time.Duration(d%3)*10*time.Microsecond, w.poke(d))
 	}
-	h.counters = make([]int, numDisks)
-	h.timers = make([]Handle, numDisks)
-	return h, eng
+	return w
 }
 
-func newShardedHarness(numDisks, shards, workers int) (*shardHarness, *Sharded) {
-	se := NewSharded(numDisks, shards, workers)
-	h := &shardHarness{numDisks: numDisks}
-	for d := 0; d < numDisks; d++ {
-		v := se.DiskSim(core.DiskID(d))
-		h.sims = append(h.sims, v)
-		h.deferFn = append(h.deferFn, v.Defer)
-	}
-	h.counters = make([]int, numDisks)
-	h.timers = make([]Handle, numDisks)
-	return h, se
-}
-
-// poke is one disk event: log the execution, maybe cancel the disk's armed
-// timer, maybe re-arm it, and chain a few follow-ups at deterministic
-// pseudo-random delays (quantized so cross-disk same-instant ties are
-// common).
-func (h *shardHarness) poke(d int, depth int) Event {
+func (w *chainWorkload) poke(d int) Event {
 	return func(now time.Duration) {
-		h.counters[d]++
-		c := h.counters[d]
-		h.deferFn[d](func() {
-			h.log = append(h.log, fmt.Sprintf("d%d c%d t%d", d, c, now))
-		})
+		c := len(w.logs[d]) + 1
+		w.logs[d] = append(w.logs[d], fmt.Sprintf("c%d t%d", c, now))
 		r := uint64(d*2654435761) ^ uint64(c*40503) // deterministic mix
-		if !h.timers[d].Cancelled() && r%3 == 0 {
-			h.sims[d].Cancel(h.timers[d])
+		if !w.timers[d].Cancelled() && r%3 == 0 {
+			w.sims[d].Cancel(w.timers[d])
 		}
-		if depth >= 4 {
+		if c >= chainEvents {
 			return
 		}
-		quantum := 10 * time.Microsecond
-		delay := time.Duration(1+r%7) * quantum
-		h.sims[d].After(delay, h.poke(d, depth+1))
+		delay := time.Duration(1+r%7) * 10 * time.Microsecond
+		w.sims[d].After(delay, w.poke(d))
 		if r%5 == 1 {
-			h.timers[d] = h.sims[d].After(delay*3, h.poke(d, depth+2))
+			w.timers[d] = w.sims[d].After(delay*3, w.poke(d))
 		}
 	}
 }
 
-func (h *shardHarness) arrivals(n int) []core.Request {
-	reqs := make([]core.Request, n)
-	for i := range reqs {
-		reqs[i] = core.Request{
-			ID:      core.RequestID(i),
-			Arrival: time.Duration(i) * 35 * time.Microsecond,
-		}
+// serialChains runs the chain workload on the serial Engine.
+func serialChains(numDisks int) (*chainWorkload, *Engine) {
+	eng := &Engine{}
+	sims := make([]Sim, numDisks)
+	for d := range sims {
+		sims[d] = eng
 	}
-	return reqs
+	w := newChainWorkload(sims)
+	eng.Run()
+	return w, eng
 }
 
-// deliver fans an arrival out to a couple of disks, coordinator-side.
-func (h *shardHarness) deliver(r core.Request, now time.Duration) {
-	h.log = append(h.log, fmt.Sprintf("arrive r%d t%d", r.ID, now))
-	d := int(r.ID) % h.numDisks
-	h.sims[d].At(now, h.poke(d, 0))
-	d2 := (d + h.numDisks/2) % h.numDisks
-	h.sims[d2].After(5*time.Microsecond, h.poke(d2, 1))
+// shardedChains seeds the chain workload on a sharded kernel; the caller
+// arms telemetry if wanted and drains it with RunFree.
+func shardedChains(numDisks, shards, workers int) (*chainWorkload, *Sharded) {
+	se := NewSharded(numDisks, shards, workers)
+	sims := make([]Sim, numDisks)
+	for d := range sims {
+		sims[d] = se.DiskSim(core.DiskID(d))
+	}
+	return newChainWorkload(sims), se
 }
 
-func runHarness(h *shardHarness, k Kernel, n int, deadline time.Duration) {
-	k.SetProbe(func(now time.Duration, fired uint64) {
-		h.probes = append(h.probes, fmt.Sprintf("%d@%d", fired, now))
-	})
-	k.Preload(h.arrivals(n), h.deliver)
-	k.RunUntil(deadline)
-	for k.Step() { // drain past the deadline, exercising Step on both kernels
-	}
-}
-
-// TestShardedMatchesSerial is the kernel-level determinism guarantee: the
-// execution log, probe stream, event count, and final clock of the sharded
-// kernel are identical to the serial engine's at every shard and worker
-// count.
-func TestShardedMatchesSerial(t *testing.T) {
-	const numDisks, numReqs = 16, 120
-	deadline := 2 * time.Millisecond
-
-	ref, eng := newSerialHarness(numDisks)
-	runHarness(ref, eng, numReqs, deadline)
-	refFired, refNow := eng.Fired(), eng.Now()
-	if len(ref.log) < 500 {
-		t.Fatalf("workload too small to be meaningful: %d log entries", len(ref.log))
-	}
-
-	for _, shards := range []int{1, 2, 4, 8, 16} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				h, se := newShardedHarness(numDisks, shards, workers)
-				runHarness(h, se, numReqs, deadline)
-				if !reflect.DeepEqual(h.log, ref.log) {
-					i := 0
-					for i < len(h.log) && i < len(ref.log) && h.log[i] == ref.log[i] {
-						i++
-					}
-					t.Fatalf("log diverges at %d: sharded %q vs serial %q (lens %d/%d)",
-						i, at(h.log, i), at(ref.log, i), len(h.log), len(ref.log))
-				}
-				if !reflect.DeepEqual(h.probes, ref.probes) {
-					t.Fatal("probe stream diverges from serial")
-				}
-				if se.Fired() != refFired || se.Now() != refNow {
-					t.Fatalf("fired/now = %d/%v, serial %d/%v", se.Fired(), se.Now(), refFired, refNow)
-				}
-				if !reflect.DeepEqual(h.counters, ref.counters) {
-					t.Fatal("per-disk counters diverge from serial")
-				}
-			})
-		}
-	}
-}
-
-func at(s []string, i int) string {
-	if i < len(s) {
-		return s[i]
-	}
-	return "<end>"
-}
-
-// TestShardedRepeatedRuns pins run-to-run determinism of the parallel path:
-// two identical sharded runs produce identical logs.
-func TestShardedRepeatedRuns(t *testing.T) {
-	run := func() []string {
-		h, se := newShardedHarness(12, 4, 4)
-		runHarness(h, se, 80, time.Millisecond)
-		return h.log
-	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
-		t.Fatal("two identical sharded runs diverged")
-	}
-}
-
-// TestShardViewHandleSemantics mirrors the PR-5 pool guarantees on the
+// TestShardViewHandleSemantics mirrors the serial pool guarantees on the
 // per-shard arenas: cancel is effective, handles to fired events are stale,
 // and record reuse cannot resurrect an old handle.
 func TestShardViewHandleSemantics(t *testing.T) {
@@ -187,7 +93,9 @@ func TestShardViewHandleSemantics(t *testing.T) {
 	if !hb.Cancelled() {
 		t.Fatal("cancelled handle must report Cancelled")
 	}
-	se.RunUntil(3 * time.Millisecond)
+	if now := se.RunFree(); now != time.Millisecond {
+		t.Fatalf("RunFree ended at %v, want 1ms (the cancelled event must not advance the clock)", now)
+	}
 	if got := fmt.Sprint(firedLog); got != "[a]" {
 		t.Fatalf("fired %v, want [a]", firedLog)
 	}
@@ -203,7 +111,9 @@ func TestShardViewHandleSemantics(t *testing.T) {
 	if hc.Cancelled() {
 		t.Fatal("stale cancel leaked onto a reused record")
 	}
-	se.RunUntil(5 * time.Millisecond)
+	if now := se.RunFree(); now != 2*time.Millisecond {
+		t.Fatalf("second RunFree ended at %v, want 2ms", now)
+	}
 	if got := fmt.Sprint(firedLog); got != "[a c]" {
 		t.Fatalf("fired %v, want [a c]", firedLog)
 	}

@@ -20,28 +20,14 @@ import (
 type Event func(now time.Duration)
 
 // Sim is the scheduling surface a simulated component needs: a clock plus
-// schedule/cancel. Both the serial Engine and a sharded kernel's per-shard
-// ShardView implement it, so a disk model written against Sim runs
-// unchanged on either kernel.
+// schedule/cancel. Both the serial Engine and the free-running sharded
+// kernel's per-shard ShardView implement it, so a disk model written
+// against Sim runs unchanged on either kernel.
 type Sim interface {
 	Now() time.Duration
 	At(t time.Duration, fn Event) Handle
 	After(d time.Duration, fn Event) Handle
 	Cancel(h Handle)
-}
-
-// Kernel is the full run-loop surface the storage layer drives: Sim plus
-// batch preloading and execution control. *Engine and *Sharded both satisfy
-// it; storage picks one per Config.Shards.
-type Kernel interface {
-	Sim
-	Preload(reqs []core.Request, fn func(core.Request, time.Duration))
-	Step() bool
-	RunUntil(deadline time.Duration) time.Duration
-	Halt()
-	Fired() uint64
-	SetProbe(fn func(now time.Duration, fired uint64))
-	Telemetry() *KernelStats
 }
 
 // Handle identifies a scheduled event so it can be cancelled. Handles carry
@@ -66,7 +52,7 @@ type eventItem struct {
 	fn        Event
 	index     int // heap index (or calendar bucket), or `fired` once popped
 	cancelled bool
-	owner     int32 // owning shard index, or ownerSerial for a standalone Engine
+	owner     int32 // owning shard index, or ownerSerial for an Engine
 }
 
 const ownerSerial = -1
@@ -126,7 +112,6 @@ type preloadRun struct {
 type Engine struct {
 	now       time.Duration
 	seq       uint64
-	seqRef    *uint64 // when non-nil, sequence numbers come from here (shared counter)
 	queue     eventHeap
 	runs      []preloadRun
 	free      []*eventItem // recycled event records (see alloc/release)
@@ -139,21 +124,6 @@ type Engine struct {
 	// event-pool blocks ever allocated.
 	queueHW    int
 	poolBlocks int
-}
-
-// takeSeq reserves n consecutive sequence numbers and returns the first.
-// A sharded kernel points seqRef at its global counter so its coordinator
-// engine draws from the same ordering domain as the shards; a standalone
-// engine uses its own field.
-func (e *Engine) takeSeq(n uint64) uint64 {
-	if e.seqRef != nil {
-		s := *e.seqRef
-		*e.seqRef += n
-		return s
-	}
-	s := e.seq
-	e.seq += n
-	return s
 }
 
 // alloc takes an event record off the free list, growing it a block at a
@@ -230,7 +200,8 @@ func (e *Engine) At(t time.Duration, fn Event) Handle {
 		panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, t, e.now))
 	}
 	it := e.alloc()
-	it.at, it.seq, it.fn, it.cancelled = t, e.takeSeq(1), fn, false
+	it.at, it.seq, it.fn, it.cancelled = t, e.seq, fn, false
+	e.seq++
 	heap.Push(&e.queue, it)
 	if len(e.queue) > e.queueHW {
 		e.queueHW = len(e.queue)
@@ -259,7 +230,8 @@ func (e *Engine) Preload(reqs []core.Request, fn func(core.Request, time.Duratio
 		return
 	}
 	events := make([]preloadEvent, len(reqs))
-	base := e.takeSeq(uint64(len(reqs)))
+	base := e.seq
+	e.seq += uint64(len(reqs))
 	for i, r := range reqs {
 		if r.Arrival < e.now {
 			panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, r.Arrival, e.now))
@@ -414,23 +386,4 @@ func (e *Engine) peek() (time.Duration, bool) {
 	return e.queue[0].at, true
 }
 
-// peekKey returns the full (time, seq) ordering key of the next live event.
-// The sharded kernel uses it to bound each shard span: shard events with
-// keys below the coordinator's next key are independent of it and may run
-// early.
-func (e *Engine) peekKey() (time.Duration, uint64, bool) {
-	src, ok := e.nextSource()
-	if !ok {
-		return 0, 0, false
-	}
-	if src >= 0 {
-		ev := e.runs[src].events[e.runs[src].next]
-		return ev.at, ev.seq, true
-	}
-	return e.queue[0].at, e.queue[0].seq, true
-}
-
-var (
-	_ Sim    = (*Engine)(nil)
-	_ Kernel = (*Engine)(nil)
-)
+var _ Sim = (*Engine)(nil)

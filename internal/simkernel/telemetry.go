@@ -3,12 +3,12 @@ package simkernel
 import "time"
 
 // ShardStats is one sub-kernel's introspection counters. The structural
-// counters (queue ops, rebuilds, span rounds, pool growth) are always on —
+// counters (queue ops, rebuilds, slot hits, pool growth) are always on —
 // each is a plain field increment on a path that already touches the same
 // cache line — while the wall-clock buckets (ExecNS/QueueNS/StallNS) are
 // populated only after EnableTelemetry, which swaps the drain loops for
 // timestamp-chaining variants. A serial Engine reports itself as a single
-// pseudo-shard with the calendar- and span-specific fields zero.
+// pseudo-shard with the calendar-specific fields zero.
 type ShardStats struct {
 	Shard  int    `json:"shard"`
 	Events uint64 `json:"events"`
@@ -25,21 +25,12 @@ type ShardStats struct {
 	// Event-arena high-water mark: pooled records ever allocated.
 	PoolHighWater int `json:"pool_high_water"`
 
-	// Span synchronization (exact mode): rounds this shard executed events
-	// in vs. rounds it sat below the lookahead bound with nothing runnable,
-	// and the deferred-effect replay volume merged back in global order.
-	SpanRounds      uint64 `json:"span_rounds"`
-	LookaheadWaits  uint64 `json:"lookahead_waits"`
-	DeferredEffects uint64 `json:"deferred_effects"`
-	ReplayDepthMax  int    `json:"replay_depth_max"`
-
 	// Free-running slot fast-path hits.
 	SlotHits uint64 `json:"slot_hits"`
 
 	// Wall-clock attribution (telemetry mode only): time spent executing
 	// event callbacks, time spent in queue operations (pop/peek/reap), and
-	// time stalled — idle while a straggler shard or the span barrier held
-	// the drain open.
+	// time stalled — idle while a straggler shard held the drain open.
 	ExecNS  int64 `json:"exec_ns"`
 	QueueNS int64 `json:"queue_ns"`
 	StallNS int64 `json:"stall_ns"`
@@ -50,21 +41,14 @@ func (s *ShardStats) BusyNS() int64 { return s.ExecNS + s.QueueNS }
 
 // KernelStats is a deterministic snapshot of a kernel's telemetry: shards
 // appear in shard order and every field is derived from per-shard counters
-// aggregated on the coordinator goroutine, so two identical runs snapshot
-// identically (wall-clock fields aside).
+// aggregated after the drain, so two identical runs snapshot identically
+// (wall-clock fields aside). Per-shard events sum to Events.
 type KernelStats struct {
 	Shards []ShardStats `json:"shards"`
-	// WallNS is the drain's wall-clock time (telemetry mode; RunFree and
-	// parallel exact spans contribute). MergeNS is coordinator time spent
-	// replaying deferred effects in global order.
-	WallNS  int64 `json:"wall_ns"`
-	MergeNS int64 `json:"merge_ns"`
-	Events  uint64 `json:"events"`
-	// CoordEvents counts events executed on the coordinator engine between
-	// drains (preload deliveries, probes) — part of Events but belonging to
-	// no shard, so per-shard events plus CoordEvents equals Events.
-	CoordEvents uint64 `json:"coord_events"`
-	Timed       bool   `json:"timed"`
+	// WallNS is the wall-clock time of telemetry-armed RunFree drains.
+	WallNS int64  `json:"wall_ns"`
+	Events uint64 `json:"events"`
+	Timed  bool   `json:"timed"`
 }
 
 // Attribution sums the named wall-clock buckets across shards and returns
@@ -95,19 +79,18 @@ func (ks *KernelStats) Straggler() int {
 	return best
 }
 
-// shardTimes is the opt-in wall-clock meter attached to a shard (and to the
-// coordinator for merge time) by EnableTelemetry.
+// shardTimes is the opt-in wall-clock meter attached to a shard by
+// EnableTelemetry.
 type shardTimes struct {
-	execNS   int64
-	queueNS  int64
-	stallNS  int64
-	loopNS   int64 // this shard's loop wall, used to derive stall
-	lastSpan int64 // wall of the shard's most recent parallel span
+	execNS  int64
+	queueNS int64
+	stallNS int64
+	loopNS  int64 // this shard's loop wall, used to derive stall
 }
 
 // EnableTelemetry arms wall-clock attribution: subsequent RunFree drains
-// and parallel exact-mode spans run through timestamp-chaining loops that
-// bucket every nanosecond into execute/queue/stall. The structural counters
+// run through a timestamp-chaining loop that buckets every nanosecond into
+// execute/queue/stall. The structural counters
 // are always on; this only adds the timing. Costs two clock reads per event
 // while enabled — leave it off on throughput-critical runs.
 func (se *Sharded) EnableTelemetry() {
@@ -123,12 +106,10 @@ func (se *Sharded) EnableTelemetry() {
 // it between drains (it reads shard state the drain loops write).
 func (se *Sharded) Telemetry() *KernelStats {
 	ks := &KernelStats{
-		Shards:      make([]ShardStats, len(se.shards)),
-		WallNS:      se.wallNS,
-		MergeNS:     se.mergeNS,
-		Events:      se.fired,
-		CoordEvents: se.coord.fired,
-		Timed:       se.telemetry,
+		Shards: make([]ShardStats, len(se.shards)),
+		WallNS: se.wallNS,
+		Events: se.fired,
+		Timed:  se.telemetry,
 	}
 	for i, sh := range se.shards {
 		st := &ks.Shards[i]
@@ -142,10 +123,6 @@ func (se *Sharded) Telemetry() *KernelStats {
 		st.FarHighWater = sh.q.farHW
 		st.QueueHighWater = sh.q.nHW
 		st.PoolHighWater = sh.poolBlocks * poolBlock
-		st.SpanRounds = sh.spanRounds
-		st.LookaheadWaits = sh.lookaheadWaits
-		st.DeferredEffects = sh.deferred
-		st.ReplayDepthMax = sh.replayHW
 		st.SlotHits = sh.slotHits
 		if sh.telem != nil {
 			st.ExecNS = sh.telem.execNS
@@ -209,14 +186,4 @@ func (sh *shard) runFreeLocalTimed() {
 		t = time.Now()
 		tm.execNS += int64(t.Sub(tq))
 	}
-}
-
-// runSpanLocalTimed wraps one parallel exact-mode span in a wall-clock
-// bracket; the coordinator derives barrier stall from the span wall.
-func (sh *shard) runSpanLocalTimed(boundAt time.Duration, boundSeq uint64) {
-	start := time.Now()
-	sh.runSpanLocal(boundAt, boundSeq)
-	d := int64(time.Since(start))
-	sh.telem.lastSpan = d
-	sh.telem.execNS += d
 }

@@ -3,15 +3,13 @@ package simkernel
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestEngineTelemetry pins the serial pseudo-shard snapshot: event count
 // matches Fired, the queue and pool high-water marks are live, and the
 // snapshot is untimed.
 func TestEngineTelemetry(t *testing.T) {
-	h, eng := newSerialHarness(8)
-	runHarness(h, eng, 60, time.Millisecond)
+	_, eng := serialChains(8)
 	ks := eng.Telemetry()
 	if len(ks.Shards) != 1 {
 		t.Fatalf("serial engine reports %d shards, want 1", len(ks.Shards))
@@ -36,29 +34,29 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 }
 
-// TestShardedTelemetryCounters pins the structural counters on the exact
-// span path: per-shard events sum to the global count, queue pushes cover
-// pops, spans and deferred effects are recorded, and arming telemetry does
-// not perturb the execution order.
+// TestShardedTelemetryCounters pins the structural counters on RunFree:
+// per-shard events sum to the global count, queue pushes cover pops, slot
+// hits are recorded, timed attribution covers the drain, and arming
+// telemetry does not perturb any disk's execution order.
 func TestShardedTelemetryCounters(t *testing.T) {
-	const numDisks, numReqs = 16, 120
-	deadline := 2 * time.Millisecond
+	const numDisks = 16
+	ref, eng := serialChains(numDisks)
 
-	ref, eng := newSerialHarness(numDisks)
-	runHarness(ref, eng, numReqs, deadline)
-
-	h, se := newShardedHarness(numDisks, 4, 4)
+	w, se := shardedChains(numDisks, 4, 4)
 	se.EnableTelemetry()
-	runHarness(h, se, numReqs, deadline)
-	if !reflect.DeepEqual(h.log, ref.log) {
-		t.Fatal("telemetry perturbed the execution log")
+	se.RunFree()
+	if !reflect.DeepEqual(w.logs, ref.logs) {
+		t.Fatal("telemetry-armed RunFree diverges from the serial per-disk logs")
+	}
+	if se.Fired() != eng.Fired() {
+		t.Fatalf("Fired = %d, serial %d", se.Fired(), eng.Fired())
 	}
 
 	ks := se.Telemetry()
 	if len(ks.Shards) != 4 {
 		t.Fatalf("snapshot has %d shards, want 4", len(ks.Shards))
 	}
-	var events, pushes, pops, spans, deferred uint64
+	var events, pushes, pops, slotHits uint64
 	for i, s := range ks.Shards {
 		if s.Shard != i {
 			t.Fatalf("shard %d labelled %d", i, s.Shard)
@@ -72,18 +70,13 @@ func TestShardedTelemetryCounters(t *testing.T) {
 		events += s.Events
 		pushes += s.Pushes
 		pops += s.Pops
-		spans += s.SpanRounds
-		deferred += s.DeferredEffects
+		slotHits += s.SlotHits
 	}
-	if events+ks.CoordEvents != se.Fired() || ks.Events != se.Fired() {
-		t.Fatalf("per-shard events %d + coordinator %d != global %d",
-			events, ks.CoordEvents, se.Fired())
+	if events != se.Fired() || ks.Events != se.Fired() {
+		t.Fatalf("per-shard events %d, snapshot %d, global %d", events, ks.Events, se.Fired())
 	}
-	if pushes == 0 || pops == 0 || spans == 0 {
-		t.Fatalf("structural counters dead: pushes=%d pops=%d spans=%d", pushes, pops, spans)
-	}
-	if deferred == 0 {
-		t.Fatal("exact-mode run recorded no deferred effects")
+	if pushes == 0 || pops == 0 || slotHits == 0 {
+		t.Fatalf("structural counters dead: pushes=%d pops=%d slot hits=%d", pushes, pops, slotHits)
 	}
 	if !ks.Timed || ks.WallNS <= 0 {
 		t.Fatalf("telemetry armed but snapshot untimed (wall=%d)", ks.WallNS)
@@ -104,10 +97,11 @@ func TestShardedTelemetryCounters(t *testing.T) {
 // identical structural counters (wall-clock fields aside).
 func TestTelemetryDeterministicSnapshot(t *testing.T) {
 	run := func() *KernelStats {
-		h, se := newShardedHarness(12, 4, 4)
-		runHarness(h, se, 80, time.Millisecond)
+		_, se := shardedChains(12, 4, 4)
+		se.EnableTelemetry()
+		se.RunFree()
 		ks := se.Telemetry()
-		ks.WallNS, ks.MergeNS = 0, 0
+		ks.WallNS = 0
 		for i := range ks.Shards {
 			ks.Shards[i].ExecNS = 0
 			ks.Shards[i].QueueNS = 0

@@ -40,14 +40,6 @@ func ExportKernelMetrics(c *obs.Collector, ks *simkernel.KernelStats) {
 			"Peak total queued events per shard.", l).Set(float64(s.QueueHighWater))
 		c.Gauge("esched_kernel_pool_peak_events",
 			"Event-arena high-water mark per shard (pooled records allocated).", l).Set(float64(s.PoolHighWater))
-		c.Counter("esched_kernel_span_rounds_total",
-			"Exact-mode spans in which the shard executed events.", l).Reconcile(float64(s.SpanRounds))
-		c.Counter("esched_kernel_lookahead_waits_total",
-			"Spans the shard spent waiting above the lookahead bound.", l).Reconcile(float64(s.LookaheadWaits))
-		c.Counter("esched_kernel_deferred_effects_total",
-			"Deferred effects replayed in global order per shard.", l).Reconcile(float64(s.DeferredEffects))
-		c.Gauge("esched_kernel_replay_depth_peak",
-			"Deepest single-span deferred-effect replay per shard.", l).Set(float64(s.ReplayDepthMax))
 		c.Counter("esched_kernel_slot_hits_total",
 			"Free-running slot fast-path consumes per shard.", l).Reconcile(float64(s.SlotHits))
 		if ks.Timed {
@@ -62,7 +54,5 @@ func ExportKernelMetrics(c *obs.Collector, ks *simkernel.KernelStats) {
 	if ks.Timed {
 		c.Gauge("esched_kernel_wall_seconds",
 			"Wall-clock seconds of telemetry-armed kernel drains.").Set(float64(ks.WallNS) / 1e9)
-		c.Counter("esched_kernel_merge_seconds_total",
-			"Coordinator seconds replaying deferred effects in global order.").Reconcile(float64(ks.MergeNS) / 1e9)
 	}
 }

@@ -54,11 +54,6 @@ func NewLive(cfg Config, loc sched.Locator, opts ...RunOption) (*Live, error) {
 	if o.cache != nil {
 		return nil, errors.New("storage: caches are not supported on a Live system")
 	}
-	if cfg.Shards > 1 {
-		// The sharded kernel's span protocol assumes a preloaded horizon; a
-		// Live system is fed incrementally and runs the serial engine.
-		return nil, errors.New("storage: a Live system runs the serial kernel (Shards must be 0 or 1)")
-	}
 	s, err := newSystem(cfg, o)
 	if err != nil {
 		return nil, err

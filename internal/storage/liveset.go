@@ -62,9 +62,6 @@ func NewLiveSet(cfg Config, loc sched.Locator, shards int, canonical bool, opts 
 	if o.cache != nil {
 		return nil, errors.New("storage: caches are not supported on a Live system")
 	}
-	if cfg.Shards > 1 {
-		return nil, errors.New("storage: a Live system runs the serial kernel (Shards must be 0 or 1)")
-	}
 	if shards <= 0 {
 		shards = 1
 	}

@@ -37,11 +37,10 @@ type Config struct {
 	InitialState core.DiskState
 	// Discipline selects each disk's queue service order (default FIFO).
 	Discipline diskmodel.Discipline
-	// Shards partitions the event kernel into per-rack sub-kernels that
-	// advance concurrently under conservative synchronization. 0 or 1 selects
-	// the serial kernel. Any value produces bit-identical results — traces,
-	// metrics, response-time sample order — to the serial path; see
-	// simkernel.Sharded.
+	// Shards is ignored: every ordered run executes on the serial
+	// simkernel.Engine.
+	//
+	// Deprecated: kept only so existing callers compile; it has no effect.
 	Shards int
 }
 
@@ -60,12 +59,6 @@ func DefaultConfig() Config {
 func (c Config) validate() error {
 	if c.NumDisks <= 0 {
 		return fmt.Errorf("storage: NumDisks = %d", c.NumDisks)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("storage: Shards = %d", c.Shards)
-	}
-	if c.Shards > c.NumDisks {
-		return fmt.Errorf("storage: Shards = %d exceeds NumDisks = %d (a shard must own at least one disk)", c.Shards, c.NumDisks)
 	}
 	if err := c.Power.Validate(); err != nil {
 		return err
@@ -110,14 +103,13 @@ func (r *Result) NormalizedEnergy() float64 { return r.Energy / r.AlwaysOnEnergy
 // sched.View.
 type system struct {
 	cfg Config
-	eng simkernel.Kernel
+	eng simkernel.Engine
 	// base is the global ID of disks[0]: a full system has base 0, a
 	// serving-shard sub-range system (see LiveSet) owns the global disks
 	// [base, base+len(disks)) and indexes disks by gid-base.
-	base   int
-	serial simkernel.Engine // backs eng on the serial (Shards <= 1) path
-	disks  []*diskmodel.Disk
-	resp   metrics.ResponseTimes
+	base  int
+	disks []*diskmodel.Disk
+	resp  metrics.ResponseTimes
 	observers
 	jr           *shardJournal // canonical-order capture for sub-range systems
 	err          error
@@ -145,7 +137,7 @@ func newSystem(cfg Config, o runOptions) (*system, error) {
 // newSystemRange builds a system over the global disk range
 // [base, base+count). The full range with a nil journal is the classic
 // path; a sub-range is one serving shard's slice of the fleet: its disks
-// keep their global IDs, its kernel is always serial, and jr (when
+// keep their global IDs, it runs its own serial kernel, and jr (when
 // non-nil) captures every emission — relay-traced events, completions,
 // transitions, queue depths — into the shard journal so LiveSet can merge
 // the per-shard streams into the canonical global order.
@@ -156,22 +148,12 @@ func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal)
 	if base < 0 || count <= 0 || base+count > cfg.NumDisks {
 		return nil, fmt.Errorf("storage: disk range [%d, %d) outside population %d", base, base+count, cfg.NumDisks)
 	}
-	if cfg.Shards > 1 && (base != 0 || count != cfg.NumDisks) {
-		return nil, errors.New("storage: a sub-range system runs the serial kernel")
-	}
 	policy := cfg.Policy
 	if policy == nil {
 		policy = power.TwoCompetitive{Config: cfg.Power}
 	}
 	s := &system{cfg: cfg, base: base, disks: make([]*diskmodel.Disk, count), jr: jr,
 		observers: observers{tr: o.tracer, mon: o.monitor, acct: o.acct}}
-	var se *simkernel.Sharded
-	if cfg.Shards > 1 {
-		se = simkernel.NewSharded(cfg.NumDisks, cfg.Shards, 0)
-		s.eng = se
-	} else {
-		s.eng = &s.serial
-	}
 	if o.collector != nil {
 		s.rm = obs.NewRunMetrics(o.collector)
 		rm := s.rm
@@ -213,51 +195,13 @@ func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal)
 			jr.trans(d, now, from, to, e)
 		}
 	}
-	// Sharded runs give each shard a private relay tracer: disks emit into
-	// it from the shard's goroutine, and its observer defers each event into
-	// the real tracer, which re-stamps the sequence number at effect-replay
-	// time. Replay order is the canonical global event order, so the merged
-	// stream is byte-identical to a serial run's — monitors, sinks, and
-	// replay tools can't tell the difference.
-	var shardTrs []*obs.Tracer
-	if se != nil && o.tracer.Enabled() {
-		shardTrs = make([]*obs.Tracer, se.NumShards())
-	}
 	for i := range s.disks {
-		gid := core.DiskID(base + i)
-		sim := simkernel.Sim(s.eng)
-		tr := o.tracer
-		done := onDone
-		trans := onTrans
-		if se != nil {
-			view := se.DiskSim(gid)
-			sim = view
-			done = func(req core.Request, doneAt time.Duration) {
-				view.Defer(func() { onDone(req, doneAt) })
-			}
-			if onTrans != nil {
-				trans = func(d core.DiskID, now time.Duration, from, to core.DiskState, e obs.EnergyDelta) {
-					view.Defer(func() { onTrans(d, now, from, to, e) })
-				}
-			}
-			if shardTrs != nil {
-				idx := simkernel.ShardOf(gid, cfg.NumDisks, se.NumShards())
-				if shardTrs[idx] == nil {
-					st := obs.NewTracer(1)
-					st.SetObserver(func(ev obs.Event) {
-						view.Defer(func() { s.tr.Emit(ev) })
-					})
-					shardTrs[idx] = st
-				}
-				tr = shardTrs[idx]
-			}
-		}
-		d, err := diskmodel.New(gid, cfg.Mech, cfg.Power, policy, sim, done,
+		d, err := diskmodel.New(core.DiskID(base+i), cfg.Mech, cfg.Power, policy, &s.eng, onDone,
 			diskmodel.Options{
 				InitialState: cfg.InitialState,
 				Discipline:   cfg.Discipline,
-				OnTransition: trans,
-				Tracer:       tr,
+				OnTransition: onTrans,
+				Tracer:       o.tracer,
 			})
 		if err != nil {
 			return nil, err
