@@ -46,13 +46,15 @@ ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carb
 # count, the calendar-queue/heap equivalence property, and a small
 # multi-shard fleet sweep — under -race, where shards touching each
 # other's state show up as a data race and a missed event shows up as a
-# diff — and finally the serving engine's Sequential-mode sequencer under
-# many concurrent submitters, where a lost release strands requests and
-# hangs the test.
+# diff — and finally the serving engine's admission and flat-combining
+# paths: the Sequential-mode sequencer under many concurrent submitters
+# (a lost release strands requests and hangs the test), live mode under
+# concurrent submitters with the doctor attached, and drains racing
+# submitters and idle engines.
 race-hot:
 	$(GO) test -race -count 4 ./internal/experiments ./internal/cache
 	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestFreeRun|TestShardOf|TestFleet' ./internal/simkernel ./internal/storage
-	$(GO) test -race -count 4 -run 'TestShardedSequential|TestSequential' ./internal/serve
+	$(GO) test -race -count 4 -run 'TestSequential|TestLiveDoctorClean|TestDrain' ./internal/serve
 
 # The benchmark's own tests: its statistics, golden files and checks.
 # -parallel 1 gives each workload test the CPUs to itself: the traced fleet
@@ -113,14 +115,16 @@ bench:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzz pass over the trace parsers, the event-log reader and the
-# flight-snapshot reader.
+# Short fuzz pass over the trace parsers, the event-log reader, the
+# flight-snapshot reader and eschedd's two HTTP schedule decoders.
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzReadSPC -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadCelloText -fuzztime 10s
 	$(GO) test ./internal/obs -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/obs -fuzz FuzzReadBinary -fuzztime 10s
 	$(GO) test ./internal/obs/flight -fuzz FuzzReadSnapshot -fuzztime 10s
+	$(GO) test ./internal/serve -fuzz FuzzScheduleJSON -fuzztime 10s
+	$(GO) test ./internal/serve -fuzz FuzzScheduleBatch -fuzztime 10s
 
 # Fast (small-scale) regeneration of every paper figure.
 figures:

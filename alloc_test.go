@@ -87,14 +87,14 @@ func TestFlightRecorderAllocs(t *testing.T) {
 }
 
 // submitAllocs returns the allocations per Engine.Submit, with no
-// collector attached, on a 32-disk, 4-rack fleet.
-func submitAllocs(t *testing.T, shards int, sequential bool) float64 {
+// collector attached, on a 32-disk fleet.
+func submitAllocs(t *testing.T, sequential bool) float64 {
 	t.Helper()
 	const disks, blocks = 32, 4000
-	plc, err := placement.GenerateRackLocal(placement.GenerateConfig{
+	plc, err := placement.Generate(placement.GenerateConfig{
 		NumDisks: disks, NumBlocks: blocks,
 		ReplicationFactor: 3, ZipfExponent: 1, Seed: 1,
-	}, 4)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,6 @@ func submitAllocs(t *testing.T, shards int, sequential bool) float64 {
 			Policy:   power.TwoCompetitive{Config: pc},
 		},
 		Router:      serve.NewRouter(plc, 0),
-		Shards:      shards,
 		MaxInFlight: 1024,
 		RoundMax:    512,
 		Sequential:  sequential,
@@ -134,14 +133,14 @@ func submitAllocs(t *testing.T, shards int, sequential bool) float64 {
 	return allocs
 }
 
-// TestLiveSubmitAllocatesNothing pins the live hot submit path on four
-// decision shards: one submitter, so every request is combined inline on
-// its goroutine — lookup, admission ring push, decision, dispatch and
-// reply — and none of it may allocate.
+// TestLiveSubmitAllocatesNothing pins the live hot submit path: one
+// submitter, so every request is combined inline on its goroutine —
+// lookup, admission ring push, decision, dispatch and reply — and none of
+// it may allocate.
 func TestLiveSubmitAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
-	if allocs := submitAllocs(t, 4, false); allocs != 0 {
-		t.Errorf("live 4-shard Submit: %.0f allocs/op, want 0", allocs)
+	if allocs := submitAllocs(t, false); allocs != 0 {
+		t.Errorf("live Submit: %.0f allocs/op, want 0", allocs)
 	}
 }
 
@@ -150,7 +149,7 @@ func TestLiveSubmitAllocatesNothing(t *testing.T) {
 // lock before the decision round.
 func TestSequentialSubmitAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
-	if allocs := submitAllocs(t, 1, true); allocs != 0 {
+	if allocs := submitAllocs(t, true); allocs != 0 {
 		t.Errorf("Sequential Submit: %.0f allocs/op, want 0", allocs)
 	}
 }

@@ -13,11 +13,8 @@
 //
 //	tracelens doctor -disks N -blocks B -rf R -z Z -seed S LOG
 //
-// -shards N partitions the fleet into N per-rack decision shards, each
-// with its own lock-free admission ring and decision loop; the placement
-// switches to the rack-local layout (replicas inside the original's rack)
-// so every decision stays shard-local. Pass the same -shards to tracelens
-// doctor when replaying such a log.
+// Requests enter one lock-free admission ring and are decided by flat
+// combining on one simulated storage system (see internal/serve).
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: new requests get 503,
 // admitted ones are decided, outstanding disk work completes, and the
@@ -105,7 +102,6 @@ func runServe(args []string) error {
 		queue     = fs.Int("queue", 4096, "admission bound (queue-full submissions get 429)")
 		roundMax  = fs.Int("roundmax", 512, "max requests decided per round")
 		deadline  = fs.Duration("deadline", 0, "default per-request decision deadline (0 = none)")
-		shards    = fs.Int("shards", 1, "decision shards (>1 switches to the rack-local placement, one rack per shard)")
 		events    = fs.String("events", "", "stream the event log to this file (JSONL; .bin = binary)")
 		metrics   = fs.String("metrics", "", `write a final Prometheus snapshot at drain ("-" = stdout)`)
 		doctor    = fs.Bool("doctor", false, "run live invariant monitors; non-zero exit on violation")
@@ -116,19 +112,10 @@ func runServe(args []string) error {
 	)
 	fs.Parse(args)
 
-	pcfg := placement.GenerateConfig{
+	plc, err := placement.Generate(placement.GenerateConfig{
 		NumDisks: *disks, NumBlocks: *blocks,
 		ReplicationFactor: *rf, ZipfExponent: *zipf, Seed: *seed,
-	}
-	var plc *placement.Placement
-	var err error
-	if *shards > 1 {
-		// Sharded decisions need shard-local replica sets: rack-local
-		// placement with one rack per decision shard.
-		plc, err = placement.GenerateRackLocal(pcfg, *shards)
-	} else {
-		plc, err = placement.Generate(pcfg)
-	}
+	})
 	if err != nil {
 		return err
 	}
@@ -141,7 +128,6 @@ func runServe(args []string) error {
 			Policy:   power.TwoCompetitive{Config: pc},
 		},
 		Router:      serve.NewRouter(plc, 0),
-		Shards:      *shards,
 		Cost:        sched.CostConfig{Alpha: *alpha, Beta: *beta, Power: pc},
 		MaxInFlight: *queue,
 		RoundMax:    *roundMax,
@@ -222,8 +208,8 @@ func runServe(args []string) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "eschedd: serving on %s (%d disks, %d blocks, rf=%d, mode=%s, shards=%d)\n",
-		bound, *disks, *blocks, *rf, *mode, *shards)
+	fmt.Fprintf(os.Stderr, "eschedd: serving on %s (%d disks, %d blocks, rf=%d, mode=%s)\n",
+		bound, *disks, *blocks, *rf, *mode)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)

@@ -578,7 +578,6 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 		seed    = fs.Int64("seed", 1, "placement: random seed")
 		policy  = fs.String("policy", "2cpm", "power policy the run used: 2cpm | always-on")
 		nonFIFO = fs.Bool("nonfifo", false, "the run used a non-FIFO queue discipline (skip FIFO-order checks)")
-		shards  = fs.Int("shards", 1, "placement: eschedd decision shards (>1 = rack-local layout, one rack per shard)")
 		max     = fs.Int("max", 8, "violations kept verbatim per monitor (all are counted)")
 	)
 	if err := parse(fs, args); err != nil {
@@ -604,19 +603,10 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 		return usagef("unknown policy %q (want 2cpm or always-on)", *policy)
 	}
 	if *disks > 0 {
-		pcfg := placement.GenerateConfig{
+		plc, err := placement.Generate(placement.GenerateConfig{
 			NumDisks: *disks, NumBlocks: *blocks,
 			ReplicationFactor: *rf, ZipfExponent: *zipf, Seed: *seed,
-		}
-		var plc *placement.Placement
-		var err error
-		if *shards > 1 {
-			// A sharded eschedd run serves the rack-local layout; regenerate
-			// the same one so replica validation matches.
-			plc, err = placement.GenerateRackLocal(pcfg, *shards)
-		} else {
-			plc, err = placement.Generate(pcfg)
-		}
+		})
 		if err != nil {
 			return err
 		}

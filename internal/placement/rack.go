@@ -107,61 +107,6 @@ func GenerateRackAware(cfg RackConfig) (*Placement, error) {
 	return New(cfg.NumDisks, locs)
 }
 
-// GenerateRackLocal builds a rack-local placement: the original location is
-// Zipf(z)-skewed over all disks (as Generate), and every further replica
-// sits on a distinct disk in the same rack as the original. Racks are
-// contiguous disk stripes of NumDisks/racks (NumDisks must divide evenly,
-// and each rack must hold at least ReplicationFactor disks).
-//
-// This is the layout the sharded serving engine wants: because racks are
-// the same contiguous stripes simkernel.ShardOf partitions by, every
-// block's whole replica set lands inside one decision shard for any shard
-// count that divides racks — so rack-local data can be decided without
-// cross-shard coordination at 1, 2, 4, ... racks shards of the same fleet.
-func GenerateRackLocal(cfg GenerateConfig, racks int) (*Placement, error) {
-	switch {
-	case cfg.NumDisks <= 0:
-		return nil, fmt.Errorf("placement: NumDisks = %d", cfg.NumDisks)
-	case racks <= 0 || racks > cfg.NumDisks:
-		return nil, fmt.Errorf("placement: racks = %d for %d disks", racks, cfg.NumDisks)
-	case cfg.NumDisks%racks != 0:
-		return nil, fmt.Errorf("placement: %d disks do not stripe evenly over %d racks", cfg.NumDisks, racks)
-	case cfg.NumBlocks < 0:
-		return nil, fmt.Errorf("placement: NumBlocks = %d", cfg.NumBlocks)
-	case cfg.ReplicationFactor < 1:
-		return nil, fmt.Errorf("placement: ReplicationFactor = %d", cfg.ReplicationFactor)
-	case cfg.ReplicationFactor > cfg.NumDisks/racks:
-		return nil, fmt.Errorf("placement: replication factor %d exceeds the %d disks per rack",
-			cfg.ReplicationFactor, cfg.NumDisks/racks)
-	case cfg.ZipfExponent < 0:
-		return nil, fmt.Errorf("placement: ZipfExponent = %v", cfg.ZipfExponent)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rankToDisk := rng.Perm(cfg.NumDisks)
-	zipf := NewZipf(cfg.NumDisks, cfg.ZipfExponent)
-	per := cfg.NumDisks / racks
-
-	locs := make([][]core.DiskID, cfg.NumBlocks)
-	for b := range locs {
-		ds := make([]core.DiskID, 0, cfg.ReplicationFactor)
-		used := make(map[core.DiskID]struct{}, cfg.ReplicationFactor)
-		orig := core.DiskID(rankToDisk[zipf.Sample(rng)])
-		ds = append(ds, orig)
-		used[orig] = struct{}{}
-		base := (int(orig) / per) * per
-		for len(ds) < cfg.ReplicationFactor {
-			d := core.DiskID(base + rng.Intn(per))
-			if _, dup := used[d]; dup {
-				continue
-			}
-			used[d] = struct{}{}
-			ds = append(ds, d)
-		}
-		locs[b] = ds
-	}
-	return New(cfg.NumDisks, locs)
-}
-
 // pickDistinct draws a uniform disk from pool that is not yet used.
 func pickDistinct(rng *rand.Rand, pool []core.DiskID, used map[core.DiskID]struct{}) (core.DiskID, bool) {
 	candidates := make([]core.DiskID, 0, len(pool))

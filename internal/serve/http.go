@@ -22,6 +22,7 @@ type ScheduleRequest struct {
 	// Block is the block to read (required).
 	Block int64 `json:"block"`
 	// Size is the transfer size in bytes; 0 uses the workload default.
+	// It may not exceed one disk's capacity.
 	Size int64 `json:"size,omitempty"`
 	// DeadlineMS bounds queueing before a decision in milliseconds;
 	// 0 uses the daemon default, -1 disables the deadline.
@@ -62,9 +63,6 @@ type StateResponse struct {
 	CarbonG float64     `json:"carbon_gco2e,omitempty"`
 	CostUSD float64     `json:"cost_usd,omitempty"`
 	Disks   []DiskState `json:"disks"`
-	// Shards breaks the run down per decision shard (disk range, clock
-	// segment, decision/round counters).
-	Shards []ShardState `json:"shards,omitempty"`
 	// Slow lists the slowest request lifecycle spans seen so far, worst
 	// first (admit→queue→decide→dispatch→reply breakdown per entry);
 	// empty when the engine runs without a metrics collector.
@@ -194,6 +192,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, fmt.Sprintf("negative block %d", req.Block))
 		return
 	}
+	// A transfer larger than one disk would overflow the disk model's
+	// service time and fail the run long after this reply.
+	mech := s.eng.cfg.System.Mech
+	if capacity := mech.MaxLBA * mech.SectorSize; req.Size < 0 || req.Size > capacity {
+		writeBadRequest(w, fmt.Sprintf("size %d outside [0, %d]", req.Size, capacity))
+		return
+	}
 	d, err := s.eng.Submit(core.Request{Block: core.BlockID(req.Block), Size: req.Size}, deadline(req.DeadlineMS))
 	if err != nil {
 		s.writeErr(w, err)
@@ -316,7 +321,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		CarbonG:   snap.Totals.CarbonG,
 		CostUSD:   snap.Totals.CostUSD,
 		Disks:     make([]DiskState, len(snap.Disks)),
-		Shards:    snap.Shards,
 		Slow:      snap.Slow,
 		Kernel:    snap.Kernel,
 	}

@@ -90,6 +90,34 @@ func TestHTTPSchedule(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedTransfer: a transfer larger than one disk overflowed
+// the disk model's service time and crashed the run once the chosen disk
+// spun up. The handler must refuse it and keep serving.
+func TestHTTPOversizedTransfer(t *testing.T) {
+	t.Parallel()
+	e, ts, _ := newTestServer(t, nil)
+	for _, body := range []string{
+		`{"block":1,"size":4611686018427387904}`,
+		`{"block":1,"size":-1}`,
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/schedule", body)
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &er) != nil || er.Code != "bad_request" {
+			t.Fatalf("%s: status %d, body %s; want 400 bad_request", body, resp.StatusCode, b)
+		}
+	}
+	if resp, b := postJSON(t, ts.URL+"/v1/schedule", `{"block":1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up request: status %d: %s", resp.StatusCode, b)
+	}
+	res, err := e.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != 1 || res.Dropped != 0 {
+		t.Fatalf("served/dropped = %d/%d, want 1/0", res.Served, res.Dropped)
+	}
+}
+
 func TestHTTPBatch(t *testing.T) {
 	t.Parallel()
 	e, ts, _ := newTestServer(t, nil)

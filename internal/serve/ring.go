@@ -9,7 +9,7 @@ import (
 // requests, modeled on the flight recorder's sequence-stamped ring: one
 // atomic ticket fetch plus one slot store per push, no locks, no
 // allocation. Producers are Submit goroutines; the consumer is whichever
-// goroutine holds the owning shard's combining token (see Engine).
+// goroutine holds the engine's combining token (see Engine).
 //
 // Each slot carries a sequence number. Slot i is free for ticket pos when
 // seq == pos, published when seq == pos+1, and recycled by the consumer to
@@ -59,7 +59,7 @@ func (r *ring) push(p *pending) {
 
 // pop takes the next item, or nil when none is published (empty, or a
 // producer holds a ticket but hasn't stored its slot yet). Single
-// consumer: only the shard-token holder may call it.
+// consumer: only the combining-token holder may call it.
 func (r *ring) pop() *pending {
 	h := r.head.Load()
 	s := &r.slots[h&r.mask]

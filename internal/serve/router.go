@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/placement"
-	"repro/internal/simkernel"
 )
 
 // Router is the daemon's replica-lookup surface: a sharded, lock-free view
@@ -22,9 +21,6 @@ import (
 type Router struct {
 	numDisks int
 	shards   []atomic.Pointer[shardTable]
-	// alignShards, when set (see SetAlignment), makes Update reject location
-	// lists that straddle the serving engine's decision shards.
-	alignShards atomic.Int32
 }
 
 // shardTable is one shard's immutable location store, indexed by
@@ -128,15 +124,6 @@ func (r *Router) Lookup(b core.BlockID) []core.DiskID {
 	return t.lookup(int(b) / len(r.shards))
 }
 
-// SetAlignment pins the router to a decision-shard topology: every
-// subsequent Update must keep a block's replicas inside one engine shard's
-// disk range, preserving the invariant serve.New validated at startup (a
-// decision never needs two shards' state). The serving engine calls this
-// once, before traffic; shards <= 1 clears the constraint.
-func (r *Router) SetAlignment(shards int) {
-	r.alignShards.Store(int32(shards))
-}
-
 // Update replaces one block's location list (copy-on-write on the block's
 // shard). Readers observe either the old or the new list, never a partial
 // write. The block must already exist and the new list must name at least
@@ -155,14 +142,6 @@ func (r *Router) Update(b core.BlockID, locs []core.DiskID) error {
 			return fmt.Errorf("serve: block %d lists disk %d twice", b, d)
 		}
 		seen[d] = struct{}{}
-	}
-	if shards := int(r.alignShards.Load()); shards > 1 {
-		home := simkernel.ShardOf(locs[0], r.numDisks, shards)
-		for _, d := range locs[1:] {
-			if simkernel.ShardOf(d, r.numDisks, shards) != home {
-				return fmt.Errorf("serve: block %d update %v straddles decision shards (engine is aligned to %d shards)", b, locs, shards)
-			}
-		}
 	}
 	if b < 0 {
 		return fmt.Errorf("serve: invalid block %d", b)

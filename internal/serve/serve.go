@@ -6,30 +6,24 @@
 // paper's Eq. 6 online cost function C(d) = E(d)·α/β + P(d)·(1−α)
 // (internal/sched) against live per-disk power state, and dispatches each
 // request into the same disk/power/discrete-event machinery the batch
-// runners use (storage.LiveSet over internal/diskmodel, internal/power,
-// internal/simkernel). Replica lookup is a sharded lock-free Router over
+// runners use (one storage.Live over internal/diskmodel, internal/power,
+// internal/simkernel). Replica lookup is a striped lock-free Router over
 // internal/placement; batched decision rounds can reuse the weighted-set-
 // cover scheduler (internal/sched + internal/graph) instead of per-request
 // cost minimization.
 //
-// The fleet is partitioned into Config.Shards decision shards, each owning
-// a contiguous per-rack disk range, its own virtual-clock segment and its
-// own serial kernel — the serving-path analogue of simkernel.Sharded.
-// Admission is a per-shard lock-free MPSC ring; decisions are made by flat
-// combining: the submitting goroutine that wins a shard's combining token
-// drains the ring and decides the round inline, so the hot submit path has
-// no cross-goroutine handoff and zero allocations. Observability streams
-// from the shards are journaled and merged back into the canonical global
-// order (storage.LiveSet), so a sharded run keeps every batch-path
-// guarantee: the event log (internal/obs) is replayable with tracelens,
-// the doctor monitors (internal/obs/monitor) can ride along live, and the
-// Prometheus metrics reconcile bit-exactly to the power meters at drain —
-// in Sequential mode the sharded output is byte-identical to a one-shard
-// run. Admission is bounded (queue-full submissions fail fast for HTTP 429
-// backpressure), each request carries a decision deadline, and Drain
-// performs a graceful shutdown: in-flight requests complete, new ones are
-// rejected, trailing spin-downs settle, and the final accounting is
-// returned.
+// Admission is a lock-free MPSC ring; decisions are made by flat
+// combining: the submitting goroutine that wins the combining token drains
+// the ring and decides the round inline, so the hot submit path has no
+// cross-goroutine handoff and zero allocations. A serving run keeps every
+// batch-path guarantee: the event log (internal/obs) is replayable with
+// tracelens, the doctor monitors (internal/obs/monitor) can ride along
+// live, and the Prometheus metrics reconcile bit-exactly to the power
+// meters at drain. Admission is bounded (queue-full submissions fail fast
+// for HTTP 429 backpressure), each request carries a decision deadline,
+// and Drain performs a graceful shutdown: in-flight requests complete, new
+// ones are rejected, trailing spin-downs settle, and the final accounting
+// is returned.
 //
 // See docs/SERVING.md for the architecture and the endpoint reference.
 package serve
@@ -40,7 +34,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,19 +86,11 @@ func (m Mode) String() string {
 
 // Config parameterizes an Engine.
 type Config struct {
-	// System is the simulated disk population (storage.Config). Each
-	// serving shard runs its own serial kernel; use the serve-level Shards
-	// field below to parallelize.
+	// System is the simulated disk population (storage.Config), run on
+	// one serial kernel.
 	System storage.Config
 	// Router resolves blocks to replica locations.
 	Router *Router
-	// Shards partitions the fleet into per-rack decision shards, each with
-	// its own combining loop, admission ring and virtual-clock segment.
-	// 0 or 1 selects the single-shard engine. With more than one shard,
-	// every block's replica set must live inside one shard's disk range
-	// (placement.GenerateRackLocal with racks divisible by Shards), so a
-	// decision never crosses shards.
-	Shards int
 	// Cost is the Eq. 6 cost function; zero Alpha+Beta selects
 	// sched.DefaultCost over System.Power.
 	Cost sched.CostConfig
@@ -124,7 +109,7 @@ type Config struct {
 	// submitters supply dense request IDs and virtual arrival times, and
 	// decisions are made in strict ID order regardless of submission
 	// interleaving, so concurrent and serial clients produce bit-identical
-	// accounting — at any shard count. Rounds are per-request and
+	// accounting. Rounds are per-request and
 	// wall-clock deadlines do not apply. When false (live mode), the engine
 	// stamps IDs and arrivals from the wall clock in admission order.
 	Sequential bool
@@ -134,7 +119,7 @@ type Config struct {
 	Collector *obs.Collector
 	Monitor   *monitor.Suite
 	// StateLog streams disk power-state transitions as CSV
-	// (storage.WithStateLog), in canonical global order at any shard count.
+	// (storage.WithStateLog).
 	StateLog io.Writer
 	// Accounting attaches carbon/cost attribution (storage.WithAccounting):
 	// the accumulator sees the live event stream, surfaces running gCO2e/$
@@ -180,33 +165,16 @@ type Totals struct {
 	CostUSD float64
 }
 
-// ShardState is one decision shard's entry in a Snapshot: its disk range,
-// clock segment and local counters.
-type ShardState struct {
-	Shard     int           `json:"shard"`
-	BaseDisk  int           `json:"base_disk"`
-	NumDisks  int           `json:"num_disks"`
-	NowUS     int64         `json:"now_us"`
-	Decisions uint64        `json:"decisions"`
-	Rounds    uint64        `json:"rounds"`
-	Served    int           `json:"served"`
-	Dropped   int           `json:"dropped"`
-	Now       time.Duration `json:"-"`
-}
-
 // Snapshot is a consistent view of the serving system: per-disk power
-// state plus totals, taken with every shard quiescent.
+// state plus totals, taken with the combining token held.
 type Snapshot struct {
 	Totals Totals
 	Disks  []storage.DiskSnapshot
-	// Shards breaks the totals down per decision shard.
-	Shards []ShardState
 	// Slow holds the slow-request exemplars (slowest first), populated when
 	// a collector is attached.
 	Slow []SlowSpan
-	// Kernel is the engine's kernel introspection snapshot, one
-	// pseudo-shard per decision shard (events, queue/pool high-water
-	// marks).
+	// Kernel is the engine's kernel introspection snapshot: one
+	// pseudo-shard (events, queue/pool high-water marks).
 	Kernel *simkernel.KernelStats
 }
 
@@ -222,15 +190,12 @@ type serveMetrics struct {
 	// to the decision reply (queue: admitted, waiting for a round; decide:
 	// scheduling; dispatch: kernel advance + submit-to-disk + reply).
 	spanQueue, spanDecide, spanDispatch *obs.Histogram
-	// Per-shard decision/round counters (esched_serve_shard_*), index =
-	// shard.
-	shardDecisions, shardRounds []*obs.Counter
 }
 
-func newServeMetrics(c *obs.Collector, shards int) *serveMetrics {
+func newServeMetrics(c *obs.Collector) *serveMetrics {
 	const outName = "esched_serve_requests_total"
 	const outHelp = "Serving submissions by outcome."
-	m := &serveMetrics{
+	return &serveMetrics{
 		decided:   c.Counter(outName, outHelp, obs.Label{Key: "outcome", Value: "decided"}),
 		queueFull: c.Counter(outName, outHelp, obs.Label{Key: "outcome", Value: "queue_full"}),
 		deadline:  c.Counter(outName, outHelp, obs.Label{Key: "outcome", Value: "deadline_expired"}),
@@ -248,14 +213,6 @@ func newServeMetrics(c *obs.Collector, shards int) *serveMetrics {
 		spanDecide:   spanHistogram(c, "decide"),
 		spanDispatch: spanHistogram(c, "dispatch"),
 	}
-	for i := 0; i < shards; i++ {
-		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-		m.shardDecisions = append(m.shardDecisions, c.Counter("esched_serve_shard_decisions_total",
-			"Scheduling decisions per decision shard.", lbl))
-		m.shardRounds = append(m.shardRounds, c.Counter("esched_serve_shard_rounds_total",
-			"Decision rounds per decision shard.", lbl))
-	}
-	return m
 }
 
 func spanHistogram(c *obs.Collector, phase string) *obs.Histogram {
@@ -344,45 +301,15 @@ func (p *pending) await() {
 	}
 }
 
-// shard is one decision shard: a contiguous disk range with its own
-// storage.Live facade (serial kernel + virtual-clock segment), admission
-// ring, combining token and schedulers. All fields below the token are
-// owned by whichever goroutine holds it.
-type shard struct {
-	idx         int
-	base, count int
-	ring        *ring
-	lv          *storage.Live
-	// tok is the flat-combining token: CAS 0→1 to own the shard.
-	tok atomic.Uint32
-	// pubClock is the shard's last published virtual clock (nanoseconds),
-	// the watermark input for incremental journal merging; pubFired is the
-	// kernel's executed-event count as of that publication. Both are
-	// written under the token and read by the maintenance loop.
-	pubClock atomic.Int64
-	pubFired atomic.Uint64
-
-	// Token-holder state.
-	heur        sched.Heuristic
-	wsc         sched.WSC
-	scratch     sched.CoverScratch
-	round       []*pending
-	batch       []core.Request
-	lastArrival time.Duration
-	decisions   uint64
-	rounds      uint64
-}
-
 // Engine is the serving decision engine. Create with New, feed with
 // Submit from any number of goroutines, stop with Drain.
 type Engine struct {
-	cfg    Config
-	ls     *storage.LiveSet
-	shards []*shard
-	sm     *serveMetrics
-	pool   sync.Pool
-	stop   chan struct{}
-	ended  chan struct{}
+	cfg   Config
+	ring  *ring
+	sm    *serveMetrics
+	pool  sync.Pool
+	stop  chan struct{}
+	ended chan struct{}
 
 	inflight  atomic.Int64
 	draining  atomic.Bool
@@ -391,26 +318,29 @@ type Engine struct {
 
 	start time.Time // wall anchor for the virtual clock (live mode)
 
+	// tok is the flat-combining token: CAS 0→1 to own the fields below it
+	// (the storage system, its virtual clock and the schedulers).
+	tok     atomic.Uint32
+	lv      *storage.Live
+	heur    sched.Heuristic
+	wsc     sched.WSC
+	scratch sched.CoverScratch
+	round   []*pending
+	batch   []core.Request
+	// lastArrival clamps arrivals monotone: the virtual clock never
+	// rewinds, in either mode.
+	lastArrival time.Duration
+
 	// Sequential-mode sequencer: submissions park here until every lower ID
-	// has arrived, then release — under seqMu, preserving per-ring ID
-	// order — to their home shards with globally clamped arrivals.
+	// has arrived, then release — under seqMu, so the ring receives them in
+	// ID order.
 	seqMu     sync.Mutex
 	seqNext   core.RequestID
-	seqLast   time.Duration
 	seqParked map[core.RequestID]*pending
-	seqMark   []bool // scratch: shards touched by one release run
-
-	// mergeMu serializes journal merging (maintenance flushes, accounting
-	// snapshots, flight sweeps) in multi-shard mode.
-	mergeMu sync.Mutex
 
 	// slowMu guards the slow-span exemplar ring.
 	slowMu sync.Mutex
 	slow   []SlowSpan // slowest spans seen, descending by TotalUS
-
-	// kstats caches the merged kernel introspection snapshot for flight
-	// dump telemetry (refreshed by maintenance and Snapshot).
-	kstats atomic.Pointer[simkernel.KernelStats]
 
 	sloDumped atomic.Bool // the FlightSLO trigger fires once per run
 	qfDumped  atomic.Bool // latches the queue-full flight trigger
@@ -444,18 +374,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.RoundMax <= 0 {
 		cfg.RoundMax = 512
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > cfg.System.NumDisks {
-		return nil, fmt.Errorf("serve: %d shards exceed %d disks", cfg.Shards, cfg.System.NumDisks)
-	}
-	if cfg.Shards > 1 {
-		if err := checkAlignment(cfg.Router, cfg.System.NumDisks, cfg.Shards); err != nil {
-			return nil, err
-		}
-		cfg.Router.SetAlignment(cfg.Shards)
-	}
 	var opts []storage.RunOption
 	if cfg.Tracer != nil {
 		opts = append(opts, storage.WithTracer(cfg.Tracer))
@@ -475,55 +393,29 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Flight != nil {
 		opts = append(opts, storage.WithFlight(cfg.Flight))
 	}
-	ls, err := storage.NewLiveSet(cfg.System, cfg.Router.Lookup, cfg.Shards, cfg.Sequential, opts...)
+	lv, err := storage.NewLive(cfg.System, cfg.Router.Lookup, opts...)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
 		cfg:       cfg,
-		ls:        ls,
-		shards:    make([]*shard, ls.NumShards()),
+		lv:        lv,
+		ring:      newRing(cfg.MaxInFlight),
 		stop:      make(chan struct{}),
 		ended:     make(chan struct{}),
 		start:     time.Now(),
 		seqParked: map[core.RequestID]*pending{},
-		seqMark:   make([]bool, ls.NumShards()),
 	}
 	e.pool.New = func() any { return &pending{wake: make(chan struct{}, 1)} }
-	for i := range e.shards {
-		base, count := ls.ShardRange(i)
-		s := &shard{idx: i, base: base, count: count, lv: ls.Shard(i), ring: newRing(cfg.MaxInFlight)}
-		// The shard's scheduler traces into the shard relay (journaled and
-		// renumbered at merge) — but only when the caller traces at all, so
-		// an untraced run's decision stream stays absent exactly as on the
-		// single-shard path.
-		var tr *obs.Tracer
-		if cfg.Tracer != nil {
-			tr = s.lv.Tracer()
-		}
-		s.heur = sched.Heuristic{Locations: cfg.Router.Lookup, Cost: cfg.Cost, Tracer: tr}
-		s.wsc = sched.WSC{Locations: cfg.Router.Lookup, Cost: cfg.Cost, Scratch: &s.scratch, Tracer: tr}
-		e.shards[i] = s
-	}
+	e.heur = sched.Heuristic{Locations: cfg.Router.Lookup, Cost: cfg.Cost, Tracer: cfg.Tracer}
+	e.wsc = sched.WSC{Locations: cfg.Router.Lookup, Cost: cfg.Cost, Scratch: &e.scratch, Tracer: cfg.Tracer}
 	if cfg.Collector != nil {
-		e.sm = newServeMetrics(cfg.Collector, ls.NumShards())
+		e.sm = newServeMetrics(cfg.Collector)
 	}
 	if cfg.Flight != nil {
-		// Dump telemetry rides the kernel's introspection counters. With one
-		// shard the dump is written under that shard's token, which also owns
-		// the counters; with several, the maintenance loop refreshes a cached
-		// snapshot the dump reads instead.
-		if len(e.shards) == 1 {
-			lv := e.shards[0].lv
-			cfg.Flight.SetTelemetry(func() any { return lv.KernelStats() })
-		} else {
-			cfg.Flight.SetTelemetry(func() any {
-				if ks := e.kstats.Load(); ks != nil {
-					return ks
-				}
-				return nil
-			})
-		}
+		// Dump telemetry rides the kernel's introspection counters. A dump is
+		// written under the combining token, which also owns the counters.
+		cfg.Flight.SetTelemetry(func() any { return lv.KernelStats() })
 	}
 	if !cfg.Sequential {
 		e.maintDone = make(chan struct{})
@@ -532,35 +424,8 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// checkAlignment verifies that every block's replica set lives inside one
-// shard's disk range, so no decision ever needs two shards' state.
-func checkAlignment(r *Router, numDisks, shards int) error {
-	for b := 0; b < r.NumBlocks(); b++ {
-		locs := r.Lookup(core.BlockID(b))
-		if len(locs) == 0 {
-			continue
-		}
-		home := simkernel.ShardOf(locs[0], numDisks, shards)
-		for _, d := range locs[1:] {
-			if simkernel.ShardOf(d, numDisks, shards) != home {
-				return fmt.Errorf("serve: block %d replicas %v straddle decision shards (want rack-local placement aligned to %d shards; see placement.GenerateRackLocal)",
-					b, locs, shards)
-			}
-		}
-	}
-	return nil
-}
-
 // elapsed maps the wall clock onto the virtual clock (live mode).
 func (e *Engine) elapsed() time.Duration { return time.Since(e.start) }
-
-// homeShard returns the shard owning every replica of locs.
-func (e *Engine) homeShard(locs []core.DiskID) *shard {
-	if len(e.shards) == 1 {
-		return e.shards[0]
-	}
-	return e.shards[simkernel.ShardOf(locs[0], e.cfg.System.NumDisks, len(e.shards))]
-}
 
 // Submit admits one read request and blocks until its decision (or
 // rejection). In live mode req.ID and req.Arrival are ignored: the engine
@@ -570,7 +435,7 @@ func (e *Engine) homeShard(locs []core.DiskID) *shard {
 //
 // The hot path allocates nothing: replica lookup is one atomic load, the
 // admission bound one atomic add, the pending record comes from a pool,
-// and the shard handoff is a lock-free ring push — after which the caller
+// and the handoff is a lock-free ring push — after which the caller
 // either combines the round itself (inline decision) or spins/parks until
 // the current combiner publishes its outcome.
 func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, error) {
@@ -584,8 +449,8 @@ func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, err
 		e.count(func(m *serveMetrics) { m.queueFull.Inc() })
 		if e.cfg.Flight != nil && e.qfDumped.CompareAndSwap(false, true) {
 			// A queue-full spike is a flight trigger: freeze the window that
-			// led up to it. Cross-goroutine safe; the next merge or sweep
-			// materialises the dump.
+			// led up to it. Cross-goroutine safe; the next observed event or
+			// sweep materialises the dump.
 			e.cfg.Flight.RequestDump("queue full")
 		}
 		return Decision{}, ErrQueueFull
@@ -624,9 +489,8 @@ func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, err
 		if p.req.LBA == 0 {
 			p.req.LBA = workload.BlockLBA(p.req.Block)
 		}
-		s := e.homeShard(locs)
-		s.ring.push(p)
-		e.combineOn(s)
+		e.ring.push(p)
+		e.combineOn()
 	}
 	p.await()
 	dec, err := p.dec, p.err
@@ -638,12 +502,9 @@ func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, err
 }
 
 // submitSequential parks p until every lower request ID has been
-// submitted, then releases the maximal run of consecutive IDs to their
-// home shards. Ring pushes happen under seqMu so each shard's ring
-// receives its requests in global ID order; combining runs after the
-// release, outside the lock, over the releaser's own list of touched
-// shards: a list shared across releasers would be overwritten by the next
-// one under the lock, stranding this run's requests in their rings.
+// submitted, then releases the maximal run of consecutive IDs to the ring.
+// Ring pushes happen under seqMu so the ring receives requests in ID
+// order; combining runs after the release, outside the lock.
 func (e *Engine) submitSequential(p *pending) {
 	e.seqMu.Lock()
 	e.seqParked[p.req.ID] = p
@@ -651,8 +512,6 @@ func (e *Engine) submitSequential(p *pending) {
 		e.seqMu.Unlock()
 		return
 	}
-	var buf [8]*shard // on the stack; a run touching more shards spills
-	touched := buf[:0]
 	for {
 		q, ok := e.seqParked[e.seqNext]
 		if !ok {
@@ -660,41 +519,26 @@ func (e *Engine) submitSequential(p *pending) {
 		}
 		delete(e.seqParked, e.seqNext)
 		e.seqNext++
-		if q.req.Arrival < e.seqLast {
-			q.req.Arrival = e.seqLast
-		}
-		e.seqLast = q.req.Arrival
-		locs := e.cfg.Router.Lookup(q.req.Block)
-		s := e.homeShard(locs)
-		s.ring.push(q)
-		if !e.seqMark[s.idx] {
-			e.seqMark[s.idx] = true
-			touched = append(touched, s)
-		}
-	}
-	for _, s := range touched {
-		e.seqMark[s.idx] = false
+		e.ring.push(q)
 	}
 	e.seqMu.Unlock()
-	for _, s := range touched {
-		e.combineOn(s)
-	}
+	e.combineOn()
 }
 
-// combineOn runs the flat-combining protocol on s: win the token and
-// decide rounds until the ring drains, or leave the work to the current
-// holder — whose release-recheck (token release, then emptiness test)
-// pairs with our pre-CAS ring push to guarantee the item is seen.
-func (e *Engine) combineOn(s *shard) {
+// combineOn runs the flat-combining protocol: win the token and decide
+// rounds until the ring drains, or leave the work to the current holder —
+// whose release-recheck (token release, then emptiness test) pairs with
+// our pre-CAS ring push to guarantee the item is seen.
+func (e *Engine) combineOn() {
 	for {
-		if !s.tok.CompareAndSwap(0, 1) {
+		if !e.tok.CompareAndSwap(0, 1) {
 			// Someone holds the token. Our push happened before the failed
 			// CAS, so the holder's post-release emptiness recheck sees it.
 			return
 		}
-		e.combine(s)
-		s.tok.Store(0)
-		if s.ring.empty() {
+		e.combine()
+		e.tok.Store(0)
+		if e.ring.empty() {
 			return
 		}
 		// New work arrived between the drain and the release (or a producer
@@ -703,62 +547,55 @@ func (e *Engine) combineOn(s *shard) {
 	}
 }
 
-// combine drains s's ring in rounds of up to RoundMax. Caller holds the
+// combine drains the ring in rounds of up to RoundMax. Caller holds the
 // token.
-func (e *Engine) combine(s *shard) {
+func (e *Engine) combine() {
 	for {
-		round := s.round[:0]
+		round := e.round[:0]
 		for len(round) < e.cfg.RoundMax {
-			p := s.ring.pop()
+			p := e.ring.pop()
 			if p == nil {
 				break
 			}
 			round = append(round, p)
 		}
-		s.round = round
+		e.round = round
 		if len(round) == 0 {
 			return
 		}
-		s.rounds++
 		if e.sm != nil {
 			e.sm.rounds.Inc()
-			e.sm.shardRounds[s.idx].Inc()
 			e.sm.roundSize.Observe(float64(len(round)))
 		}
-		e.decideRound(s, round)
-		if !e.cfg.Sequential && e.ls.Journaling() {
-			// Republish the clock watermark so journal merging keeps pace
-			// even when this shard is busy enough that the maintenance loop
-			// never wins its token. Without a journal nothing consumes the
-			// watermark, so the un-journaled hot path skips the stores.
-			s.pubClock.Store(int64(s.lv.Now()))
-			s.pubFired.Store(s.lv.Fired())
-		}
+		e.decideRound(round)
 	}
 }
 
-// decideRound decides one gathered round on s. Live mode stamps arrivals
-// here (shard-monotone); sequential requests arrive pre-stamped in ID
-// order and are decided one per-request round each, so round grouping can
-// never affect results.
-func (e *Engine) decideRound(s *shard, round []*pending) {
+// clamp returns arr raised to the latest arrival decided so far, and
+// records it as the new latest.
+func (e *Engine) clamp(arr time.Duration) time.Duration {
+	if arr < e.lastArrival {
+		arr = e.lastArrival
+	}
+	e.lastArrival = arr
+	return arr
+}
+
+// decideRound decides one gathered round. Live mode stamps arrivals here;
+// sequential requests arrive pre-stamped in ID order and are decided one
+// per-request round each, so round grouping can never affect results.
+func (e *Engine) decideRound(round []*pending) {
 	if e.cfg.Sequential {
 		for _, p := range round {
-			arr := p.req.Arrival
-			if arr < s.lastArrival {
-				arr = s.lastArrival
-			}
-			s.lastArrival = arr
-			p.req.Arrival = arr
-			e.decideOne(s, p)
+			p.req.Arrival = e.clamp(p.req.Arrival)
+			e.decideOne(p)
 		}
 		return
 	}
 	// One elapsed-clock read stamps the whole round (members share an
-	// arrival instant, clamped shard-monotone), and the wall clock is read
-	// lazily: only a request carrying a deadline, or the span metrics,
-	// need it.
-	elapsed := e.elapsed()
+	// arrival instant), and the wall clock is read lazily: only a request
+	// carrying a deadline, or the span metrics, need it.
+	arr := e.clamp(e.elapsed())
 	var now time.Time
 	if e.sm != nil {
 		now = time.Now()
@@ -768,11 +605,6 @@ func (e *Engine) decideRound(s *shard, round []*pending) {
 	// conservation intact in the event log.
 	live := round[:0]
 	for _, p := range round {
-		arr := elapsed
-		if arr < s.lastArrival {
-			arr = s.lastArrival
-		}
-		s.lastArrival = arr
 		p.req.Arrival = arr
 		if !p.deadline.IsZero() {
 			if now.IsZero() {
@@ -780,11 +612,9 @@ func (e *Engine) decideRound(s *shard, round []*pending) {
 			}
 		}
 		if !p.deadline.IsZero() && now.After(p.deadline) {
-			s.lv.Advance(arr)
-			s.lv.BeginRequest(arr, uint64(p.req.ID))
-			s.lv.Arrive(p.req)
-			s.lv.Drop(p.req)
-			s.lv.EndRequest()
+			e.lv.Advance(arr)
+			e.lv.Arrive(p.req)
+			e.lv.Drop(p.req)
 			e.count(func(m *serveMetrics) { m.deadline.Inc() })
 			p.publish(Decision{}, ErrDeadline)
 			continue
@@ -802,55 +632,42 @@ func (e *Engine) decideRound(s *shard, round []*pending) {
 		}
 	}
 	if e.cfg.Mode == ModeWSC && len(live) > 1 {
-		e.decideWSC(s, live)
+		e.decideWSC(live)
 		return
 	}
 	for _, p := range live {
-		e.decideOne(s, p)
+		e.decideOne(p)
 	}
 }
 
-// decideOne advances the shard clock to p's arrival, emits the arrival,
-// schedules with the per-request heuristic and dispatches. The journal
-// bracket keys everything the admission emits — arrive, decision,
-// dispatch, any synchronous spin-up — to (arrival, request), the exact
-// stream position a serial engine gives it.
-func (e *Engine) decideOne(s *shard, p *pending) {
-	arr := p.req.Arrival
-	s.lv.Advance(arr)
-	s.lv.BeginRequest(arr, uint64(p.req.ID))
-	s.lv.Arrive(p.req)
-	base := s.lv.DecisionBase()
-	d := s.heur.Schedule(p.req, s.lv.View())
+// decideOne advances the clock to p's arrival, emits the arrival,
+// schedules with the per-request heuristic and dispatches.
+func (e *Engine) decideOne(p *pending) {
+	e.lv.Advance(p.req.Arrival)
+	e.lv.Arrive(p.req)
+	base := e.lv.DecisionBase()
+	d := e.heur.Schedule(p.req, e.lv.View())
 	if e.sm != nil {
 		p.decidedAt = time.Now()
 	}
-	e.answer(s, p, d, func(r core.Request, d core.DiskID) {
-		s.lv.Dispatch(r, d, base)
+	e.answer(p, d, func(r core.Request, d core.DiskID) {
+		e.lv.Dispatch(r, d, base)
 	})
-	s.lv.EndRequest()
 }
 
 // decideWSC decides one live round as a weighted-set-cover instance:
 // arrivals are emitted at their own timestamps, then the whole batch is
 // assigned at the round's decision time, mirroring storage.RunBatch's tick
-// shape. The dispatch block is journal-bracketed at the round's latest
-// arrival under the last request's ID, keeping the shard journal sorted.
-func (e *Engine) decideWSC(s *shard, live []*pending) {
-	s.batch = s.batch[:0]
-	var lastArr time.Duration
-	var lastID uint64
+// shape.
+func (e *Engine) decideWSC(live []*pending) {
+	e.batch = e.batch[:0]
 	for _, p := range live {
-		s.lv.Advance(p.req.Arrival)
-		s.lv.BeginRequest(p.req.Arrival, uint64(p.req.ID))
-		s.lv.Arrive(p.req)
-		s.lv.EndRequest()
-		s.batch = append(s.batch, p.req)
-		lastArr, lastID = p.req.Arrival, uint64(p.req.ID)
+		e.lv.Advance(p.req.Arrival)
+		e.lv.Arrive(p.req)
+		e.batch = append(e.batch, p.req)
 	}
-	s.lv.BeginRequest(lastArr, lastID)
-	base := s.lv.DecisionBase()
-	assignment := s.wsc.ScheduleBatch(s.batch, s.lv.View())
+	base := e.lv.DecisionBase()
+	assignment := e.wsc.ScheduleBatch(e.batch, e.lv.View())
 	if e.sm != nil {
 		// One cover decides the whole batch; every member's decide phase
 		// closes at the same instant.
@@ -867,7 +684,7 @@ func (e *Engine) decideWSC(s *shard, live []*pending) {
 			placed++
 		}
 	}
-	traced := placed > 0 && s.lv.DecisionBase() == base+uint64(placed)
+	traced := placed > 0 && e.lv.DecisionBase() == base+uint64(placed)
 	k := base
 	for i, p := range live {
 		var dec obs.DecisionID
@@ -875,23 +692,22 @@ func (e *Engine) decideWSC(s *shard, live []*pending) {
 			k++
 			dec = obs.DecisionID(k)
 		}
-		e.answer(s, p, assignment[i], func(r core.Request, d core.DiskID) {
-			s.lv.DispatchDecision(r, d, dec)
+		e.answer(p, assignment[i], func(r core.Request, d core.DiskID) {
+			e.lv.DispatchDecision(r, d, dec)
 		})
 	}
-	s.lv.EndRequest()
 }
 
 // answer dispatches the decision via dispatch and replies to the waiter.
-func (e *Engine) answer(s *shard, p *pending, d core.DiskID, dispatch func(core.Request, core.DiskID)) {
+func (e *Engine) answer(p *pending, d core.DiskID, dispatch func(core.Request, core.DiskID)) {
 	if d == core.InvalidDisk {
 		// Replicas vanished between admission and decision (router update).
-		s.lv.Drop(p.req)
+		e.lv.Drop(p.req)
 		e.count(func(m *serveMetrics) { m.noReplica.Inc() })
 		p.publish(Decision{}, fmt.Errorf("%w %d", ErrNoReplica, p.req.Block))
 		return
 	}
-	v := s.lv.View()
+	v := e.lv.View()
 	en := e.cfg.Cost.EnergyCost(v, d)
 	ld := v.Load(d)
 	p.dec = Decision{
@@ -902,18 +718,16 @@ func (e *Engine) answer(s *shard, p *pending, d core.DiskID, dispatch func(core.
 		Load:    ld,
 		Cost:    e.cfg.Cost.CostOf(en, ld),
 		EnergyJ: en,
-		At:      s.lv.Now(),
+		At:      e.lv.Now(),
 	}
 	dispatch(p.req, d)
-	if err := s.lv.Err(); err != nil {
+	if err := e.lv.Err(); err != nil {
 		p.publish(Decision{}, err)
 		return
 	}
-	s.decisions++
 	n := e.decisions.Add(1)
 	if e.sm != nil {
 		e.sm.decided.Inc()
-		e.sm.shardDecisions[s.idx].Inc()
 		e.sm.decisionLatency.Observe(time.Since(p.enqueued).Seconds())
 		e.recordSpan(p, p.dec, n)
 	}
@@ -982,13 +796,11 @@ func (e *Engine) slowSpans() []SlowSpan {
 	return out
 }
 
-// maintain is the live-mode housekeeping loop: every tick it advances any
-// idle shard's clock to wall time (firing completions, idle timeouts and
-// spin-downs during quiet periods so /state stays live and disks spin
-// down on schedule with no traffic), publishes per-shard clock watermarks,
-// flushes the journal merge up to the fleet-wide minimum, and refreshes
-// the cached kernel snapshot. Busy shards are skipped — their combiners
-// advance their clocks with every round.
+// maintain is the live-mode housekeeping loop: every tick it advances an
+// idle system's clock to wall time, firing completions, idle timeouts and
+// spin-downs during quiet periods so /state stays live and disks spin down
+// on schedule with no traffic. A busy system is skipped — its combiner
+// advances the clock with every round.
 func (e *Engine) maintain() {
 	defer close(e.maintDone)
 	t := time.NewTicker(25 * time.Millisecond)
@@ -1005,46 +817,19 @@ func (e *Engine) maintain() {
 
 // tick runs one maintenance pass.
 func (e *Engine) tick() {
-	stats := make([]simkernel.ShardStats, 0, len(e.shards))
-	for _, s := range e.shards {
-		if !s.tok.CompareAndSwap(0, 1) {
-			// A combiner owns the shard; it republishes the watermark with
-			// every round, so the merge below still advances.
-			continue
-		}
-		s.lv.Advance(e.elapsed())
-		s.pubClock.Store(int64(s.lv.Now()))
-		s.pubFired.Store(s.lv.Fired())
-		ss := s.lv.KernelStats().Shards[0]
-		ss.Shard = s.idx
-		stats = append(stats, ss)
-		s.tok.Store(0)
-		if !s.ring.empty() {
-			e.combineOn(s)
-		}
+	if !e.tok.CompareAndSwap(0, 1) {
+		return
 	}
-	if len(stats) == len(e.shards) {
-		merged := &simkernel.KernelStats{Shards: stats}
-		for _, ss := range stats {
-			merged.Events += ss.Events
-		}
-		e.kstats.Store(merged)
-	}
-	if e.ls.Journaling() {
-		w := time.Duration(1<<63 - 1)
-		var fired uint64
-		for _, s := range e.shards {
-			if c := time.Duration(s.pubClock.Load()); c < w {
-				w = c
-			}
-			fired += s.pubFired.Load()
-		}
-		if w > 0 {
-			e.mergeMu.Lock()
-			e.ls.Flush(w)
-			e.ls.SetGauges(w, fired)
-			e.mergeMu.Unlock()
-		}
+	e.lv.Advance(e.elapsed())
+	e.release()
+}
+
+// release hands the combining token back and decides anything that
+// arrived while it was held for housekeeping.
+func (e *Engine) release() {
+	e.tok.Store(0)
+	if !e.ring.empty() {
+		e.combineOn()
 	}
 }
 
@@ -1053,35 +838,17 @@ func (e *Engine) tick() {
 // event flow to sweep them; this forces the sweep. No-op without a
 // recorder or pending trigger.
 func (e *Engine) FlushFlight() {
-	if e.cfg.Flight == nil {
+	if e.cfg.Flight == nil || !e.acquire() {
 		return
 	}
-	select {
-	case <-e.ended:
-		return // drain already swept
-	default:
-	}
-	if len(e.shards) == 1 {
-		s := e.shards[0]
-		if !e.acquire(s) {
-			return
-		}
-		e.cfg.Flight.MaybeDump()
-		s.tok.Store(0)
-		if !s.ring.empty() {
-			e.combineOn(s)
-		}
-		return
-	}
-	e.mergeMu.Lock()
 	e.cfg.Flight.MaybeDump()
-	e.mergeMu.Unlock()
+	e.release()
 }
 
-// acquire spin-waits for s's token, giving up when the engine has ended
-// (the drain holds every token forever).
-func (e *Engine) acquire(s *shard) bool {
-	for !s.tok.CompareAndSwap(0, 1) {
+// acquire spin-waits for the combining token, giving up when the engine
+// has ended (the drain holds the token forever).
+func (e *Engine) acquire() bool {
+	for !e.tok.CompareAndSwap(0, 1) {
 		select {
 		case <-e.ended:
 			return false
@@ -1092,89 +859,41 @@ func (e *Engine) acquire(s *shard) bool {
 	return true
 }
 
-// Snapshot returns a consistent view of the serving system, taken with
-// every shard's token held. After Drain it returns the final snapshot.
+// Snapshot returns a consistent view of the serving system, taken with the
+// combining token held. After Drain it returns the final snapshot.
 func (e *Engine) Snapshot() Snapshot {
-	held := 0
-	for _, s := range e.shards {
-		if !e.acquire(s) {
-			break
-		}
-		held++
-	}
-	if held < len(e.shards) {
-		// The engine ended mid-acquisition; back out and serve the final.
-		for _, s := range e.shards[:held] {
-			s.tok.Store(0)
-		}
+	if !e.acquire() {
 		<-e.ended
 		if e.final != nil {
 			return *e.final
 		}
 		return Snapshot{}
 	}
-	snap := e.snapshotHeld()
-	for _, s := range e.shards {
-		s.tok.Store(0)
+	if !e.cfg.Sequential {
+		e.lv.Advance(e.elapsed())
 	}
-	for _, s := range e.shards {
-		if !s.ring.empty() {
-			e.combineOn(s)
-		}
+	snap := Snapshot{
+		Totals: Totals{
+			Now:       e.lv.Now(),
+			Decisions: e.decisions.Load(),
+			Served:    e.lv.Served(),
+			Dropped:   e.lv.Dropped(),
+			InFlight:  int(e.inflight.Load()),
+			Draining:  e.draining.Load(),
+		},
+		Disks:  e.lv.Snapshot(),
+		Kernel: e.lv.KernelStats(),
 	}
-	return snap
-}
-
-// snapshotHeld builds the snapshot; the caller holds every shard token.
-func (e *Engine) snapshotHeld() Snapshot {
-	var snap Snapshot
-	var fired uint64
-	kernel := &simkernel.KernelStats{Shards: make([]simkernel.ShardStats, len(e.shards))}
-	for i, s := range e.shards {
-		if !e.cfg.Sequential {
-			s.lv.Advance(e.elapsed())
-			s.pubClock.Store(int64(s.lv.Now()))
-			s.pubFired.Store(s.lv.Fired())
-		}
-		disks := s.lv.Snapshot()
-		snap.Disks = append(snap.Disks, disks...)
-		now := s.lv.Now()
-		snap.Shards = append(snap.Shards, ShardState{
-			Shard: s.idx, BaseDisk: s.base, NumDisks: s.count,
-			Now: now, NowUS: now.Microseconds(),
-			Decisions: s.decisions, Rounds: s.rounds,
-			Served: s.lv.Served(), Dropped: s.lv.Dropped(),
-		})
-		if now > snap.Totals.Now {
-			snap.Totals.Now = now
-		}
-		snap.Totals.Served += s.lv.Served()
-		snap.Totals.Dropped += s.lv.Dropped()
-		for _, d := range disks {
-			snap.Totals.EnergyJ += d.EnergyJ
-			snap.Totals.SpinUps += d.SpinUps
-			snap.Totals.SpinDowns += d.SpinDowns
-		}
-		ss := s.lv.KernelStats().Shards[0]
-		ss.Shard = i
-		kernel.Shards[i] = ss
-		kernel.Events += ss.Events
-		fired += s.lv.Fired()
+	for _, d := range snap.Disks {
+		snap.Totals.EnergyJ += d.EnergyJ
+		snap.Totals.SpinUps += d.SpinUps
+		snap.Totals.SpinDowns += d.SpinDowns
 	}
-	snap.Totals.Decisions = e.decisions.Load()
-	snap.Totals.InFlight = int(e.inflight.Load())
-	snap.Totals.Draining = e.draining.Load()
-	if acc := e.ls.Accounting(); acc != nil {
-		// In journaling mode the accumulator is fed by the merge; exclude
-		// the flusher while reading. (With every token held, no new records
-		// are being appended either way.)
-		e.mergeMu.Lock()
+	if acc := e.cfg.Accounting; acc != nil {
 		snap.Totals.CarbonG, snap.Totals.CostUSD = acc.Snapshot()
-		e.mergeMu.Unlock()
 	}
+	e.release()
 	snap.Slow = e.slowSpans()
-	snap.Kernel = kernel
-	e.kstats.Store(kernel)
 	return snap
 }
 
@@ -1193,8 +912,8 @@ func (e *Engine) Drain() (*storage.Result, error) {
 }
 
 // doDrain runs on the first Drain caller: stop maintenance, answer the
-// admitted backlog, seize every shard, finish the storage set and publish
-// the final snapshot.
+// admitted backlog, seize the token, finish the storage system and
+// publish the final snapshot.
 func (e *Engine) doDrain() {
 	defer close(e.ended)
 	close(e.stop)
@@ -1207,23 +926,19 @@ func (e *Engine) doDrain() {
 	// sequential requests are rejected (their predecessors will never
 	// arrive). Poll until the count settles.
 	for {
-		for _, s := range e.shards {
-			e.combineOn(s)
-		}
+		e.combineOn()
 		e.rejectParked()
 		if e.inflight.Load() == 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Seize the fleet: from here no other goroutine can touch a shard.
-	for _, s := range e.shards {
-		for !s.tok.CompareAndSwap(0, 1) {
-			runtime.Gosched()
-		}
+	// Seize the token: from here no other goroutine can touch the system.
+	for !e.tok.CompareAndSwap(0, 1) {
+		runtime.Gosched()
 	}
 	name := "eschedd " + e.cfg.Mode.String()
-	res, err := e.ls.Finish(name)
+	res, err := e.lv.Finish(name)
 	e.report, e.finalErr = res, err
 	if rec := e.cfg.Flight; rec != nil {
 		// Flush a trigger raised after the last observed event (the drain
@@ -1245,7 +960,7 @@ func (e *Engine) doDrain() {
 			SpinUps:   res.SpinUps,
 			SpinDowns: res.SpinDowns,
 		}
-		if acc := e.ls.Accounting(); acc != nil {
+		if acc := e.cfg.Accounting; acc != nil {
 			t.CarbonG, t.CostUSD = acc.Snapshot()
 		}
 		snap.Totals = t
@@ -1256,18 +971,9 @@ func (e *Engine) doDrain() {
 				SpinUps: st.SpinUps, SpinDowns: st.SpinDowns,
 			})
 		}
-		for _, s := range e.shards {
-			snap.Shards = append(snap.Shards, ShardState{
-				Shard: s.idx, BaseDisk: s.base, NumDisks: s.count,
-				Now: res.Horizon, NowUS: res.Horizon.Microseconds(),
-				Decisions: s.decisions, Rounds: s.rounds,
-				Served: s.lv.Served(), Dropped: s.lv.Dropped(),
-			})
-		}
 	}
 	snap.Slow = e.slowSpans()
-	snap.Kernel = e.ls.KernelStats()
-	e.kstats.Store(snap.Kernel)
+	snap.Kernel = e.lv.KernelStats()
 	e.final = &snap
 }
 

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,14 +61,15 @@ func submitTrace(t *testing.T, e *Engine, reqs []core.Request, workers int) {
 }
 
 // runSequential runs one full serving pass over reqs and returns the final
-// accounting plus the canonical JSONL event log.
-func runSequential(t *testing.T, cfg Config, reqs []core.Request, workers int) (*storage.Result, []byte) {
+// accounting, the canonical JSONL event log and the state log.
+func runSequential(t *testing.T, cfg Config, reqs []core.Request, workers int) (*storage.Result, []byte, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
+	var buf, states bytes.Buffer
 	tr := obs.NewTracer(256)
 	tr.SetSink(&buf, false)
 	cfg.Sequential = true
 	cfg.Tracer = tr
+	cfg.StateLog = &states
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,26 +79,34 @@ func runSequential(t *testing.T, cfg Config, reqs []core.Request, workers int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes()
+	return res, buf.Bytes(), states.Bytes()
 }
 
-// TestSequentialDeterminism is the satellite determinism check: the same
-// request sequence served serially and highly concurrently must yield
-// identical energy accounting — and, stronger, a byte-identical event log.
+// TestSequentialDeterminism is the determinism pin: the same request
+// sequence served serially and highly concurrently must yield identical
+// energy accounting — and, stronger, byte-identical event and state logs
+// and identical response samples.
 func TestSequentialDeterminism(t *testing.T) {
 	t.Parallel()
 	cfg, _ := testConfig(t, 10, 80, 3)
 	cfg.MaxInFlight = 128
 	reqs := workload.CelloLike(400, 80, 11)
-	serial, serialLog := runSequential(t, cfg, reqs, 1)
+	serial, serialLog, serialStates := runSequential(t, cfg, reqs, 1)
 	if serial.Served != 400 || serial.Dropped != 0 {
 		t.Fatalf("serial served/dropped = %d/%d", serial.Served, serial.Dropped)
 	}
 	if serial.Energy <= 0 {
 		t.Fatal("no energy accounted")
 	}
+	if len(serialStates) == 0 {
+		t.Fatal("serial run logged no state transitions")
+	}
+	serialResp, err := json.Marshal(serial.Response)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{4, 16} {
-		conc, concLog := runSequential(t, cfg, reqs, workers)
+		conc, concLog, concStates := runSequential(t, cfg, reqs, workers)
 		if conc.Energy != serial.Energy {
 			t.Errorf("workers=%d: energy %v != serial %v", workers, conc.Energy, serial.Energy)
 		}
@@ -109,6 +120,16 @@ func TestSequentialDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(concLog, serialLog) {
 			t.Errorf("workers=%d: event log differs from serial run", workers)
+		}
+		if !bytes.Equal(concStates, serialStates) {
+			t.Errorf("workers=%d: state log differs from serial run", workers)
+		}
+		resp, err := json.Marshal(conc.Response)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp, serialResp) {
+			t.Errorf("workers=%d: response samples diverge", workers)
 		}
 	}
 }
@@ -139,7 +160,176 @@ func TestSequentialDoctorClean(t *testing.T) {
 	if !mon.Passed() {
 		var rep bytes.Buffer
 		mon.WriteReport(&rep)
+		t.Fatalf("doctor violations on a sequential serving run:\n%s", rep.String())
+	}
+}
+
+// TestLiveDoctorClean runs wall-clock mode with the doctor attached and
+// checks the stream stays clean under concurrent submitters.
+func TestLiveDoctorClean(t *testing.T) {
+	t.Parallel()
+	cfg, p := testConfig(t, 16, 96, 2)
+	cfg.MaxInFlight = 64
+	mon := monitor.NewSuite(monitor.Config{
+		Power:     cfg.System.Power,
+		Mech:      cfg.System.Mech,
+		Policy:    cfg.System.Policy,
+		Locations: p.Locations,
+	})
+	cfg.Tracer = obs.NewTracer(256)
+	cfg.Monitor = mon
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += 8 {
+				if _, err := e.Submit(core.Request{Block: core.BlockID(i % 96)}, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	res, err := e.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != n || res.Dropped != 0 {
+		t.Fatalf("served/dropped = %d/%d, want %d/0", res.Served, res.Dropped, n)
+	}
+	if !mon.Passed() {
+		var rep bytes.Buffer
+		mon.WriteReport(&rep)
 		t.Fatalf("doctor violations on a live serving run:\n%s", rep.String())
+	}
+}
+
+// TestDrainUnderFullLoad is the drain stress test: submitters hammer a
+// live engine while Drain races them, and the doctor plus the engine's own
+// conservation check must still hold — every admitted request is either
+// decided (and served by the drain) or rejected, never lost.
+func TestDrainUnderFullLoad(t *testing.T) {
+	t.Parallel()
+	cfg, p := testConfig(t, 16, 96, 2)
+	cfg.MaxInFlight = 256
+	mon := monitor.NewSuite(monitor.Config{
+		Power:     cfg.System.Power,
+		Mech:      cfg.System.Mech,
+		Policy:    cfg.System.Policy,
+		Locations: p.Locations,
+	})
+	cfg.Tracer = obs.NewTracer(256)
+	cfg.Monitor = mon
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decided, rejected atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				_, err := e.Submit(core.Request{Block: core.BlockID((g*31 + i) % 96)}, 0)
+				switch {
+				case err == nil:
+					decided.Add(1)
+				case errors.Is(err, ErrDraining):
+					rejected.Add(1)
+					return
+				case errors.Is(err, ErrQueueFull):
+					rejected.Add(1)
+				default:
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	time.Sleep(50 * time.Millisecond)
+	res, err := e.Drain()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != int(decided.Load()) {
+		t.Fatalf("served %d != decided %d (rejected %d)", res.Served, decided.Load(), rejected.Load())
+	}
+	if res.Dropped != 0 {
+		t.Fatalf("dropped %d, want 0", res.Dropped)
+	}
+	if decided.Load() == 0 {
+		t.Fatal("no requests decided before drain")
+	}
+	if !mon.Passed() {
+		var rep bytes.Buffer
+		mon.WriteReport(&rep)
+		t.Fatalf("doctor violations on drain under load:\n%s", rep.String())
+	}
+}
+
+// TestDrainingCountedOnce: one rejected submission during drain must
+// increment the draining outcome counter exactly once.
+func TestDrainingCountedOnce(t *testing.T) {
+	t.Parallel()
+	cfg, _ := testConfig(t, 4, 20, 2)
+	col := obs.NewCollector()
+	cfg.Collector = col
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(core.Request{Block: 1}, 0); !errors.Is(err, ErrDraining) {
+		t.Fatalf("err = %v, want ErrDraining", err)
+	}
+	c := col.Counter("esched_serve_requests_total", "Serving submissions by outcome.",
+		obs.Label{Key: "outcome", Value: "draining"})
+	if got := c.Value(); got != 1 {
+		t.Fatalf("draining counter = %v after one rejection, want 1", got)
+	}
+	if got := e.inflight.Load(); got != 0 {
+		t.Fatalf("inflight = %d after rejection, want 0", got)
+	}
+}
+
+// TestRingOrder pins the admission ring's FIFO contract including a
+// wraparound lap.
+func TestRingOrder(t *testing.T) {
+	t.Parallel()
+	r := newRing(4) // capacity 4
+	ps := make([]*pending, 10)
+	for i := range ps {
+		ps[i] = &pending{}
+	}
+	if r.pop() != nil {
+		t.Fatal("pop on empty ring")
+	}
+	for lap := 0; lap < 2; lap++ {
+		for i := 0; i < 4; i++ {
+			r.push(ps[lap*4+i])
+		}
+		if r.empty() {
+			t.Fatal("ring empty after pushes")
+		}
+		for i := 0; i < 4; i++ {
+			if got := r.pop(); got != ps[lap*4+i] {
+				t.Fatalf("lap %d pop %d: wrong item", lap, i)
+			}
+		}
+		if !r.empty() {
+			t.Fatal("ring not empty after draining")
+		}
 	}
 }
 
@@ -248,6 +438,11 @@ func TestGracefulDrain(t *testing.T) {
 		if _, err := e.Submit(core.Request{Block: core.BlockID(i % 40)}, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The live snapshot carries the kernel's one pseudo-shard.
+	if snap := e.Snapshot(); snap.Totals.Decisions != n || snap.Kernel == nil ||
+		len(snap.Kernel.Shards) != 1 || snap.Kernel.Events != snap.Kernel.Shards[0].Events {
+		t.Fatalf("live snapshot totals %+v, kernel %+v", snap.Totals, snap.Kernel)
 	}
 	// Decisions are made; disk service is still outstanding in virtual time.
 	res, err := e.Drain()
@@ -361,28 +556,19 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// blockLoop occupies every decision shard for d without deciding: it seizes
-// all combining tokens, so submissions queue in the rings until release.
+// blockLoop occupies the engine for d without deciding: it seizes the
+// combining token, so submissions queue in the ring until release.
 func blockLoop(e *Engine, d time.Duration) {
 	acquired := make(chan struct{})
 	go func() {
-		for _, s := range e.shards {
-			for !s.tok.CompareAndSwap(0, 1) {
-				time.Sleep(time.Microsecond)
-			}
+		for !e.tok.CompareAndSwap(0, 1) {
+			time.Sleep(time.Microsecond)
 		}
 		close(acquired)
 		time.Sleep(d)
-		for _, s := range e.shards {
-			s.tok.Store(0)
-		}
-		// Combine anything that queued while the tokens were held, exactly
-		// as a real holder's release-recheck would.
-		for _, s := range e.shards {
-			if !s.ring.empty() {
-				e.combineOn(s)
-			}
-		}
+		// Combine anything that queued while the token was held, exactly as
+		// a real holder's release-recheck would.
+		e.release()
 	}()
 	<-acquired
 }

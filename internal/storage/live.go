@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/account"
 	"repro/internal/core"
-	"repro/internal/diskmodel"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/simkernel"
@@ -31,9 +30,8 @@ import (
 //	    lv.Dispatch(r, d, loc, dec)  // or lv.Drop(r) / lv.Reject(r)
 //	lv.Finish(name)                  // drain, settle, reconcile, report
 type Live struct {
-	sys  *system
-	opts runOptions
-	loc  sched.Locator
+	sys *system
+	loc sched.Locator
 	// ingested counts requests that produced an Arrive event; Finish
 	// cross-checks served+dropped against it exactly as the batch path does.
 	ingested int
@@ -58,18 +56,7 @@ func NewLive(cfg Config, loc sched.Locator, opts ...RunOption) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Live{sys: s, opts: o, loc: loc}, nil
-}
-
-// newLiveRange builds one serving shard's streaming facade: a sub-range
-// system over the global disks [base, base+count) whose emissions land in
-// jr (see LiveSet). The caller owns validation of the option set.
-func newLiveRange(cfg Config, loc sched.Locator, o runOptions, base, count int, jr *shardJournal) (*Live, error) {
-	s, err := newSystemRange(cfg, o, base, count, jr)
-	if err != nil {
-		return nil, err
-	}
-	return &Live{sys: s, opts: o, loc: loc}, nil
+	return &Live{sys: s, loc: loc}, nil
 }
 
 // View returns the scheduler's read-only window onto the running system
@@ -106,39 +93,12 @@ func (l *Live) Arrive(r core.Request) {
 // emitted (see system.lastDecision).
 func (l *Live) DecisionBase() uint64 { return l.sys.tr.DecisionCount() }
 
-// Tracer returns the tracer this system emits into: the run tracer on a
-// full-range system, the shard's relay tracer on a LiveSet shard (wire it
-// into the shard's scheduler so decisions land in the shard journal), or
-// nil when untraced.
-func (l *Live) Tracer() *obs.Tracer { return l.sys.tr }
-
-// BeginRequest opens a request-processing bracket on the shard journal:
-// until EndRequest, every emission is keyed to (at, request gid) so the
-// merged stream places the whole admission block — arrive, decision,
-// dispatch, any synchronous spin-up — exactly where a serial run would.
-// No-op on a non-journaling system.
-func (l *Live) BeginRequest(at time.Duration, gid uint64) {
-	if l.sys.jr != nil {
-		l.sys.jr.begin(at, gid)
-	}
-}
-
-// EndRequest closes the bracket opened by BeginRequest.
-func (l *Live) EndRequest() {
-	if l.sys.jr != nil {
-		l.sys.jr.end()
-	}
-}
-
 // Dispatch validates the scheduling decision against the placement and
 // submits the request to its disk. base is the DecisionBase captured before
 // the scheduler ran (0 for untraced schedulers).
 func (l *Live) Dispatch(r core.Request, d core.DiskID, base uint64) {
 	if l.sys.rm != nil {
 		l.sys.rm.Decisions.Inc()
-	}
-	if l.sys.jr != nil {
-		l.sys.jr.decision()
 	}
 	l.sys.dispatch(r, d, l.loc, l.sys.lastDecision(base))
 }
@@ -150,9 +110,6 @@ func (l *Live) Dispatch(r core.Request, d core.DiskID, base uint64) {
 func (l *Live) DispatchDecision(r core.Request, d core.DiskID, dec obs.DecisionID) {
 	if l.sys.rm != nil {
 		l.sys.rm.Decisions.Inc()
-	}
-	if l.sys.jr != nil {
-		l.sys.jr.decision()
 	}
 	l.sys.dispatch(r, d, l.loc, dec)
 }
@@ -173,12 +130,6 @@ func (l *Live) Outstanding() int {
 
 // Served returns the number of completed requests so far.
 func (l *Live) Served() int { return l.sys.served }
-
-// Ingested returns the number of Arrive calls so far.
-func (l *Live) Ingested() int { return l.ingested }
-
-// Fired returns the kernel's executed-event count.
-func (l *Live) Fired() uint64 { return l.sys.eng.Fired() }
 
 // Accounting returns the carbon/cost accumulator attached via
 // WithAccounting, or nil. Callers may snapshot it (Accumulator.Snapshot)
@@ -214,7 +165,7 @@ func (l *Live) Snapshot() []DiskSnapshot {
 	for i, d := range l.sys.disks {
 		st := d.Stats()
 		out[i] = DiskSnapshot{
-			Disk:      core.DiskID(l.sys.base + i),
+			Disk:      core.DiskID(i),
 			State:     d.State(),
 			Load:      d.Load(),
 			Served:    st.Served,
@@ -236,13 +187,19 @@ func (l *Live) Finish(name string) (*Result, error) {
 		return nil, errors.New("storage: Finish called twice on a Live system")
 	}
 	l.finished = true
-	if err := l.DrainOutstanding(); err != nil {
-		return nil, err
-	}
 	s := l.sys
+	for s.err == nil && l.Outstanding() > 0 {
+		if !s.eng.Step() {
+			break
+		}
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
 	end := s.eng.Now() + settleTail(s.cfg.Power)
-	if err := l.SettleUntil(end); err != nil {
-		return nil, err
+	s.eng.RunUntil(end)
+	if s.err != nil {
+		return nil, s.err
 	}
 	res := &Result{
 		Scheduler: name,
@@ -250,44 +207,7 @@ func (l *Live) Finish(name string) (*Result, error) {
 		Dropped:   s.dropped,
 		Horizon:   end,
 		Response:  s.resp,
-		PerDisk:   l.CloseDisks(),
+		PerDisk:   s.closeDisks(),
 	}
-	return s.closeRun(s.cfg, res, s.eng.Fired(), l.ingested)
-}
-
-// The methods below are Finish's phases, exported to LiveSet's two-phase
-// drain: every shard drains its outstanding work first (the global
-// settle horizon is the maximum of the post-drain clocks, matching the
-// serial engine's stop time), then each shard settles to that shared
-// horizon and closes its disks.
-
-// DrainOutstanding steps the kernel until no disk holds queued or
-// in-service work (or the event queue empties, or the system fails).
-func (l *Live) DrainOutstanding() error {
-	s := l.sys
-	for s.err == nil && l.Outstanding() > 0 {
-		if !s.eng.Step() {
-			break
-		}
-	}
-	return s.err
-}
-
-// SettleUntil runs the kernel to the shared horizon, firing trailing idle
-// timeouts and spin-downs, and leaves the clock there.
-func (l *Live) SettleUntil(end time.Duration) error {
-	s := l.sys
-	if end > s.eng.Now() {
-		s.eng.RunUntil(end)
-	}
-	return s.err
-}
-
-// CloseDisks closes every disk in range order, emitting their end-of-run
-// accounting events through the system's tracer, and returns their final
-// stats (index i is global disk base+i). The system must be drained and
-// settled; no further simulation may run after this.
-func (l *Live) CloseDisks() []diskmodel.Stats {
-	l.finished = true
-	return l.sys.closeDisks()
+	return s.closeRun(res, l.ingested)
 }

@@ -102,16 +102,15 @@ func (r *Result) NormalizedEnergy() float64 { return r.Energy / r.AlwaysOnEnergy
 // system wires an engine, disks and metrics together and implements
 // sched.View.
 type system struct {
-	cfg Config
-	eng simkernel.Engine
-	// base is the global ID of disks[0]: a full system has base 0, a
-	// serving-shard sub-range system (see LiveSet) owns the global disks
-	// [base, base+len(disks)) and indexes disks by gid-base.
-	base  int
+	cfg   Config
+	eng   simkernel.Engine
 	disks []*diskmodel.Disk
 	resp  metrics.ResponseTimes
-	observers
-	jr           *shardJournal // canonical-order capture for sub-range systems
+	// Run-level sinks, closed when the run ends.
+	tr           *obs.Tracer
+	rm           *obs.RunMetrics
+	mon          *monitor.Suite
+	acct         *account.Accumulator
 	err          error
 	served       int
 	dropped      int
@@ -122,38 +121,16 @@ type system struct {
 
 var _ sched.View = (*system)(nil)
 
-// observers are the run-level sinks a run closes when it ends.
-type observers struct {
-	tr   *obs.Tracer
-	rm   *obs.RunMetrics
-	mon  *monitor.Suite
-	acct *account.Accumulator
-}
-
 func newSystem(cfg Config, o runOptions) (*system, error) {
-	return newSystemRange(cfg, o, 0, cfg.NumDisks, nil)
-}
-
-// newSystemRange builds a system over the global disk range
-// [base, base+count). The full range with a nil journal is the classic
-// path; a sub-range is one serving shard's slice of the fleet: its disks
-// keep their global IDs, it runs its own serial kernel, and jr (when
-// non-nil) captures every emission — relay-traced events, completions,
-// transitions, queue depths — into the shard journal so LiveSet can merge
-// the per-shard streams into the canonical global order.
-func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal) (*system, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if base < 0 || count <= 0 || base+count > cfg.NumDisks {
-		return nil, fmt.Errorf("storage: disk range [%d, %d) outside population %d", base, base+count, cfg.NumDisks)
 	}
 	policy := cfg.Policy
 	if policy == nil {
 		policy = power.TwoCompetitive{Config: cfg.Power}
 	}
-	s := &system{cfg: cfg, base: base, disks: make([]*diskmodel.Disk, count), jr: jr,
-		observers: observers{tr: o.tracer, mon: o.monitor, acct: o.acct}}
+	s := &system{cfg: cfg, disks: make([]*diskmodel.Disk, cfg.NumDisks),
+		tr: o.tracer, mon: o.monitor, acct: o.acct}
 	if o.collector != nil {
 		s.rm = obs.NewRunMetrics(o.collector)
 		rm := s.rm
@@ -182,21 +159,8 @@ func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal)
 			s.rm.Served.Inc()
 		}
 	}
-	if jr != nil {
-		// Journaling shard: completions and transitions are recorded in the
-		// shard journal and applied — response samples, state-log lines,
-		// metrics — in canonical global order at merge time. Only the local
-		// served counter (conservation bookkeeping) advances here.
-		onDone = func(req core.Request, done time.Duration) {
-			s.served++
-			jr.done(req, done)
-		}
-		onTrans = func(d core.DiskID, now time.Duration, from, to core.DiskState, e obs.EnergyDelta) {
-			jr.trans(d, now, from, to, e)
-		}
-	}
 	for i := range s.disks {
-		d, err := diskmodel.New(core.DiskID(base+i), cfg.Mech, cfg.Power, policy, &s.eng, onDone,
+		d, err := diskmodel.New(core.DiskID(i), cfg.Mech, cfg.Power, policy, &s.eng, onDone,
 			diskmodel.Options{
 				InitialState: cfg.InitialState,
 				Discipline:   cfg.Discipline,
@@ -215,14 +179,14 @@ func newSystemRange(cfg Config, o runOptions, base, count int, jr *shardJournal)
 func (s *system) Now() time.Duration { return s.eng.Now() }
 
 // DiskState implements sched.View.
-func (s *system) DiskState(d core.DiskID) core.DiskState { return s.disks[int(d)-s.base].State() }
+func (s *system) DiskState(d core.DiskID) core.DiskState { return s.disks[d].State() }
 
 // Load implements sched.View.
-func (s *system) Load(d core.DiskID) int { return s.disks[int(d)-s.base].Load() }
+func (s *system) Load(d core.DiskID) int { return s.disks[d].Load() }
 
 // LastRequestTime implements sched.View.
 func (s *system) LastRequestTime(d core.DiskID) (time.Duration, bool) {
-	return s.disks[int(d)-s.base].LastRequestTime()
+	return s.disks[d].LastRequestTime()
 }
 
 // fail records the first simulation error and halts the run.
@@ -240,9 +204,6 @@ func (s *system) drop(req core.Request) {
 	if s.rm != nil {
 		s.rm.Dropped.Inc()
 	}
-	if s.jr != nil {
-		s.jr.drop()
-	}
 }
 
 // submit hands the request to its chosen disk, emitting the dispatch event
@@ -251,13 +212,10 @@ func (s *system) drop(req core.Request) {
 // spin-up the arrival triggers is attributed to it in the log.
 func (s *system) submit(req core.Request, d core.DiskID, dec obs.DecisionID) {
 	s.tr.Dispatch(s.eng.Now(), req.ID, req.Block, d, dec)
-	disk := s.disks[int(d)-s.base]
+	disk := s.disks[d]
 	disk.SubmitCaused(req, dec)
 	if s.rm != nil {
 		s.rm.QueueDepth.Observe(float64(disk.Load()))
-	}
-	if s.jr != nil {
-		s.jr.depth(disk.Load())
 	}
 }
 
@@ -267,8 +225,8 @@ func (s *system) dispatch(req core.Request, d core.DiskID, loc sched.Locator, de
 		s.drop(req)
 		return
 	}
-	if int(d) < s.base || int(d) >= s.base+len(s.disks) {
-		s.fail(fmt.Errorf("storage: scheduler chose disk %d outside range [%d, %d) for %v", d, s.base, s.base+len(s.disks), req))
+	if d < 0 || int(d) >= len(s.disks) {
+		s.fail(fmt.Errorf("storage: scheduler chose nonexistent disk %d for %v", d, req))
 		return
 	}
 	valid := false
@@ -339,7 +297,7 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 		Response:     s.resp,
 		PerDisk:      s.closeDisks(),
 	}
-	return s.closeRun(s.cfg, res, s.eng.Fired(), len(reqs))
+	return s.closeRun(res, len(reqs))
 }
 
 // settleTail is how far a run's clock advances past its last completion so
@@ -348,9 +306,9 @@ func settleTail(p power.Config) time.Duration {
 	return p.Breakeven() + p.SpinDownTime + time.Second
 }
 
-// closeDisks closes every disk in range order, emitting their end-of-run
-// accounting events, and returns their final stats (index i is global
-// disk base+i). No further simulation may run after this.
+// closeDisks closes every disk in disk order, emitting their end-of-run
+// accounting events, and returns their final stats. No further simulation
+// may run after this.
 func (s *system) closeDisks() []diskmodel.Stats {
 	out := make([]diskmodel.Stats, len(s.disks))
 	for i, d := range s.disks {
@@ -360,15 +318,15 @@ func (s *system) closeDisks() []diskmodel.Stats {
 }
 
 // closeRun is the end-of-run sequence every runner shares. The caller has
-// closed the disks into res.PerDisk (global disk order) and filled in the
-// request counters and the horizon. closeRun sums the disks in that order,
-// so float totals match bit for bit across runners, computes the always-on
+// closed the disks into res.PerDisk (disk order) and filled in the request
+// counters and the horizon. closeRun sums the disks in that order, so float
+// totals match bit for bit across runners, computes the always-on
 // baseline, emits the run-end marker, closes the carbon/cost accounting,
 // runs the doctor's end-of-stream checks, reconciles the metrics export to
 // the exact totals, flushes the event sink, and checks that every one of
-// the ingested requests was served or dropped. fired is the kernel's
-// executed-event count.
-func (ob *observers) closeRun(cfg Config, res *Result, fired uint64, ingested int) (*Result, error) {
+// the ingested requests was served or dropped.
+func (s *system) closeRun(res *Result, ingested int) (*Result, error) {
+	fired := s.eng.Fired()
 	for _, st := range res.PerDisk {
 		res.Energy += st.Energy
 		res.SpinUps += st.SpinUps
@@ -377,26 +335,26 @@ func (ob *observers) closeRun(cfg Config, res *Result, fired uint64, ingested in
 			res.EnergyByState[ps] += st.EnergyIn[ps]
 		}
 	}
-	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(cfg.Power, cfg.NumDisks, res.Horizon)
+	res.AlwaysOnEnergy = offline.AlwaysOnEnergy(s.cfg.Power, s.cfg.NumDisks, res.Horizon)
 	// The disks' "end" events (emitted as they closed, in disk order) plus
 	// this run-end marker make the log self-contained: a replay recovers the
 	// horizon, the kernel event count and the exact meter totals.
-	ob.tr.RunEnd(res.Horizon, fired)
-	if ob.acct != nil {
+	s.tr.RunEnd(res.Horizon, fired)
+	if s.acct != nil {
 		// Close the carbon/cost accounting at the horizon (reconciling any
 		// bound metric families) and pin its windowed integral to the meters.
-		ob.acct.Finalize()
-		if ob.mon != nil {
-			ob.mon.VerifyWindows(ob.acct.ByState(), res.EnergyByState)
+		s.acct.Finalize()
+		if s.mon != nil {
+			s.mon.VerifyWindows(s.acct.ByState(), res.EnergyByState)
 		}
 	}
-	if ob.mon != nil {
+	if s.mon != nil {
 		// The stream is complete: cross-check the meters' totals against the
 		// live integral, then run the suite's end-of-stream checks.
-		ob.mon.VerifyResult(res.EnergyByState)
-		ob.mon.Finish()
+		s.mon.VerifyResult(res.EnergyByState)
+		s.mon.Finish()
 	}
-	if rm := ob.rm; rm != nil {
+	if rm := s.rm; rm != nil {
 		// Overwrite the live approximations with the authoritative end-of-run
 		// values so exporter output matches the report aggregates exactly.
 		rm.ReconcileEnergy(res.EnergyByState)
@@ -409,8 +367,8 @@ func (ob *observers) closeRun(cfg Config, res *Result, fired uint64, ingested in
 		rm.SimTime.Set(res.Horizon.Seconds())
 		rm.EventsFired.Set(float64(fired))
 	}
-	if ob.tr != nil {
-		if err := ob.tr.Flush(); err != nil {
+	if s.tr != nil {
+		if err := s.tr.Flush(); err != nil {
 			return nil, fmt.Errorf("storage: event sink: %w", err)
 		}
 	}

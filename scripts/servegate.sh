@@ -12,15 +12,14 @@
 # daemon itself exits non-zero on a live doctor violation), or offline
 # doctor violation.
 #
-# The daemon runs with -shards 4: four per-rack decision shards over the
-# rack-local placement, so the gate exercises the sharded admission rings,
-# the flat-combined decision loops and the journal merge — and the offline
-# doctor proves the merged log is indistinguishable from a serial run's.
+# The loadgen drives 8 connections of 16-block batches, so many submitters
+# contend for the engine at once: the gate exercises the admission ring
+# and flat combining under concurrency, and the offline doctor proves the
+# log the combined decisions wrote still satisfies every invariant.
 #
 # Usage: scripts/servegate.sh
-#   SERVE_DISKS / SERVE_BLOCKS / SERVE_REQUESTS / SERVE_SEED / SERVE_SHARDS
-#   override the gate's shape (defaults: 32 disks, 2000 blocks, 5000
-#   requests, seed 7, 4 shards).
+#   SERVE_DISKS / SERVE_BLOCKS / SERVE_REQUESTS / SERVE_SEED override the
+#   gate's shape (defaults: 32 disks, 2000 blocks, 5000 requests, seed 7).
 
 set -eu
 
@@ -30,7 +29,6 @@ disks="${SERVE_DISKS:-32}"
 blocks="${SERVE_BLOCKS:-2000}"
 requests="${SERVE_REQUESTS:-5000}"
 seed="${SERVE_SEED:-7}"
-shards="${SERVE_SHARDS:-4}"
 
 tmp="$(mktemp -d)"
 daemon_pid=""
@@ -45,10 +43,9 @@ trap cleanup EXIT
 go build -o "$tmp/eschedd" ./cmd/eschedd
 go build -o "$tmp/tracelens" ./cmd/tracelens
 
-echo "servegate: booting eschedd (disks=$disks blocks=$blocks seed=$seed shards=$shards, -events -doctor)..." >&2
+echo "servegate: booting eschedd (disks=$disks blocks=$blocks seed=$seed, -events -doctor)..." >&2
 "$tmp/eschedd" serve -addr 127.0.0.1:0 -addrfile "$tmp/addr" \
 	-disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
-	-shards "$shards" \
 	-events "$tmp/run.jsonl" -metrics "$tmp/metrics.txt" -doctor \
 	>"$tmp/daemon.out" 2>"$tmp/daemon.err" &
 daemon_pid=$!
@@ -91,6 +88,6 @@ cat "$tmp/daemon.out" >&2
 
 echo "servegate: tracelens doctor over the serving log..." >&2
 "$tmp/tracelens" doctor -disks "$disks" -blocks "$blocks" \
-	-rf 3 -z 1 -seed "$seed" -shards "$shards" "$tmp/run.jsonl" >&2
+	-rf 3 -z 1 -seed "$seed" "$tmp/run.jsonl" >&2
 
 echo "servegate: OK — live run healthy, drained clean, log doctor-clean" >&2
