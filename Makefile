@@ -16,8 +16,8 @@ test:
 	$(GO) test ./...
 
 # Full pre-merge gate: vet plus the race detector over every package.
-# The parallel MWIS solve, sharded graph build, and the sim-kernel event
-# plumbing all run under -race here.
+# The parallel MWIS solve, the disk-sharded node scan of the MWIS
+# reduction, and the sim-kernel event plumbing all run under -race here.
 check: vet
 	$(GO) test -race ./...
 
@@ -116,7 +116,8 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short fuzz pass over the trace parsers, the event-log reader, the
-# flight-snapshot reader and eschedd's two HTTP schedule decoders.
+# flight-snapshot reader, eschedd's two HTTP schedule decoders and the
+# MWIS reduction's conflict edges (checked against a brute-force oracle).
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzReadSPC -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadCelloText -fuzztime 10s
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test ./internal/obs/flight -fuzz FuzzReadSnapshot -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzScheduleJSON -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzScheduleBatch -fuzztime 10s
+	$(GO) test ./internal/offline -fuzz FuzzBuildEdges -fuzztime 10s
 
 # Fast (small-scale) regeneration of every paper figure.
 figures:

@@ -13,7 +13,6 @@ import (
 // replacement window never share a vertex, so bursts form independent
 // components.
 func ConnectedComponents(g *Graph) [][]int {
-	g.Finalize()
 	n := g.N()
 	comp := make([]int, n)
 	for i := range comp {
@@ -54,15 +53,15 @@ func ConnectedComponents(g *Graph) [][]int {
 // binary searches on the sorted vertex set, so no per-component index map
 // is allocated.
 func subgraph(g *Graph, vs []int) (*Graph, []int) {
-	sub := NewGraph(len(vs))
 	total := 0
 	for _, v := range vs {
 		total += g.Degree(v)
 	}
+	weights := make([]float64, len(vs))
 	off := make([]int32, len(vs)+1)
 	nbr := make([]int32, 0, total)
 	for i, v := range vs {
-		sub.weights[i] = g.weights[v]
+		weights[i] = g.weights[v]
 		for _, u := range g.Neighbors(v) {
 			if j, ok := slices.BinarySearch(vs, int(u)); ok {
 				nbr = append(nbr, int32(j))
@@ -70,11 +69,7 @@ func subgraph(g *Graph, vs []int) (*Graph, []int) {
 		}
 		off[i+1] = int32(len(nbr))
 	}
-	sub.off = off
-	sub.nbr = nbr
-	sub.edges = len(nbr) / 2
-	sub.dirty = false
-	return sub, vs
+	return &Graph{weights: weights, off: off, nbr: nbr}, vs
 }
 
 // solveComponents decomposes g into connected components, solves each with
@@ -84,7 +79,6 @@ func subgraph(g *Graph, vs []int) (*Graph, []int) {
 // component is an isolated subproblem and results are merged by component
 // index, the output is bit-identical for any worker count.
 func solveComponents(g *Graph, workers int, solve func(*Graph) ([]int, float64)) ([]int, float64) {
-	g.Finalize()
 	comps := ConnectedComponents(g)
 	type res struct {
 		picked []int

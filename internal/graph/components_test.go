@@ -11,16 +11,10 @@ import (
 func TestConnectedComponents(t *testing.T) {
 	t.Parallel()
 	// Two triangles and an isolated vertex.
-	g := NewGraph(7)
-	for v := 0; v < 7; v++ {
-		g.SetWeight(v, 1)
-	}
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 5)
-	g.AddEdge(3, 5)
+	g := fromEdges([]float64{1, 1, 1, 1, 1, 1, 1}, [][2]int{
+		{0, 1}, {1, 2}, {0, 2},
+		{3, 4}, {4, 5}, {3, 5},
+	})
 	comps := ConnectedComponents(g)
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
@@ -40,7 +34,7 @@ func TestConnectedComponents(t *testing.T) {
 
 func TestConnectedComponentsEmptyGraph(t *testing.T) {
 	t.Parallel()
-	if comps := ConnectedComponents(NewGraph(0)); len(comps) != 0 {
+	if comps := ConnectedComponents(fromEdges(nil, nil)); len(comps) != 0 {
 		t.Errorf("components of empty graph = %v", comps)
 	}
 }
@@ -76,20 +70,22 @@ func TestHybridMWISMatchesExactOnSmallComponents(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		// Build 3 disjoint random blobs of <= 6 vertices.
-		g := NewGraph(18)
-		for v := 0; v < 18; v++ {
-			g.SetWeight(v, rng.Float64()*10)
+		weights := make([]float64, 18)
+		for v := range weights {
+			weights[v] = rng.Float64() * 10
 		}
+		var edges [][2]int
 		for blob := 0; blob < 3; blob++ {
 			base := blob * 6
 			for i := 0; i < 6; i++ {
 				for j := i + 1; j < 6; j++ {
 					if rng.Float64() < 0.4 {
-						g.AddEdge(base+i, base+j)
+						edges = append(edges, [2]int{base + i, base + j})
 					}
 				}
 			}
 		}
+		g := fromEdges(weights, edges)
 		hybridIS, hybridW := HybridMWIS(g, 10)
 		_, exactW := ExactMWIS(g)
 		if !g.IsIndependentSet(hybridIS) {

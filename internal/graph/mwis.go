@@ -10,127 +10,57 @@ import (
 // independent set problem. Vertices are 0..N-1; parallel edges are
 // deduplicated and self-loops are rejected.
 //
-// Edges accumulate in a flat buffer and are compiled on first query into a
-// CSR (compressed sparse row) adjacency: one offsets array and one shared
-// neighbor array, with each vertex's neighbors sorted ascending. The layout
-// replaces the per-edge dedup map and per-vertex append churn of the
-// previous implementation — graph construction is two passes over a sorted
-// edge list, and adjacency scans are contiguous. Finalize compiles
-// explicitly; reads after Finalize (and no further AddEdge calls) are safe
-// from concurrent goroutines.
+// The adjacency is CSR (compressed sparse row): one offsets array and one
+// shared neighbor array, with each vertex's neighbors sorted ascending. A
+// Graph is immutable once New returns, so concurrent reads are safe.
 type Graph struct {
 	weights []float64
-	// pend holds every inserted edge as uint64(u)<<32|v with u < v.
-	// Finalize sorts and deduplicates it in place; it remains the source
-	// of truth so AddEdge after Finalize just marks the CSR dirty.
-	pend []uint64
-	// CSR adjacency, valid while !dirty.
-	off   []int32
-	nbr   []int32
-	edges int
-	dirty bool
+	off     []int32
+	nbr     []int32
 }
 
-// NewGraph returns a graph with n vertices of weight zero and no edges.
-func NewGraph(n int) *Graph {
-	return &Graph{weights: make([]float64, n)}
-}
-
-// N returns the number of vertices.
-func (g *Graph) N() int { return len(g.weights) }
-
-// M returns the number of distinct edges.
-func (g *Graph) M() int { g.Finalize(); return g.edges }
-
-// SetWeight assigns vertex v's weight.
-func (g *Graph) SetWeight(v int, w float64) {
-	if w < 0 || math.IsNaN(w) {
-		panic(fmt.Sprintf("graph: invalid MWIS weight %v for vertex %d", w, v))
-	}
-	g.weights[v] = w
-}
-
-// Weight returns vertex v's weight.
-func (g *Graph) Weight(v int) float64 { return g.weights[v] }
-
-// Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int {
-	g.Finalize()
-	return int(g.off[v+1] - g.off[v])
-}
-
-// Neighbors returns v's adjacency list, sorted ascending. The caller must
-// not modify it.
-func (g *Graph) Neighbors(v int) []int32 {
-	g.Finalize()
-	return g.nbr[g.off[v]:g.off[v+1]]
-}
-
-// AddEdge inserts the undirected edge {u,v}. Duplicate edges are ignored;
-// self-loops panic (a vertex cannot conflict with itself in the reduction).
-func (g *Graph) AddEdge(u, v int) {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
-	}
-	if u > v {
-		u, v = v, u
-	}
-	g.pend = append(g.pend, uint64(u)<<32|uint64(uint32(v)))
-	g.dirty = true
-}
-
-// Grow reserves capacity for n additional edges, so bulk construction
-// (e.g. the offline reduction's counted edge expansion) appends with no
-// reallocation.
-func (g *Graph) Grow(n int) {
-	g.pend = slices.Grow(g.pend, n)
-}
-
-// Finalize compiles pending edges into the CSR adjacency. It is called
-// implicitly by every adjacency query; call it explicitly before sharing
-// the graph across goroutines so concurrent reads race-free.
+// New builds the graph with one vertex per weight and the edges that edges
+// yields, taking ownership of weights. deg[v] must count the edges edges
+// yields at v, and New panics if it does not. Weights must be non-negative
+// and not NaN, and no edge may be a self-loop (a vertex cannot conflict
+// with itself in the reduction); New panics otherwise. Edges may come in
+// either orientation and more than once; duplicates are dropped.
 //
-// Edges are bucketed per endpoint with one counting pass and one scatter
-// pass, then each vertex's bucket is sorted and deduplicated in place. On
-// the window-bounded scheduling graphs adjacency lists are short, so the
-// per-bucket sorts are cheap insertion sorts and the whole compile touches
-// the edge buffer twice — cheaper than sorting it globally.
-func (g *Graph) Finalize() {
-	if !g.dirty && g.off != nil {
-		return
-	}
-	n := len(g.weights)
-	if cap(g.off) >= n+1 {
-		g.off = g.off[:n+1]
-		for i := range g.off {
-			g.off[i] = 0
+// The degrees size the neighbor array exactly, and edges is called once to
+// scatter into it, so no edge list is ever held: building costs the CSR
+// arrays and nothing more. Each vertex's bucket is then sorted and
+// deduplicated in place; on the window-bounded scheduling graphs adjacency
+// lists are short, so the per-bucket sorts are cheap.
+func New(weights []float64, deg []int32, edges func(yield func(u, v int))) *Graph {
+	for v, w := range weights {
+		if w < 0 || math.IsNaN(w) {
+			panic(fmt.Sprintf("graph: invalid MWIS weight %v for vertex %d", w, v))
 		}
-	} else {
-		g.off = make([]int32, n+1)
 	}
-	// Counting pass: degree of each endpoint (duplicates included; they are
-	// squeezed out below), accumulated at off[v+1].
-	for _, e := range g.pend {
-		u, v := int32(e>>32), int32(uint32(e))
-		g.off[u+1]++
-		g.off[v+1]++
+	n := len(weights)
+	if len(deg) != n {
+		panic(fmt.Sprintf("graph: %d degrees for %d vertices", len(deg), n))
 	}
-	for i := 1; i <= n; i++ {
-		g.off[i] += g.off[i-1]
+	off := make([]int32, n+1)
+	for v, d := range deg {
+		off[v+1] = off[v] + d
 	}
-	if cap(g.nbr) >= 2*len(g.pend) {
-		g.nbr = g.nbr[:2*len(g.pend)]
-	} else {
-		g.nbr = make([]int32, 2*len(g.pend))
-	}
+	nbr := make([]int32, off[n])
 	cursor := make([]int32, n)
-	copy(cursor, g.off[:n])
-	for _, e := range g.pend {
-		u, v := int32(e>>32), int32(uint32(e))
-		g.nbr[cursor[u]] = v
+	copy(cursor, off[:n])
+	edges(func(u, v int) {
+		if u == v {
+			panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
+		}
+		nbr[cursor[u]] = int32(v)
 		cursor[u]++
-		g.nbr[cursor[v]] = u
+		nbr[cursor[v]] = int32(u)
 		cursor[v]++
+	})
+	for v, c := range cursor {
+		if c != off[v+1] {
+			panic(fmt.Sprintf("graph: %d edges yielded at vertex %d, degree says %d", c-off[v], v, deg[v]))
+		}
 	}
 	// Sort and deduplicate each bucket, compacting nbr in place. The write
 	// cursor w never passes the read window, so overwrites only touch
@@ -139,25 +69,39 @@ func (g *Graph) Finalize() {
 	start := int32(0)
 	var scratch []int32
 	for v := 0; v < n; v++ {
-		end := g.off[v+1]
-		scratch = sortBucket(g.nbr[start:end], scratch)
-		seg := g.nbr[start:end]
-		g.off[v] = w
+		end := off[v+1]
+		scratch = sortBucket(nbr[start:end], scratch)
+		seg := nbr[start:end]
+		off[v] = w
 		last := int32(-1)
 		for _, x := range seg {
 			if x != last {
-				g.nbr[w] = x
+				nbr[w] = x
 				w++
 				last = x
 			}
 		}
 		start = end
 	}
-	g.off[n] = w
-	g.nbr = g.nbr[:w]
-	g.edges = int(w) / 2
-	g.dirty = false
+	off[n] = w
+	return &Graph{weights: weights, off: off, nbr: nbr[:w]}
 }
+
+// N returns the number of vertices.
+func (g *Graph) N() int { return len(g.weights) }
+
+// M returns the number of distinct edges.
+func (g *Graph) M() int { return len(g.nbr) / 2 }
+
+// Weight returns vertex v's weight.
+func (g *Graph) Weight(v int) float64 { return g.weights[v] }
+
+// Degree returns the number of neighbors of v.
+func (g *Graph) Degree(v int) int { return int(g.off[v+1] - g.off[v]) }
+
+// Neighbors returns v's adjacency list, sorted ascending. The caller must
+// not modify it.
+func (g *Graph) Neighbors(v int) []int32 { return g.nbr[g.off[v]:g.off[v+1]] }
 
 // sortBucket sorts one adjacency bucket, returning the (possibly grown)
 // scratch buffer for reuse. Buckets filled from an ordered edge stream —
@@ -210,7 +154,6 @@ func sortBucket(a []int32, scratch []int32) []int32 {
 
 // HasEdge reports whether {u,v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
-	g.Finalize()
 	adj := g.nbr[g.off[u]:g.off[u+1]]
 	_, ok := slices.BinarySearch(adj, int32(v))
 	return ok
@@ -333,7 +276,6 @@ func (h *ratioHeap) push(it ratioItem) {
 // selected set — are bit-identical to a recomputing implementation
 // (integer arithmetic feeding the same division).
 func GWMIN(g *Graph) ([]int, float64) {
-	g.Finalize()
 	n := g.N()
 	alive := make([]bool, n)
 	for v := 0; v < n; v++ {
@@ -380,7 +322,6 @@ func GWMIN2(g *Graph) ([]int, float64) {
 // each time an alive vertex loses an alive neighbor; the ratio closure may
 // read it to derive incremental state (GWMIN's residual degrees).
 func greedyWithAlive(g *Graph, alive []bool, version []int64, ratio func(v int) float64) ([]int, float64) {
-	g.Finalize()
 	n := g.N()
 	h := make(ratioHeap, 0, n)
 	for v := 0; v < n; v++ {
@@ -426,7 +367,6 @@ func greedyWithAlive(g *Graph, alive []bool, version []int64, ratio func(v int) 
 // bound. Exponential in the worst case; intended for instances with up to a
 // few dozen vertices (tests and optimality-gap measurements).
 func ExactMWIS(g *Graph) ([]int, float64) {
-	g.Finalize()
 	n := g.N()
 	alive := make([]bool, n)
 	for i := range alive {

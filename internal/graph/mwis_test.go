@@ -7,23 +7,34 @@ import (
 	"testing/quick"
 )
 
+// fromEdges builds the graph with the given weights and edge list.
+func fromEdges(weights []float64, edges [][2]int) *Graph {
+	deg := make([]int32, len(weights))
+	for _, e := range edges {
+		deg[e[0]]++
+		deg[e[1]]++
+	}
+	return New(weights, deg, func(yield func(u, v int)) {
+		for _, e := range edges {
+			yield(e[0], e[1])
+		}
+	})
+}
+
 func pathGraph(weights []float64) *Graph {
-	g := NewGraph(len(weights))
-	for v, w := range weights {
-		g.SetWeight(v, w)
-	}
+	var edges [][2]int
 	for v := 0; v+1 < len(weights); v++ {
-		g.AddEdge(v, v+1)
+		edges = append(edges, [2]int{v, v + 1})
 	}
-	return g
+	return fromEdges(weights, edges)
 }
 
 func TestGraphBasics(t *testing.T) {
 	t.Parallel()
-	g := NewGraph(3)
-	g.SetWeight(0, 1)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0) // duplicate, reversed
+	g := fromEdges([]float64{1, 0, 0}, [][2]int{
+		{0, 1},
+		{1, 0}, // duplicate, reversed
+	})
 	if g.M() != 1 {
 		t.Errorf("M() = %d, want 1 (duplicate edge ignored)", g.M())
 	}
@@ -42,20 +53,43 @@ func TestGraphSelfLoopPanics(t *testing.T) {
 	t.Parallel()
 	defer func() {
 		if recover() == nil {
-			t.Error("AddEdge(2,2) did not panic")
+			t.Error("self-loop {2,2} did not panic")
 		}
 	}()
-	NewGraph(3).AddEdge(2, 2)
+	fromEdges(make([]float64, 3), [][2]int{{2, 2}})
 }
 
 func TestGraphNegativeWeightPanics(t *testing.T) {
 	t.Parallel()
 	defer func() {
 		if recover() == nil {
-			t.Error("SetWeight(-1) did not panic")
+			t.Error("weight -1 did not panic")
 		}
 	}()
-	NewGraph(1).SetWeight(0, -1)
+	fromEdges([]float64{-1}, nil)
+}
+
+// TestGraphDegreeMismatchPanics: New sizes the neighbor array from deg,
+// so degrees that disagree with the visitor's yields must panic rather
+// than leave a corrupt adjacency.
+func TestGraphDegreeMismatchPanics(t *testing.T) {
+	t.Parallel()
+	edge := func(yield func(u, v int)) { yield(0, 1) }
+	for name, deg := range map[string][]int32{
+		"too few":    {1, 0, 0},
+		"too many":   {1, 1, 1},
+		"misplaced":  {1, 0, 1},
+		"wrong size": {1, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: degrees %v for edge {0,1} did not panic", name, deg)
+				}
+			}()
+			New(make([]float64, 3), deg, edge)
+		}()
+	}
 }
 
 func TestIsIndependentSet(t *testing.T) {
@@ -94,14 +128,11 @@ func TestExactMWISPath(t *testing.T) {
 
 func TestExactMWISEmptyAndEdgeless(t *testing.T) {
 	t.Parallel()
-	is, w := ExactMWIS(NewGraph(0))
+	is, w := ExactMWIS(fromEdges(nil, nil))
 	if len(is) != 0 || w != 0 {
 		t.Errorf("empty graph: is=%v w=%v", is, w)
 	}
-	g := NewGraph(3)
-	for v := 0; v < 3; v++ {
-		g.SetWeight(v, float64(v+1))
-	}
+	g := fromEdges([]float64{1, 2, 3}, nil)
 	is, w = ExactMWIS(g)
 	if w != 6 || len(is) != 3 {
 		t.Errorf("edgeless graph: is=%v w=%v, want all vertices weight 6", is, w)
@@ -139,12 +170,7 @@ func TestGWMINStarGraph(t *testing.T) {
 	t.Parallel()
 	// Star: center weight 2, five leaves weight 1 each. Optimal = leaves (5);
 	// GWMIN's degree penalty (2/6 < 1/2) steers it away from the center.
-	g := NewGraph(6)
-	g.SetWeight(0, 2)
-	for v := 1; v < 6; v++ {
-		g.SetWeight(v, 1)
-		g.AddEdge(0, v)
-	}
+	g := fromEdges([]float64{2, 1, 1, 1, 1, 1}, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
 	_, w := GWMIN(g)
 	if w != 5 {
 		t.Errorf("GWMIN on star = %v, want 5 (leaves beat center via degree penalty)", w)
@@ -152,18 +178,19 @@ func TestGWMINStarGraph(t *testing.T) {
 }
 
 func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
-	g := NewGraph(n)
-	for v := 0; v < n; v++ {
-		g.SetWeight(v, rng.Float64()*10)
+	weights := make([]float64, n)
+	for v := range weights {
+		weights[v] = rng.Float64() * 10
 	}
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(u, v)
+				edges = append(edges, [2]int{u, v})
 			}
 		}
 	}
-	return g
+	return fromEdges(weights, edges)
 }
 
 // Properties on random graphs: all algorithms return independent sets;
@@ -203,20 +230,28 @@ func TestMWISProperty(t *testing.T) {
 	}
 }
 
+// randomSparseGraph draws n weights and then 5n random vertex pairs,
+// keeping those that are not self-loops.
+func randomSparseGraph(rng *rand.Rand, n int) *Graph {
+	weights := make([]float64, n)
+	for v := range weights {
+		weights[v] = rng.Float64()
+	}
+	var edges [][2]int
+	for i := 0; i < 5*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	return fromEdges(weights, edges)
+}
+
 func TestGWMINLargeSparseGraphTerminates(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	n := 20000
-	g := NewGraph(n)
-	for v := 0; v < n; v++ {
-		g.SetWeight(v, rng.Float64())
-	}
-	for i := 0; i < 5*n; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			g.AddEdge(u, v)
-		}
-	}
+	g := randomSparseGraph(rng, n)
 	is, w := GWMIN(g)
 	if !g.IsIndependentSet(is) {
 		t.Fatal("GWMIN returned dependent set on large graph")
@@ -229,16 +264,7 @@ func TestGWMINLargeSparseGraphTerminates(t *testing.T) {
 func BenchmarkGWMINSparse(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	n := 5000
-	g := NewGraph(n)
-	for v := 0; v < n; v++ {
-		g.SetWeight(v, rng.Float64())
-	}
-	for i := 0; i < 5*n; i++ {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			g.AddEdge(u, v)
-		}
-	}
+	g := randomSparseGraph(rng, n)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -240,53 +240,93 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 	// Step 2: conflict edges. Every vertex is indexed under both requests
 	// it mentions via one sorted (request, vertex) run; vertices sharing a
 	// request form a contiguous range, replacing the map of slices.
-	g := graph.NewGraph(len(nodes))
+	weights := make([]float64, len(nodes))
 	mentions := make([]uint64, 0, 2*len(nodes))
+	disks := 0
 	for v, n := range nodes {
-		g.SetWeight(v, n.Weight)
+		weights[v] = n.Weight
+		disks = max(disks, int(n.Disk)+1)
 		mentions = append(mentions,
 			uint64(n.I)<<32|uint64(uint32(v)),
 			uint64(n.J)<<32|uint64(uint32(v)))
 	}
 	graph.RadixSortUint64(mentions)
-	// forEachEdge yields every conflict edge exactly once: within the
-	// sorted range of one request, every vertex pair violating the energy
-	// constraint (same predecessor i) or the schedule constraint (shared
-	// request, different disk) is an edge. A pair sharing both requests
-	// (same (i,j) on two disks) appears in two ranges; it is emitted only
-	// from the predecessor's range so the edge buffer stays duplicate-free.
-	forEachEdge := func(yield func(u, v int)) {
+	// eachRange calls f with every request r and, in vertex order, the
+	// vertices mentioning it, gathered with their predecessor and disk into
+	// one reused slice so the loops over a range read contiguous memory.
+	type mention struct {
+		v    int32
+		i    core.RequestID
+		disk core.DiskID
+	}
+	var local []mention
+	eachRange := func(f func(r core.RequestID, ms []mention)) {
 		for lo := 0; lo < len(mentions); {
 			r := core.RequestID(mentions[lo] >> 32)
-			hi := lo + 1
-			for hi < len(mentions) && core.RequestID(mentions[hi]>>32) == r {
-				hi++
+			local = local[:0]
+			for ; lo < len(mentions) && core.RequestID(mentions[lo]>>32) == r; lo++ {
+				v := int32(uint32(mentions[lo]))
+				local = append(local, mention{v, nodes[v].I, nodes[v].Disk})
 			}
-			for a := lo; a < hi; a++ {
-				u := int(uint32(mentions[a]))
-				nu := nodes[u]
-				for b := a + 1; b < hi; b++ {
-					v := int(uint32(mentions[b]))
-					nv := nodes[v]
-					if nu.I == nv.I {
-						if nu.J == nv.J && r != nu.I {
-							continue // counted in the predecessor's range
-						}
-						yield(u, v)
-					} else if nu.Disk != nv.Disk {
-						yield(u, v)
+			f(r, local)
+		}
+	}
+	// Within r's range a vertex either leaves r (i == r) or enters it
+	// (j == r). Two vertices conflict when they share the predecessor i
+	// (energy constraint) or sit on different disks (schedule constraint).
+	// Two vertices entering r from the same i are the pair (i,r) on two
+	// disks; they meet again in i's range and are an edge from there only,
+	// so every edge is yielded once. Hence, in r's range: two leaving
+	// vertices always conflict, and any other pair conflicts when the
+	// predecessors and the disks both differ.
+	//
+	// The degrees graph.New needs come from per-range tallies rather than a
+	// second walk over the pairs. Vertices sort by (i, j, disk), so within a
+	// range those sharing a predecessor are contiguous.
+	deg := make([]int32, len(nodes))
+	leaving, entering := make([]int32, disks), make([]int32, disks) // per disk, in the current range
+	eachRange(func(r core.RequestID, ms []mention) {
+		var leave int32
+		for _, m := range ms {
+			if m.i == r {
+				leave++
+				leaving[m.disk]++
+			} else {
+				entering[m.disk]++
+			}
+		}
+		enter := int32(len(ms)) - leave
+		for a := 0; a < len(ms); {
+			b := a + 1
+			for b < len(ms) && ms[b].i == ms[a].i {
+				b++
+			}
+			same := int32(b - a)
+			for _, m := range ms[a:b] {
+				if m.i == r {
+					deg[m.v] += same - 1 + enter - entering[m.disk]
+				} else {
+					// m itself is both on its disk and of its i: add it back.
+					deg[m.v] += leave - leaving[m.disk] + enter - entering[m.disk] - same + 1
+				}
+			}
+			a = b
+		}
+		for _, m := range ms {
+			leaving[m.disk], entering[m.disk] = 0, 0
+		}
+	})
+	g := graph.New(weights, deg, func(yield func(u, v int)) {
+		eachRange(func(r core.RequestID, ms []mention) {
+			for a, mu := range ms {
+				for _, mv := range ms[a+1:] {
+					if mu.i == mv.i && mu.i == r || mu.i != mv.i && mu.disk != mv.disk {
+						yield(int(mu.v), int(mv.v))
 					}
 				}
 			}
-			lo = hi
-		}
-	}
-	// One expansion pass; the edge buffer starts at a mentions-proportional
-	// estimate and the rare geometric regrowth is far cheaper than walking
-	// the ranges twice for an exact count.
-	g.Grow(2 * len(mentions))
-	forEachEdge(g.AddEdge)
-	g.Finalize()
+		})
+	})
 	return &Instance{Graph: g, Nodes: nodes}, nil
 }
 
