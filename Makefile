@@ -9,8 +9,12 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target, and
+# with it all, check and ci.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

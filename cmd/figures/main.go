@@ -17,10 +17,11 @@
 // a violation leaves a replayable dump of the cell's recent events under
 // DIR (inspect with `tracelens last`). A failing run still writes the
 // partial -summary accumulated
-// before the error and logs where it went. -cache DIR persists
-// replication-sweep results on disk, content-addressed by every input, so
-// unchanged repeat runs skip the simulation entirely (doctored runs always
-// simulate fresh).
+// before the error and logs where it went. Within a run, Figures 9, 12
+// and 17 reuse the replication sweep's rf=3 cells instead of simulating
+// them again; -cache DIR persists complete replication sweeps on disk,
+// content-addressed by every input, so unchanged repeat runs skip those
+// cells entirely (doctored runs always simulate fresh).
 package main
 
 import (
@@ -56,7 +57,7 @@ func run() error {
 		outDir    = flag.String("out", "", "write each figure to DIR/figNN.{txt,tsv} instead of stdout")
 		telemetry = flag.String("telemetry", "", `serve live sweep telemetry on this address (e.g. "localhost:8090": /healthz, /metrics, /progress)`)
 		doctor    = flag.Bool("doctor", false, "run live invariant monitors over every simulated cell; non-zero exit on any violation (doctored cells always bypass the sweep cache)")
-		cacheDir  = flag.String("cache", "", "persist replication-sweep results in this directory, keyed by a content hash of every input; repeat runs with unchanged inputs reuse them")
+		cacheDir  = flag.String("cache", "", "persist replication sweeps in this directory, keyed by a content hash of every input; repeat runs with unchanged inputs reuse them for Figures 6-9 and 12-17")
 		fleet     = flag.Bool("fleet", false, "run the 100k-disk fleet throughput benchmark (sharded kernel, hundreds of millions of events) instead of figures")
 		shards    = flag.Int("shards", 0, "with -fleet: sub-kernels over the fleet's racks (0 = one per rack, 1 = serial engine)")
 		kstats    = flag.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`)")

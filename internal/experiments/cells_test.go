@@ -1,0 +1,206 @@
+package experiments
+
+import (
+	"sync"
+	"testing"
+)
+
+// sweepReplicationFresh simulates every cell of a sweep on a private cache.
+func sweepReplicationFresh(s Scale, tr Trace) (*ReplicationSweep, error) {
+	return NewSweepCache().Sweep(s, tr)
+}
+
+// countCells returns the tables f renders and how many cells it simulated.
+// Callers must not run in parallel: it reads the package-wide counter.
+func countCells(t *testing.T, f func(Scale, Trace) (*Table, error), s Scale) (string, int64) {
+	t.Helper()
+	before := simulatedCells.Load()
+	tbl, err := f(s, Cello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl.Render(), simulatedCells.Load() - before
+}
+
+// TestFiguresSimulateEachSweepCellOnce pins the cell-granular sharing:
+// Figure 9 and Figure 12 simulate only their own rf=3 cells when cold and
+// nothing after a sweep, and render the same bytes cold, after a sweep and
+// from a disk hit. Not parallel: it reads the package-wide cell counter.
+func TestFiguresSimulateEachSweepCellOnce(t *testing.T) {
+	s := cacheScale(9101)
+	dir := t.TempDir()
+
+	fig9, n := countCells(t, NewSweepCache().figure9, s)
+	if n != int64(len(Algorithms())) {
+		t.Fatalf("cold Figure 9 simulated %d cells, want %d", n, len(Algorithms()))
+	}
+	fig12, n := countCells(t, NewSweepCache().figure12, s)
+	if n != int64(len(onlineAlgos())) {
+		t.Fatalf("cold Figure 12 simulated %d cells, want %d", n, len(onlineAlgos()))
+	}
+
+	swept := NewSweepCache()
+	if err := swept.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	before := simulatedCells.Load()
+	if _, err := swept.Sweep(s, Cello); err != nil {
+		t.Fatal(err)
+	}
+	if n := simulatedCells.Load() - before; n != int64(len(ReplicationFactors())*len(Algorithms())) {
+		t.Fatalf("cold sweep simulated %d cells", n)
+	}
+	before = placementBuilds.Load()
+	for name, f := range map[string]func(Scale, Trace) (*Table, error){"9": swept.figure9, "12": swept.figure12} {
+		got, n := countCells(t, f, s)
+		if n != 0 {
+			t.Errorf("Figure %s after a sweep simulated %d cells, want 0", name, n)
+		}
+		if want := map[string]string{"9": fig9, "12": fig12}[name]; got != want {
+			t.Errorf("Figure %s after a sweep differs from cold:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	if n := placementBuilds.Load() - before; n != 0 {
+		t.Errorf("figures after a sweep built %d placements, want 0", n)
+	}
+
+	loaded := NewSweepCache()
+	if err := loaded.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func(Scale, Trace) (*Table, error){"9": loaded.figure9, "12": loaded.figure12} {
+		got, n := countCells(t, f, s)
+		if n != 0 {
+			t.Errorf("Figure %s from a disk hit simulated %d cells, want 0", name, n)
+		}
+		if want := map[string]string{"9": fig9, "12": fig12}[name]; got != want {
+			t.Errorf("Figure %s from a disk hit differs from cold:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	if st := loaded.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("disk-tier stats = %+v, want one disk hit then one memory hit", st)
+	}
+}
+
+// TestConcurrentLookupsShareCells races a sweep against Figures 9 and 12
+// on one cold key: however their claims interleave, the grid's 25 cells
+// are simulated once between them and the sweep matches a fresh one. Not
+// parallel: it reads the package-wide cell counter.
+func TestConcurrentLookupsShareCells(t *testing.T) {
+	s := cacheScale(9105)
+	fresh, err := sweepReplicationFresh(s, Cello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewSweepCache()
+	before := simulatedCells.Load()
+	var sw *ReplicationSweep
+	var wg sync.WaitGroup
+	calls := []func() error{
+		func() (err error) { sw, err = c.Sweep(s, Cello); return err },
+		func() error { _, err := c.figure9(s, Cello); return err },
+		func() error { _, err := c.figure12(s, Cello); return err },
+	}
+	for _, call := range calls {
+		wg.Add(1)
+		go func(call func() error) {
+			defer wg.Done()
+			if err := call(); err != nil {
+				t.Error(err)
+			}
+		}(call)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n := simulatedCells.Load() - before; n != int64(len(ReplicationFactors())*len(Algorithms())) {
+		t.Fatalf("concurrent lookups simulated %d cells, want each of the grid's once", n)
+	}
+	assertSweepEqual(t, fresh, sw)
+}
+
+// TestFigure12ConcurrentDiskHit renders Figure 12 from two goroutines off
+// one disk-tier hit. Both read the same loaded response samples, so under
+// -race any write a CCDF query makes to them is reported.
+func TestFigure12ConcurrentDiskHit(t *testing.T) {
+	t.Parallel()
+	s := cacheScale(9102)
+	dir := t.TempDir()
+	writer := NewSweepCache()
+	if err := writer.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Sweep(s, Cello); err != nil {
+		t.Fatal(err)
+	}
+	reader := NewSweepCache()
+	if err := reader.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var tables [2]string
+	var wg sync.WaitGroup
+	for g := range tables {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			tbl, err := reader.figure12(s, Cello)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tables[g] = tbl.Render()
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("concurrent renders differ:\n%s\n%s", tables[0], tables[1])
+	}
+	if st := reader.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+		t.Fatalf("reader stats = %+v, want a pure disk hit", st)
+	}
+}
+
+// TestSweepIsDispatchOrderInvariant checks that the longest-first dispatch
+// changes only when cells run: every worker count yields a field-identical
+// sweep.
+func TestSweepIsDispatchOrderInvariant(t *testing.T) {
+	t.Parallel()
+	var ref *ReplicationSweep
+	for _, par := range []int{1, 2, 4} {
+		s := cacheScale(9103)
+		s.Parallelism = par
+		sw, err := sweepReplicationFresh(s, Financial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = sw
+			continue
+		}
+		assertSweepEqual(t, ref, sw)
+	}
+}
+
+// TestFigure11ParallelMatchesSerial checks that the parallel (alpha, beta)
+// grid renders the same table as a serial run.
+func TestFigure11ParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
+	var ref string
+	for _, par := range []int{1, 3} {
+		s := cacheScale(9104)
+		s.Parallelism = par
+		tbl, err := Figure11(s, Cello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tbl.Render(); ref == "" {
+			ref = got
+		} else if got != ref {
+			t.Fatalf("Parallelism %d renders\n%s\nwant (serial)\n%s", par, got, ref)
+		}
+	}
+}

@@ -214,6 +214,7 @@ type Run struct {
 
 // cell runs one algorithm against one placement and trace.
 func cell(s Scale, reqs []core.Request, plc *placement.Placement, algo string, cost sched.CostConfig) (Run, error) {
+	simulatedCells.Add(1)
 	cfg := storage.DefaultConfig()
 	cfg.NumDisks = s.NumDisks
 
@@ -320,6 +321,10 @@ func cell(s Scale, reqs []core.Request, plc *placement.Placement, algo string, c
 // cache hit.
 var placementBuilds atomic.Int64
 
+// simulatedCells counts cell calls, so tests can verify that the sweep
+// cache simulates each sweep cell once.
+var simulatedCells atomic.Int64
+
 // flightCells numbers flight-armed cells process-wide so parallel cells
 // never share a dump directory. The numbering order is scheduling-dependent
 // and deliberately carries no meaning beyond uniqueness.
@@ -353,58 +358,12 @@ type ReplicationSweep struct {
 }
 
 // SweepReplication returns the shared replication-factor sweep, consulting
-// the process-wide SweepCache: the first call for a given (Scale, Trace,
-// cost, system-config) key simulates the full sweep and later calls (the
-// other figures sharing it) reuse the stored, field-identical result.
-// Doctored scales always simulate fresh (see SweepCache).
+// the process-wide SweepCache: each cell is simulated by the first call
+// that needs it (this one, or a Figure9 or Figure12 call on the same
+// scale) and later calls reuse the stored, field-identical runs. Doctored
+// scales always simulate fresh (see SweepCache).
 func SweepReplication(s Scale, tr Trace) (*ReplicationSweep, error) {
 	return DefaultSweepCache().Sweep(s, tr)
-}
-
-// sweepReplicationFresh runs the replication-factor sweep. Cells (one per
-// replication factor and algorithm) execute on a bounded worker pool; they
-// share only read-only inputs, and each replication factor's placement is
-// built once and shared across its five algorithm cells.
-func sweepReplicationFresh(s Scale, tr Trace) (*ReplicationSweep, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	reqs := tr.Requests(s)
-	cost := sched.DefaultCost(storage.DefaultConfig().Power)
-	rfs := ReplicationFactors()
-	algos := Algorithms()
-
-	placements := make([]*placement.Placement, len(rfs))
-	for i, rf := range rfs {
-		plc, err := makePlacement(s, rf, 1)
-		if err != nil {
-			return nil, err
-		}
-		placements[i] = plc
-	}
-
-	results := make([][]Run, len(rfs))
-	for i := range results {
-		results[i] = make([]Run, len(algos))
-	}
-	err := runParallel(len(rfs)*len(algos), s.Parallelism,
-		s.Monitor.Track("replication:"+tr.String(), len(rfs)*len(algos)), func(i int) error {
-		rfIdx, algoIdx := i/len(algos), i%len(algos)
-		run, err := cell(s, reqs, placements[rfIdx], algos[algoIdx], cost)
-		if err != nil {
-			return fmt.Errorf("rf=%d %s: %w", rfs[rfIdx], algos[algoIdx], err)
-		}
-		results[rfIdx][algoIdx] = run
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sweep := &ReplicationSweep{Trace: tr, Scale: s, RFs: rfs, Runs: map[int][]Run{}}
-	for i, rf := range rfs {
-		sweep.Runs[rf] = results[i]
-	}
-	return sweep, nil
 }
 
 // Get returns the run for an algorithm at a replication factor.

@@ -128,31 +128,25 @@ func (sw *ReplicationSweep) Figure13() *Table {
 
 // Figure9 renders the per-disk state-time breakdown at replication factor 3
 // (Figure 9 for Cello, Figure 17 for Financial1). Disks are sorted by
-// standby time as in the paper and summarized per decile.
-func Figure9(s Scale, tr Trace) (*Table, error) {
-	if err := s.Validate(); err != nil {
+// standby time as in the paper and summarized per decile. Its five cells
+// are the replication sweep's rf=3 cells, shared through the sweep cache.
+func Figure9(s Scale, tr Trace) (*Table, error) { return defaultSweepCache.figure9(s, tr) }
+
+func (c *SweepCache) figure9(s Scale, tr Trace) (*Table, error) {
+	_, runs, err := c.lookup(s, tr, "figure9", gridCells(3, Algorithms()...))
+	if err != nil {
 		return nil, err
 	}
 	number := "9"
 	if tr == Financial {
 		number = "17"
 	}
-	reqs := tr.Requests(s)
-	plc, err := makePlacement(s, 3, 1)
-	if err != nil {
-		return nil, err
-	}
-	cost := sched.DefaultCost(storage.DefaultConfig().Power)
 	t := &Table{
 		Title:  fmt.Sprintf("Figure %s: per-disk time breakdown at replication factor 3 (%s); disks sorted by standby time, decile averages", number, tr),
 		Header: []string{"algorithm", "disk decile", "standby%", "idle%", "active%", "spin%"},
 	}
-	for _, algo := range Algorithms() {
-		run, err := cell(s, reqs, plc, algo, cost)
-		if err != nil {
-			return nil, err
-		}
-		appendBreakdownRows(t, algo, run.PerDisk)
+	for _, run := range runs {
+		appendBreakdownRows(t, run.Algo, run.PerDisk)
 	}
 	return t, nil
 }
@@ -215,21 +209,21 @@ func Figure10(s Scale, tr Trace) (*Table, error) {
 	energies := make([][]float64, len(points))
 	err := runParallel(len(points), s.Parallelism,
 		s.Monitor.Track("figure10:"+tr.String(), len(points)), func(i int) error {
-		p := points[i]
-		plc, err := makePlacement(s, p.rf, p.z)
-		if err != nil {
-			return err
-		}
-		energies[i] = make([]float64, len(algos))
-		for a, algo := range algos {
-			run, err := cell(s, reqs, plc, algo, cost)
+			p := points[i]
+			plc, err := makePlacement(s, p.rf, p.z)
 			if err != nil {
-				return fmt.Errorf("z=%.2f rf=%d %s: %w", p.z, p.rf, algo, err)
+				return err
 			}
-			energies[i][a] = run.NormEnergy
-		}
-		return nil
-	})
+			energies[i] = make([]float64, len(algos))
+			for a, algo := range algos {
+				run, err := cell(s, reqs, plc, algo, cost)
+				if err != nil {
+					return fmt.Errorf("z=%.2f rf=%d %s: %w", p.z, p.rf, algo, err)
+				}
+				energies[i][a] = run.NormEnergy
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +239,8 @@ func Figure10(s Scale, tr Trace) (*Table, error) {
 
 // Figure11 renders the cost-function sweep (Appendix A.2): normalized
 // energy and mean response time of the online Heuristic for every
-// (alpha, beta) pair, each normalized to that beta's alpha=0 run.
+// (alpha, beta) pair, each normalized to that beta's alpha=0 run. The
+// pairs run on the worker pool.
 func Figure11(s Scale, tr Trace) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -256,85 +251,78 @@ func Figure11(s Scale, tr Trace) (*Table, error) {
 		return nil, err
 	}
 	pwr := storage.DefaultConfig().Power
+	na := len(s.Alphas)
+	runs := make([]Run, len(s.Betas)*na)
+	err = runParallel(len(runs), s.Parallelism,
+		s.Monitor.Track("figure11:"+tr.String(), len(runs)), func(i int) error {
+			alpha, beta := s.Alphas[i%na], s.Betas[i/na]
+			run, err := cell(s, reqs, plc, AlgoHeuristic, sched.CostConfig{Alpha: alpha, Beta: beta, Power: pwr})
+			if err != nil {
+				return fmt.Errorf("alpha=%v beta=%v: %w", alpha, beta, err)
+			}
+			runs[i] = run
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 11: cost-function tradeoff at replication factor 3 (%s); energy and response normalized to alpha=0", tr),
 		Header: []string{"beta", "alpha", "norm energy", "norm response", "energy (abs)", "response (abs)"},
 	}
-	for _, beta := range s.Betas {
-		var baseEnergy float64
-		var baseResp time.Duration
-		for i, alpha := range s.Alphas {
-			cost := sched.CostConfig{Alpha: alpha, Beta: beta, Power: pwr}
-			run, err := cell(s, reqs, plc, AlgoHeuristic, cost)
-			if err != nil {
-				return nil, fmt.Errorf("alpha=%v beta=%v: %w", alpha, beta, err)
-			}
-			if i == 0 {
-				baseEnergy = run.NormEnergy
-				baseResp = run.Mean
-			}
-			normResp := float64(run.Mean) / float64(baseResp)
-			t.AddRow(fmt.Sprintf("%.0f", beta), fmt.Sprintf("%.1f", alpha),
-				fmt.Sprintf("%.3f", run.NormEnergy/baseEnergy),
-				fmt.Sprintf("%.3f", normResp),
-				fmt.Sprintf("%.3f", run.NormEnergy),
-				run.Mean.Round(time.Millisecond).String())
-		}
+	for i, run := range runs {
+		base := runs[i-i%na]
+		t.AddRow(fmt.Sprintf("%.0f", s.Betas[i/na]), fmt.Sprintf("%.1f", s.Alphas[i%na]),
+			fmt.Sprintf("%.3f", run.NormEnergy/base.NormEnergy),
+			fmt.Sprintf("%.3f", float64(run.Mean)/float64(base.Mean)),
+			fmt.Sprintf("%.3f", run.NormEnergy),
+			run.Mean.Round(time.Millisecond).String())
 	}
 	return t, nil
 }
 
 // Figure12 renders the inverse cumulative response-time distribution
 // P[response > x] at replication factor 3 (Appendix A.3), including the
-// always-on baseline, which never pays spin-up delays.
-func Figure12(s Scale, tr Trace) (*Table, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	reqs := tr.Requests(s)
-	plc, err := makePlacement(s, 3, 1)
+// always-on baseline, which never pays spin-up delays. Its four scheduler
+// cells are the replication sweep's online rf=3 cells, shared through the
+// sweep cache; the baseline is simulated on the sweep's rf=3 placement.
+func Figure12(s Scale, tr Trace) (*Table, error) { return defaultSweepCache.figure12(s, tr) }
+
+func (c *SweepCache) figure12(s Scale, tr Trace) (*Table, error) {
+	e, runs, err := c.lookup(s, tr, "figure12", gridCells(3, onlineAlgos()...))
 	if err != nil {
 		return nil, err
 	}
-	cost := sched.DefaultCost(storage.DefaultConfig().Power)
-	thresholds := metrics.LogSpace(time.Millisecond, 30*time.Second, 14)
-
-	type series struct {
-		name string
-		ccdf []float64
+	plc, err := e.plcs[3]()
+	if err != nil {
+		return nil, err
 	}
-	var all []series
+	thresholds := metrics.LogSpace(time.Millisecond, 30*time.Second, 14)
 
 	// Always-on baseline: static routing, disks never sleep.
 	aCfg := storage.DefaultConfig()
 	aCfg.NumDisks = s.NumDisks
 	aCfg.Policy = power.AlwaysOn{}
 	aCfg.InitialState = core.StateIdle
-	aRes, err := storage.RunOnline(aCfg, plc.Locations, sched.Static{Locations: plc.Locations}, reqs)
+	aRes, err := storage.RunOnline(aCfg, plc.Locations, sched.Static{Locations: plc.Locations}, e.reqs())
 	if err != nil {
 		return nil, err
 	}
-	all = append(all, series{"always-on", aRes.Response.CCDF(thresholds)})
-
-	for _, algo := range onlineAlgos() {
-		run, err := cell(s, reqs, plc, algo, cost)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, series{algo, run.Response.CCDF(thresholds)})
+	names := []string{"always-on"}
+	ccdfs := [][]float64{aRes.Response.CCDF(thresholds)}
+	for _, run := range runs {
+		names = append(names, run.Algo)
+		ccdfs = append(ccdfs, run.Response.CCDF(thresholds))
 	}
 
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 12: P[response time > x] at replication factor 3 (%s)", tr),
-		Header: []string{"x"},
-	}
-	for _, sr := range all {
-		t.Header = append(t.Header, sr.name)
+		Header: append([]string{"x"}, names...),
 	}
 	for i, x := range thresholds {
 		row := []string{x.Round(time.Millisecond).String()}
-		for _, sr := range all {
-			row = append(row, fmt.Sprintf("%.4f", sr.ccdf[i]))
+		for _, ccdf := range ccdfs {
+			row = append(row, fmt.Sprintf("%.4f", ccdf[i]))
 		}
 		t.AddRow(row...)
 	}

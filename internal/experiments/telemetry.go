@@ -23,10 +23,10 @@ import (
 // valid no-op: Track returns a nil tracker whose methods all no-op, so
 // sweeps pay one branch per cell when telemetry is off.
 type Monitor struct {
-	mu       sync.Mutex
-	sweeps   []*SweepTracker
-	col      *obs.Collector
-	started  time.Time
+	mu      sync.Mutex
+	sweeps  []*SweepTracker
+	col     *obs.Collector
+	started time.Time
 }
 
 // NewMonitor creates an empty telemetry hub.

@@ -64,3 +64,29 @@ func TestResponseTimesUnmarshalResetsState(t *testing.T) {
 		t.Fatalf("percentile on restored samples = %v, want 5ns", got)
 	}
 }
+
+// TestResponseTimesSortedQueriesAreReadOnly pins that queries never write
+// to samples already in order: a restored value and a value that only saw
+// ordered Adds answer Percentile and CCDF without touching their state, so
+// cached results can be shared across goroutines.
+func TestResponseTimesSortedQueriesAreReadOnly(t *testing.T) {
+	var restored ResponseTimes
+	if err := json.Unmarshal([]byte(`[1,2,2,5]`), &restored); err != nil {
+		t.Fatal(err)
+	}
+	if !restored.sorted {
+		t.Fatal("restoring ordered samples did not mark them sorted")
+	}
+	var added, empty ResponseTimes
+	for _, d := range []time.Duration{1, 2, 2, 5} {
+		added.Add(d)
+	}
+	thresholds := []time.Duration{0, 2, 5}
+	for name, r := range map[string]*ResponseTimes{"added": &added, "empty": &empty} {
+		_ = r.CCDF(thresholds)
+		_ = r.Percentile(50)
+		if r.sorted {
+			t.Errorf("%s: a query wrote the sorted flag of already-sorted samples", name)
+		}
+	}
+}

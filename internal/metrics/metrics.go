@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -60,11 +61,14 @@ func (r ResponseTimes) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.samples)
 }
 
-// UnmarshalJSON restores samples written by MarshalJSON.
+// UnmarshalJSON restores samples written by MarshalJSON. The sorted flag
+// is derived from the restored order, so a value persisted after a
+// Percentile or CCDF query comes back read-only under every query.
 func (r *ResponseTimes) UnmarshalJSON(b []byte) error {
 	r.samples = nil
-	r.sorted = false
-	return json.Unmarshal(b, &r.samples)
+	err := json.Unmarshal(b, &r.samples)
+	r.sorted = slices.IsSorted(r.samples)
+	return err
 }
 
 // Mean returns the average sample, or zero when empty.
@@ -90,11 +94,16 @@ func (r *ResponseTimes) Max() time.Duration {
 	return m
 }
 
+// sort orders the samples for the rank queries. It writes only when the
+// samples are out of order, so a value whose samples are already sorted
+// (after any earlier query, or restored from JSON written after one) is
+// read-only and safe to query from several goroutines at once.
 func (r *ResponseTimes) sort() {
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
+	if r.sorted || slices.IsSorted(r.samples) {
+		return
 	}
+	slices.Sort(r.samples)
+	r.sorted = true
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) using the

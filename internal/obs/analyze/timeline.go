@@ -52,9 +52,9 @@ type DiskTimeline struct {
 	// EnergyBy replays the disk's meter by state: the same additions in the
 	// same order as power.Meter, so it matches Stats.EnergyIn bit for bit
 	// on a complete log. Energy is the matching total (Stats.Energy).
-	EnergyBy [core.StateSpinDown + 1]float64
-	Energy   float64
-	SpinUps  int
+	EnergyBy  [core.StateSpinDown + 1]float64
+	Energy    float64
+	SpinUps   int
 	SpinDowns int
 	// Served counts completions; Response collects their latencies; Depths
 	// the queue depth seen at each enqueue.

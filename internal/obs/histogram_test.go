@@ -14,8 +14,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	c := NewCollector()
 	h := c.Histogram("test_hist", "Boundary probe.", []float64{1, 2.5, 10})
 	for _, v := range []float64{
-		0.1,  // below first bound -> bucket le=1
-		1,    // exactly on a bound -> bucket le=1, not le=2.5
+		0.1, // below first bound -> bucket le=1
+		1,   // exactly on a bound -> bucket le=1, not le=2.5
 		1.0000001,
 		2.5, // exactly on a bound -> le=2.5
 		10,  // exactly the last bound -> le=10
@@ -31,10 +31,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	out := c.String()
 	for _, want := range []string{
-		`test_hist_bucket{le="1"} 2`,     // cumulative: 0.1 and 1
-		`test_hist_bucket{le="2.5"} 4`,   // + 1.0000001 and 2.5
-		`test_hist_bucket{le="10"} 5`,    // + 10
-		`test_hist_bucket{le="+Inf"} 6`,  // + 11, the overflow sample
+		`test_hist_bucket{le="1"} 2`,    // cumulative: 0.1 and 1
+		`test_hist_bucket{le="2.5"} 4`,  // + 1.0000001 and 2.5
+		`test_hist_bucket{le="10"} 5`,   // + 10
+		`test_hist_bucket{le="+Inf"} 6`, // + 11, the overflow sample
 		`test_hist_count 6`,
 	} {
 		if !strings.Contains(out, want) {
