@@ -45,9 +45,10 @@ ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carb
 # shared state: the sweep cache's single-flight map in internal/experiments
 # and the power-aware block cache. `check` already races everything; this
 # target re-runs the two at higher -count to shake out rare interleavings,
-# then drives the free-running sharded kernel's suite — per-disk logs and
-# fleet results identical to the serial engine at every shard and worker
-# count, the calendar-queue/heap equivalence property, and a small
+# then drives the event kernel's suite — per-disk logs and fleet results
+# identical to the one-shard run at every shard and worker count, the
+# calendar queue and the whole Engine (slot, preload runs, cancellation,
+# RunFree drains) checked against a binary-heap oracle, and a small
 # multi-shard fleet sweep — under -race, where shards touching each
 # other's state show up as a data race and a missed event shows up as a
 # diff — and finally the serving engine's admission and flat-combining
@@ -57,7 +58,7 @@ ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carb
 # submitters and idle engines.
 race-hot:
 	$(GO) test -race -count 4 ./internal/experiments ./internal/cache
-	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestFreeRun|TestShardOf|TestFleet' ./internal/simkernel ./internal/storage
+	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestEngineMatchesHeapOracle|TestFreeRun|TestShardOf|TestFleet' ./internal/simkernel ./internal/storage
 	$(GO) test -race -count 4 -run 'TestSequential|TestLiveDoctorClean|TestDrain' ./internal/serve
 
 # The benchmark's own tests: its statistics, golden files and checks.

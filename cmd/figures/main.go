@@ -6,7 +6,7 @@
 //	figures -fig 6,7,8          # a subset
 //	figures -tsv -out results/  # write TSV files instead of stdout tables
 //	figures -fleet              # 100k-disk fleet throughput benchmark
-//	figures -fleet -shards 500  # the fleet benchmark over 500 sub-kernels
+//	figures -fleet -shards 500  # the fleet benchmark over 500 kernel engines
 //
 // The standard profiling flags -cpuprofile, -memprofile, -trace and -pprof
 // are available for profiling full-scale regenerations, and -telemetry
@@ -59,7 +59,7 @@ func run() error {
 		doctor    = flag.Bool("doctor", false, "run live invariant monitors over every simulated cell; non-zero exit on any violation (doctored cells always bypass the sweep cache)")
 		cacheDir  = flag.String("cache", "", "persist replication sweeps in this directory, keyed by a content hash of every input; repeat runs with unchanged inputs reuse them for Figures 6-9 and 12-17")
 		fleet     = flag.Bool("fleet", false, "run the 100k-disk fleet throughput benchmark (sharded kernel, hundreds of millions of events) instead of figures")
-		shards    = flag.Int("shards", 0, "with -fleet: sub-kernels over the fleet's racks (0 = one per rack, 1 = serial engine)")
+		shards    = flag.Int("shards", 0, "with -fleet: kernel engines over the fleet's racks (0 = one per rack, 1 = one engine for every rack)")
 		kstats    = flag.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`)")
 		flightDir = flag.String("flight", "", "with -doctor: arm a flight recorder on every monitored cell; a doctor violation freezes the cell's recent events into a replayable dump under this directory (inspect with `tracelens last`)")
 		grid      = flag.String("grid", "", "also emit carbon & what-if tables under this grid profile: flat | diurnal | coal | profile.json")
@@ -89,7 +89,7 @@ func run() error {
 		return fmt.Errorf("-kernelstats applies to the -fleet benchmark only")
 	}
 	if *shards != 0 {
-		return fmt.Errorf("-shards applies to the -fleet benchmark only (figure cells run on the serial kernel)")
+		return fmt.Errorf("-shards applies to the -fleet benchmark only (figure cells each run on one kernel engine)")
 	}
 
 	var scale experiments.Scale
@@ -342,7 +342,7 @@ func run() error {
 
 // runFleet executes the headline scale point: a 100,000-disk fleet in 1000
 // racks at fleet event density (~315 million kernel events). One shard per
-// rack keeps each sub-kernel's calendar queue and disk stripe
+// rack keeps each engine's calendar queue and disk stripe
 // cache-resident, and the GC stays off for the run (FleetConfig.RelaxGC).
 func runFleet(shards int, kstats string) error {
 	cfg := storage.DefaultFleetConfig()

@@ -22,7 +22,7 @@ type Disk struct {
 	mt     mechTab // mech compiled for the per-request hot path
 	pcfg   power.Config
 	policy power.Policy
-	eng    simkernel.Sim
+	eng    *simkernel.Engine
 	meter  *power.Meter
 	onDone DoneFunc
 
@@ -87,7 +87,7 @@ type Options struct {
 }
 
 // New creates a disk attached to the simulation engine. onDone may be nil.
-func New(id core.DiskID, mech MechConfig, pcfg power.Config, policy power.Policy, eng simkernel.Sim, onDone DoneFunc, opts Options) (*Disk, error) {
+func New(id core.DiskID, mech MechConfig, pcfg power.Config, policy power.Policy, eng *simkernel.Engine, onDone DoneFunc, opts Options) (*Disk, error) {
 	if err := mech.Validate(); err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func TestServiceTimeComponents(t *testing.T) {
 	}
 }
 
-func newTestDisk(t *testing.T, eng simkernel.Sim, pcfg power.Config, policy power.Policy, onDone DoneFunc, opts Options) *Disk {
+func newTestDisk(t *testing.T, eng *simkernel.Engine, pcfg power.Config, policy power.Policy, onDone DoneFunc, opts Options) *Disk {
 	t.Helper()
 	d, err := New(1, Cheetah15K5(), pcfg, policy, eng, onDone, opts)
 	if err != nil {

@@ -173,8 +173,8 @@ type Snapshot struct {
 	// Slow holds the slow-request exemplars (slowest first), populated when
 	// a collector is attached.
 	Slow []SlowSpan
-	// Kernel is the engine's kernel introspection snapshot: one
-	// pseudo-shard (events, queue/pool high-water marks).
+	// Kernel is the engine's kernel introspection snapshot: one shard
+	// (events, calendar-queue counters, queue/pool high-water marks).
 	Kernel *simkernel.KernelStats
 }
 

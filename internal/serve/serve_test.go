@@ -439,7 +439,7 @@ func TestGracefulDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The live snapshot carries the kernel's one pseudo-shard.
+	// The live snapshot carries the kernel's one shard.
 	if snap := e.Snapshot(); snap.Totals.Decisions != n || snap.Kernel == nil ||
 		len(snap.Kernel.Shards) != 1 || snap.Kernel.Events != snap.Kernel.Shards[0].Events {
 		t.Fatalf("live snapshot totals %+v, kernel %+v", snap.Totals, snap.Kernel)

@@ -9,13 +9,15 @@ import (
 // calQueue is a calendar queue (Brown, CACM 1988) with a ladder-style far
 // tier, specialized for the kernel's eventItems. The near tier is a ring of
 // buckets covering exactly one lap of virtual time, [curStart, limit):
-// bucket i holds only items from its own window, unsorted — a push is a
-// plain append, min extraction linearly scans the cursor bucket's inline
-// keys (a handful of contiguous slots), and removal swaps the last slot
-// into the hole. Items at or beyond limit wait in an unsorted far tier and are
-// admitted in bulk when the ring drains — each admission pass is O(far)
-// with no allocation, so enqueue and dequeue stay O(1) amortized regardless
-// of queue size. The split is what survives fleet workloads, whose
+// bucket i holds only items from its own window, as an unsorted chain
+// threaded through eventItem.next — a push links the item at the head, min
+// extraction linearly scans the cursor bucket's chain (a handful of items),
+// and removal unlinks it. Items at or beyond limit wait in an unsorted far
+// chain and are admitted in bulk when the ring drains — each admission pass
+// is O(far), so enqueue and dequeue stay O(1) amortized regardless of queue
+// size. Because the chains are intrusive, the queue allocates only its
+// bucket-header array, once per bucket-count change: never per bucket,
+// per push or per rebuild. The split is what survives fleet workloads, whose
 // timestamp mix is sharply bimodal (µs-spaced service completions against
 // power-policy timers seconds out): no single bucket width covers both, but
 // the ring only ever needs to match the density at the cursor.
@@ -29,22 +31,24 @@ import (
 //
 // Ordering is the kernel's strict total order (at, then seq), so min
 // extraction is deterministic no matter how items landed in a bucket.
-// Cancellation is lazy, exactly like the heap path: items keep their
-// cancelled flag and are reaped when they surface at the front.
+// Cancellation is lazy: items keep their cancelled flag and the Engine
+// reaps them when they surface at the front. The zero calQueue is empty and
+// ready: the first Push lays out the ring.
 type calQueue struct {
-	buckets [][]calSlot
-	mask    int  // len(buckets)-1; bucket count is a power of two
-	shift   uint // bucket width is 1<<shift nanoseconds
-	n       int  // all queued items, both tiers, including cancelled ones
-	nNear   int  // items in the ring
+	buckets []*eventItem // chain heads
+	mask    int          // len(buckets)-1; bucket count is a power of two
+	shift   uint         // bucket width is 1<<shift nanoseconds
+	n       int          // all queued items, both tiers, including cancelled ones
+	nNear   int          // items in the ring
 
-	// far holds items with at >= limit, unsorted. limit is base plus one
+	// far chains items with at >= limit, unsorted. limit is base plus one
 	// full lap of the ring; base is the lap's origin. Every near item lies
 	// in [base, limit) — the strict one-lap invariant — so a bucket only
 	// ever holds items from its own window and never aliased ones a lap
 	// apart. Pushes before base rebase the lap (the kernel never schedules
 	// into the past of its clock, so this is a safeguard, not a hot path).
-	far   []*eventItem
+	far   *eventItem
+	nFar  int
 	base  time.Duration
 	limit time.Duration
 
@@ -55,21 +59,20 @@ type calQueue struct {
 	curIdx   int
 	curStart time.Duration
 
-	// Peek/Pop pairs dominate the shard event loop, so findMin memoizes its
-	// result; any mutation invalidates it.
-	memo    *eventItem
-	memoB   int
-	memoPos int
+	// Peek/Pop pairs dominate the event loop, so findMin memoizes its
+	// result with its bucket and chain predecessor (nil at the head); any
+	// mutation invalidates it.
+	memo     *eventItem
+	memoB    int
+	memoPrev *eventItem
 
 	// Width calibration: gapEWMA tracks the recent inter-pop gap; ops/cost
-	// meter the slots the per-pop min scans touch. scratch stages items
-	// during rebuilds so bucket and far backing arrays are reused.
+	// meter the items the per-pop min scans touch.
 	lastPop time.Duration
 	gapEWMA uint64 // ns, ~last 16 pops
 	ops     int    // pops since the last calibration check
-	cost    int    // slots touched by searches and insertions since then
+	cost    int    // items touched by searches and insertions since then
 	stable  int    // pops since the bucket count last changed
-	scratch []*eventItem
 
 	// Introspection meters (see ShardStats): lifetime push/pop counts, how
 	// often and why the geometry was rebuilt, and both tiers' high-water
@@ -81,15 +84,6 @@ type calQueue struct {
 	migrations uint64
 	farHW      int
 	nHW        int
-}
-
-// calSlot pairs an item with an inline copy of its ordering key: the
-// per-bucket min scans touch only the contiguous slot array, never the
-// pooled items they point at.
-type calSlot struct {
-	at  time.Duration
-	seq uint64
-	it  *eventItem
 }
 
 const (
@@ -110,28 +104,14 @@ const (
 	calCalibrateOps = 256
 	calCostFactor   = 10
 	// calCountHysteresis: a rebuild may shrink the bucket count only after
-	// this many pops at the current count. Rebuilds that keep the count
-	// reuse every backing array and allocate nothing; letting the count
-	// ping-pong with each burst/idle regime would reallocate the ring (and
-	// all its bucket slices) every cycle.
+	// this many pops at the current count, so the count does not ping-pong
+	// with each burst/idle regime and churn the header array.
 	calCountHysteresis = 4096
 )
 
 // inFar marks an item parked in the far tier. Distinct from `fired` so
 // stale-handle checks keep working; never a valid bucket index.
 const inFar = -3
-
-func newCalQueue() *calQueue {
-	q := &calQueue{}
-	q.init()
-	return q
-}
-
-// init readies a zero calQueue (e.g. one embedded by value in a shard).
-func (q *calQueue) init() {
-	q.shift = 20 // ~1ms buckets until the first calibration learns better
-	q.rebuild(calMinBuckets, q.shift, 0)
-}
 
 func (q *calQueue) bucketOf(at time.Duration) int {
 	return int(uint64(at)>>q.shift) & q.mask
@@ -179,33 +159,27 @@ func clampShift(s uint) uint {
 
 // rebuild reconstructs both tiers with the given bucket count, width and
 // cursor origin, redistributing every item against the new one-lap horizon.
-// Buckets are unsorted, so redistribution is a single append pass; backing
-// arrays — buckets, bucket slices, the far slice — are reused via the
-// scratch buffer, so steady-state rebuilds allocate nothing.
+// Buckets are unsorted, so redistribution gathers every chain into one and
+// relinks each item in a single pass. Only a bucket count beyond the header
+// array's capacity allocates: a shrink truncates the headers and a regrowth
+// within capacity reuses them.
 func (q *calQueue) rebuild(count int, shift uint, start time.Duration) {
-	q.scratch = q.scratch[:0]
-	for b, bucket := range q.buckets {
-		for i := range bucket {
-			q.scratch = append(q.scratch, bucket[i].it)
+	all := q.far
+	for b, it := range q.buckets {
+		for it != nil {
+			next := it.next
+			it.next = all
+			all, it = it, next
 		}
-		q.buckets[b] = bucket[:0]
+		q.buckets[b] = nil
 	}
-	q.scratch = append(q.scratch, q.far...)
-	q.far = q.far[:0]
+	q.far, q.nFar = nil, 0
 
 	if count != len(q.buckets) {
-		// Preserve bucket backing arrays across count changes. A shrink
-		// only truncates the header slice, so the tail headers — and the
-		// bucket arrays they point at — stay alive in its capacity; a
-		// regrowth within capacity gets them back allocation-free. The
-		// capacities are the steady-state occupancy the workload already
-		// taught us, and burst/idle regime swings retoggle the same counts.
 		if count <= cap(q.buckets) {
 			q.buckets = q.buckets[:count]
 		} else {
-			nb := make([][]calSlot, count)
-			copy(nb, q.buckets[:cap(q.buckets)])
-			q.buckets = nb
+			q.buckets = make([]*eventItem, count)
 		}
 		q.mask = count - 1
 		q.stable = 0
@@ -222,41 +196,40 @@ func (q *calQueue) rebuild(count int, shift uint, start time.Duration) {
 	q.nNear = 0
 	q.memo = nil
 	q.ops, q.cost = 0, 0
-	for _, it := range q.scratch {
-		q.place(it)
+	for all != nil {
+		next := all.next
+		q.place(all)
+		all = next
 	}
 	q.rebuilds++
-	if len(q.far) > q.farHW {
-		q.farHW = len(q.far)
+	if q.nFar > q.farHW {
+		q.farHW = q.nFar
 	}
 }
 
-// place routes one item to its tier; n is not touched.
+// place links one item into its tier; n is not touched.
 func (q *calQueue) place(it *eventItem) {
 	if it.at >= q.limit {
 		it.index = inFar
-		q.far = append(q.far, it)
+		it.next = q.far
+		q.far = it
+		q.nFar++
 		return
 	}
 	b := q.bucketOf(it.at)
 	it.index = b
-	q.buckets[b] = appendSlot(q.buckets[b], calSlot{at: it.at, seq: it.seq, it: it})
+	it.next = q.buckets[b]
+	q.buckets[b] = it
 	q.nNear++
-}
-
-// appendSlot is append with a one-shot starting capacity. Rings hold up to
-// a million bucket headers across all shards, and letting each grow through
-// the 1→2→4→8 doubling ladder makes slice warmup the top allocation site of
-// a whole fleet run; one 8-slot allocation replaces the first four.
-func appendSlot(bucket []calSlot, s calSlot) []calSlot {
-	if cap(bucket) == 0 {
-		bucket = make([]calSlot, 0, 8)
-	}
-	return append(bucket, s)
 }
 
 // Push inserts an item. The item's at and seq must already be set.
 func (q *calQueue) Push(it *eventItem) {
+	if q.buckets == nil {
+		// First push: lay out the minimum ring with ~1ms buckets until the
+		// first calibration learns better.
+		q.rebuild(calMinBuckets, 20, it.at)
+	}
 	q.memo = nil
 	if it.at < q.base {
 		// The ring cannot represent a time before its lap origin without
@@ -268,27 +241,14 @@ func (q *calQueue) Push(it *eventItem) {
 	if q.n > q.nHW {
 		q.nHW = q.n
 	}
-	if it.at >= q.limit {
-		it.index = inFar
-		q.far = append(q.far, it)
-		if len(q.far) > q.farHW {
-			q.farHW = len(q.far)
-		}
-		return
-	}
-	if q.nNear >= len(q.buckets)*calGrowFactor && len(q.buckets) < calMaxBuckets {
+	if it.at < q.limit && q.nNear >= len(q.buckets)*calGrowFactor && len(q.buckets) < calMaxBuckets {
 		q.rebuild(len(q.buckets)*2, q.shift, q.curStart)
-		if it.at >= q.limit { // a wider ring cannot shrink the horizon, but stay safe
-			it.index = inFar
-			q.far = append(q.far, it)
-			return
-		}
 	}
-	b := q.bucketOf(it.at)
-	it.index = b
-	q.buckets[b] = appendSlot(q.buckets[b], calSlot{at: it.at, seq: it.seq, it: it})
-	q.nNear++
-	if it.at < q.curStart {
+	q.place(it)
+	if q.nFar > q.farHW {
+		q.farHW = q.nFar
+	}
+	if it.index != inFar && it.at < q.curStart {
 		// The cursor has swept past this item's window (possible after a
 		// sparse-queue jump far into the future); rewind so the sweep sees it.
 		q.curIdx = q.bucketOf(it.at)
@@ -298,7 +258,7 @@ func (q *calQueue) Push(it *eventItem) {
 
 // Peek returns the minimum item by (at, seq) without removing it, or nil
 // when the queue is empty. Cancelled items are returned like live ones;
-// the caller reaps them (mirroring the heap path's reapCancelled).
+// the Engine reaps them.
 func (q *calQueue) Peek() *eventItem {
 	it, _, _ := q.findMin()
 	return it
@@ -325,7 +285,7 @@ func (q *calQueue) Pop() *eventItem {
 		}
 		q.ops, q.cost = 0, 0
 	}
-	it, b, pos := q.findMin()
+	it, b, prev := q.findMin()
 	if it == nil {
 		return nil
 	}
@@ -338,12 +298,12 @@ func (q *calQueue) Pop() *eventItem {
 	q.lastPop = it.at
 	q.ops++
 	q.stable++
-	// Swap-remove: buckets are unsorted, so the last slot fills the hole.
-	bucket := q.buckets[b]
-	last := len(bucket) - 1
-	bucket[pos] = bucket[last]
-	bucket[last] = calSlot{}
-	q.buckets[b] = bucket[:last]
+	if prev == nil {
+		q.buckets[b] = it.next
+	} else {
+		prev.next = it.next
+	}
+	it.next = nil
 	q.n--
 	q.nNear--
 	q.memo = nil
@@ -355,22 +315,23 @@ func (q *calQueue) Pop() *eventItem {
 	return it
 }
 
-// findMin locates the minimum item and its bucket/slot, migrating the far
-// tier into the ring first whenever the ring is empty (every far item sits
-// at or beyond the ring's horizon, so the ring always holds the minimum).
-func (q *calQueue) findMin() (*eventItem, int, int) {
+// findMin locates the minimum item, its bucket and its chain predecessor,
+// migrating the far tier into the ring first whenever the ring is empty
+// (every far item sits at or beyond the ring's horizon, so the ring always
+// holds the minimum).
+func (q *calQueue) findMin() (*eventItem, int, *eventItem) {
 	if q.n == 0 {
-		return nil, 0, 0
+		return nil, 0, nil
 	}
 	if q.memo != nil {
-		return q.memo, q.memoB, q.memoPos
+		return q.memo, q.memoB, q.memoPrev
 	}
 	if q.nNear == 0 {
 		q.migrate()
 	}
-	it, b, pos := q.searchMin()
-	q.memo, q.memoB, q.memoPos = it, b, pos
-	return it, b, pos
+	it, b, prev := q.searchMin()
+	q.memo, q.memoB, q.memoPrev = it, b, prev
+	return it, b, prev
 }
 
 // migrate advances the ring to the far tier's earliest window. The width
@@ -380,12 +341,12 @@ func (q *calQueue) findMin() (*eventItem, int, int) {
 // service events): a span-derived width would smear the whole upcoming
 // burst into one bucket. The span estimate is only the cold-start fallback.
 // If the chosen horizon still leaves items far, they are admitted by a
-// later migrate, each pass O(far) and allocation-free; the cursor jumps
-// straight to the earliest far window, so sparse phases cost one migrate
-// per cluster, not one per lap.
+// later migrate, each pass O(far); the cursor jumps straight to the
+// earliest far window, so sparse phases cost one migrate per cluster, not
+// one per lap.
 func (q *calQueue) migrate() {
-	minAt, maxAt := q.far[0].at, q.far[0].at
-	for _, it := range q.far[1:] {
+	minAt, maxAt := q.far.at, q.far.at
+	for it := q.far.next; it != nil; it = it.next {
 		if it.at < minAt {
 			minAt = it.at
 		}
@@ -396,22 +357,22 @@ func (q *calQueue) migrate() {
 	// Right-size the ring to the population being admitted: an idle-phase
 	// cluster (a handful of power timers) gets a minimum ring instead of
 	// dragging the previous burst's bucket count through every rebuild.
-	// Count changes reuse preserved backing arrays, so resizing here only
-	// buys cheaper rebuild sweeps; Push's occupancy growth restores a big
-	// ring within one doubling cascade when the next burst arrives.
-	count := bucketCountFor(len(q.far))
+	// Count changes reuse the header array's capacity, so resizing here
+	// only buys cheaper rebuild sweeps; Push's occupancy growth restores a
+	// big ring within one doubling cascade when the next burst arrives.
+	count := bucketCountFor(q.nFar)
 	shift := q.popShift()
 	if shift == ^uint(0) {
 		shift = q.shift
 		if span := uint64(maxAt - minAt); span > 0 {
-			ideal := span * 4 / uint64(len(q.far))
+			ideal := span * 4 / uint64(q.nFar)
 			if ideal == 0 {
 				ideal = 1
 			}
 			shift = clampShift(uint(bits.Len64(ideal)) - 1)
 		}
 	}
-	q.cost += len(q.far)
+	q.cost += q.nFar
 	q.migrations++
 	q.rebuild(count, shift, minAt)
 }
@@ -419,24 +380,22 @@ func (q *calQueue) migrate() {
 // searchMin sweeps the cursor forward one bucket window at a time. The
 // first non-empty bucket holds the global ring minimum, because the
 // one-lap invariant confines every bucket's items to its own window — so
-// the sweep skips empty headers and then min-scans one bucket's inline
-// keys. The scan length is charged to the calibration cost meter: deep
-// buckets mean the width has gone stale for the density at the cursor.
+// the sweep skips empty headers and then min-scans one bucket's chain.
+// The scan length is charged to the calibration cost meter: deep buckets
+// mean the width has gone stale for the density at the cursor.
 // A fruitless full lap is only possible if the invariant was disturbed
 // (pushes into the past of a rewound cursor); the direct scan restores it
 // by repositioning the cursor.
-func (q *calQueue) searchMin() (*eventItem, int, int) {
+func (q *calQueue) searchMin() (*eventItem, int, *eventItem) {
 	width := time.Duration(1) << q.shift
 	idx, start := q.curIdx, q.curStart
 	for lap := 0; lap <= q.mask; lap++ {
 		q.cost++
-		if bucket := q.buckets[idx]; len(bucket) > 0 {
-			if bucket[0].at < start+width {
-				q.curIdx, q.curStart = idx, start
-				pos := bucketMin(bucket)
-				q.cost += len(bucket)
-				return bucket[pos].it, idx, pos
-			}
+		if head := q.buckets[idx]; head != nil && head.at < start+width {
+			q.curIdx, q.curStart = idx, start
+			it, prev, n := chainMin(head)
+			q.cost += n
+			return it, idx, prev
 		}
 		idx = (idx + 1) & q.mask
 		start += width
@@ -445,35 +404,33 @@ func (q *calQueue) searchMin() (*eventItem, int, int) {
 	return q.directMin()
 }
 
-// bucketMin returns the slot index of the bucket's (at, seq) minimum.
-func bucketMin(bucket []calSlot) int {
-	pos := 0
-	at, seq := bucket[0].at, bucket[0].seq
-	for i := 1; i < len(bucket); i++ {
-		s := &bucket[i]
-		if s.at < at || (s.at == at && s.seq < seq) {
-			pos, at, seq = i, s.at, s.seq
+// chainMin returns a bucket chain's (at, seq) minimum, its predecessor
+// (nil at the head) and the chain length.
+func chainMin(head *eventItem) (best, prev *eventItem, n int) {
+	best, n = head, 1
+	for p, it := head, head.next; it != nil; p, it = it, it.next {
+		n++
+		if it.before(best) {
+			best, prev = it, p
 		}
 	}
-	return pos
+	return best, prev, n
 }
 
-// directMin scans every ring slot for the global minimum — the fallback
+// directMin scans every ring chain for the global minimum — the fallback
 // after a fruitless lap — and repositions the cursor at its window.
-func (q *calQueue) directMin() (*eventItem, int, int) {
-	var best *calSlot
-	bIdx, bPos := 0, 0
-	for b, bucket := range q.buckets {
-		if len(bucket) == 0 {
+func (q *calQueue) directMin() (*eventItem, int, *eventItem) {
+	var best, bestPrev *eventItem
+	bIdx := 0
+	for b, head := range q.buckets {
+		if head == nil {
 			continue
 		}
-		pos := bucketMin(bucket)
-		it := &bucket[pos]
-		if best == nil || it.at < best.at || (it.at == best.at && it.seq < best.seq) {
-			best, bIdx, bPos = it, b, pos
+		if it, prev, _ := chainMin(head); best == nil || it.before(best) {
+			best, bestPrev, bIdx = it, prev, b
 		}
 	}
 	q.curIdx = q.bucketOf(best.at)
 	q.curStart = q.windowStart(best.at)
-	return best.it, bIdx, bPos
+	return best, bIdx, bestPrev
 }

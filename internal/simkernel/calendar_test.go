@@ -7,8 +7,34 @@ import (
 	"time"
 )
 
-// refHeap drives the production eventHeap as the ordering oracle for the
-// calendar queue property tests.
+// eventHeap is a binary heap of event records in (at, seq) order: the
+// reference the calendar queue and the Engine are checked against.
+type eventHeap []*eventItem
+
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	it := x.(*eventItem)
+	it.index = len(*h)
+	*h = append(*h, it)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	old[n-1] = nil
+	it.index = fired
+	*h = old[:n-1]
+	return it
+}
+
+// refHeap drives eventHeap as the ordering oracle for the calendar queue
+// property tests.
 type refHeap struct{ h eventHeap }
 
 func (r *refHeap) push(it *eventItem) { heap.Push(&r.h, it) }
@@ -50,7 +76,7 @@ func TestCalendarMatchesHeap(t *testing.T) {
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			cal := newCalQueue()
+			cal := &calQueue{}
 			ref := &refHeap{}
 			var now time.Duration
 			var seq uint64
@@ -97,7 +123,7 @@ func TestCalendarMatchesHeap(t *testing.T) {
 // TestCalendarPeekPop pins Peek as a non-destructive preview of Pop,
 // including across interleaved pushes that invalidate the memoized minimum.
 func TestCalendarPeekPop(t *testing.T) {
-	q := newCalQueue()
+	q := &calQueue{}
 	rng := rand.New(rand.NewSource(7))
 	var seq uint64
 	for i := 0; i < 500; i++ {
@@ -123,7 +149,7 @@ func TestCalendarPeekPop(t *testing.T) {
 // identical timestamps (zero span forces the minimum width), a huge time
 // spread right after, and a drain back through the shrink threshold.
 func TestCalendarResizeEdges(t *testing.T) {
-	q := newCalQueue()
+	q := &calQueue{}
 	var seq uint64
 	push := func(at time.Duration) {
 		q.Push(&eventItem{at: at, seq: seq})
@@ -151,9 +177,7 @@ func TestCalendarResizeEdges(t *testing.T) {
 		t.Fatal("empty queue must pop/peek nil")
 	}
 	// Occupancy-driven growth: pushes landing inside the ring's lap double
-	// the bucket count once the population passes the grow factor. (Pop
-	// cost is occupancy-independent with sorted buckets, so growth comes
-	// from Push, not from scan-cost calibration.)
+	// the bucket count once the population passes the grow factor.
 	for i := 0; i < 300; i++ {
 		push(time.Duration(i) * time.Microsecond)
 	}

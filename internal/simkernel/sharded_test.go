@@ -15,9 +15,9 @@ import (
 // disk's armed timer, may re-arm it, and schedules a follow-up at a
 // deterministic pseudo-random delay (quantized so same-instant ties are
 // common). All state is per disk, so the workload is shard-local and runs
-// unchanged on the serial Engine or under RunFree.
+// unchanged on one Engine or under RunFree.
 type chainWorkload struct {
-	sims   []Sim
+	sims   []*Engine
 	logs   [][]string
 	timers []Handle
 }
@@ -26,7 +26,7 @@ type chainWorkload struct {
 // has logged this many events.
 const chainEvents = 150
 
-func newChainWorkload(sims []Sim) *chainWorkload {
+func newChainWorkload(sims []*Engine) *chainWorkload {
 	w := &chainWorkload{sims: sims, logs: make([][]string, len(sims)), timers: make([]Handle, len(sims))}
 	for d := range sims {
 		sims[d].At(time.Duration(d%3)*10*time.Microsecond, w.poke(d))
@@ -53,10 +53,10 @@ func (w *chainWorkload) poke(d int) Event {
 	}
 }
 
-// serialChains runs the chain workload on the serial Engine.
+// serialChains runs the chain workload on one Engine.
 func serialChains(numDisks int) (*chainWorkload, *Engine) {
 	eng := &Engine{}
-	sims := make([]Sim, numDisks)
+	sims := make([]*Engine, numDisks)
 	for d := range sims {
 		sims[d] = eng
 	}
@@ -69,17 +69,17 @@ func serialChains(numDisks int) (*chainWorkload, *Engine) {
 // arms telemetry if wanted and drains it with RunFree.
 func shardedChains(numDisks, shards, workers int) (*chainWorkload, *Sharded) {
 	se := NewSharded(numDisks, shards, workers)
-	sims := make([]Sim, numDisks)
+	sims := make([]*Engine, numDisks)
 	for d := range sims {
 		sims[d] = se.DiskSim(core.DiskID(d))
 	}
 	return newChainWorkload(sims), se
 }
 
-// TestShardViewHandleSemantics mirrors the serial pool guarantees on the
-// per-shard arenas: cancel is effective, handles to fired events are stale,
-// and record reuse cannot resurrect an old handle.
-func TestShardViewHandleSemantics(t *testing.T) {
+// TestShardedHandleSemantics pins the pool guarantees across RunFree
+// drains: cancel is effective, handles to fired events are stale, and
+// record reuse cannot resurrect an old handle.
+func TestShardedHandleSemantics(t *testing.T) {
 	se := NewSharded(4, 2, 1)
 	v := se.DiskSim(0)
 
@@ -102,7 +102,7 @@ func TestShardViewHandleSemantics(t *testing.T) {
 	if !ha.Cancelled() {
 		t.Fatal("handle to a fired event must be stale")
 	}
-	// Reuse: the records behind ha/hb return to the shard arena; new events
+	// Reuse: the records behind ha/hb return to the shard's pool; new events
 	// reuse them with a bumped generation, so the old handles stay dead and
 	// cancelling them must not touch the new events.
 	hc := v.After(time.Millisecond, func(time.Duration) { firedLog = append(firedLog, "c") })

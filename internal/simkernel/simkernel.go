@@ -1,13 +1,14 @@
 // Package simkernel provides a deterministic discrete-event simulation
-// kernel: a virtual clock and a priority event queue.
+// kernel: an Engine holds a virtual clock and a calendar queue of pending
+// events, and Sharded runs one Engine per group of disks in parallel.
 //
 // It replaces the role OMNeT++ plays in the paper's evaluation (Section 4).
-// Events scheduled for the same instant fire in FIFO order of scheduling,
-// which keeps runs bit-for-bit reproducible for a fixed seed.
+// Events fire in strict (time, scheduling-order) order: those scheduled for
+// the same instant fire in FIFO order of scheduling, which keeps runs
+// bit-for-bit reproducible for a fixed seed.
 package simkernel
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -18,17 +19,6 @@ import (
 
 // Event is a callback executed at a virtual time.
 type Event func(now time.Duration)
-
-// Sim is the scheduling surface a simulated component needs: a clock plus
-// schedule/cancel. Both the serial Engine and the free-running sharded
-// kernel's per-shard ShardView implement it, so a disk model written
-// against Sim runs unchanged on either kernel.
-type Sim interface {
-	Now() time.Duration
-	At(t time.Duration, fn Event) Handle
-	After(d time.Duration, fn Event) Handle
-	Cancel(h Handle)
-}
 
 // Handle identifies a scheduled event so it can be cancelled. Handles carry
 // the item's generation at scheduling time: fired items return to the
@@ -50,43 +40,23 @@ type eventItem struct {
 	seq       uint64
 	gen       uint64
 	fn        Event
-	index     int // heap index (or calendar bucket), or `fired` once popped
+	next      *eventItem // calendar bucket or far-tier chain
+	index     int        // calendar bucket, inFar, inSlot, or fired once popped
 	cancelled bool
-	owner     int32 // owning shard index, or ownerSerial for an Engine
 }
 
-const ownerSerial = -1
+// before is the kernel's strict total event order: time, then scheduling
+// sequence.
+func (a *eventItem) before(b *eventItem) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-const fired = -2
-
-type eventHeap []*eventItem
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	it := x.(*eventItem)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = fired
-	*h = old[:n-1]
-	return it
-}
+const (
+	fired = -2
+	// inSlot marks an item held in the engine's fast-path slot: in neither
+	// calendar tier, not yet fired, still cancellable.
+	inSlot = -4
+)
 
 // preloadEvent is one entry of a preloaded arrival run: a request delivery
 // at a fixed time, carrying the sequence number it would have received from
@@ -98,10 +68,10 @@ type preloadEvent struct {
 }
 
 // preloadRun is a sorted batch of request deliveries installed by Preload.
-// Runs live outside the heap and are merged lazily: the dispatcher compares
-// each run's head against the heap's top, so a run of n arrivals costs one
-// slice and zero heap operations instead of n eventItem allocations and
-// n pushes.
+// Runs live outside the queue and are merged lazily: the dispatcher compares
+// each run's head against the queue's minimum, so a run of n arrivals costs
+// one slice and zero queue operations instead of n eventItem allocations
+// and n pushes.
 type preloadRun struct {
 	events []preloadEvent
 	fn     func(core.Request, time.Duration)
@@ -110,9 +80,15 @@ type preloadRun struct {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	now       time.Duration
-	seq       uint64
-	queue     eventHeap
+	now time.Duration
+	seq uint64
+	q   calQueue
+	// slot holds the earliest event scheduled since the last consume:
+	// self-chaining workloads (a generator tick scheduling the next tick, a
+	// service completion starting the next service) usually schedule the
+	// very event that fires next, and the slot lets it bypass the calendar
+	// queue's push/pop round trip entirely.
+	slot      *eventItem
 	runs      []preloadRun
 	free      []*eventItem // recycled event records (see alloc/release)
 	fired     uint64
@@ -120,10 +96,11 @@ type Engine struct {
 	halted    bool
 	probe     func(now time.Duration, fired uint64)
 
-	// Introspection counters (see Telemetry): heap occupancy high-water and
-	// event-pool blocks ever allocated.
-	queueHW    int
+	// Introspection counters (see stats): event-pool blocks ever allocated,
+	// slot fast-path consumes, and the wall-clock buckets of timed drains.
 	poolBlocks int
+	slotHits   uint64
+	times      engineTimes
 }
 
 // alloc takes an event record off the free list, growing it a block at a
@@ -141,9 +118,6 @@ func (e *Engine) alloc() *eventItem {
 	}
 	e.poolBlocks++
 	block := make([]eventItem, poolBlock)
-	for i := range block {
-		block[i].owner = ownerSerial
-	}
 	for i := poolBlock - 1; i > 0; i-- {
 		e.free = append(e.free, &block[i])
 	}
@@ -159,11 +133,11 @@ func (e *Engine) release(it *eventItem) {
 	e.free = append(e.free, it)
 }
 
-// SetProbe installs an observer called after every executed event with the
-// new virtual time and the cumulative fired count. The observability layer
-// uses it to keep sim-time and event-throughput gauges current; a nil
-// probe (the default) costs one branch per event. The probe must not
-// schedule or cancel events.
+// SetProbe installs an observer called for every executed event, after the
+// clock advances and before the event's callback, with the new virtual time
+// and the cumulative fired count. The observability layer uses it to keep
+// sim-time and event-throughput gauges current; a nil probe (the default)
+// costs one branch per event. The probe must not schedule or cancel events.
 func (e *Engine) SetProbe(fn func(now time.Duration, fired uint64)) { e.probe = fn }
 
 // ErrPast is returned when an event is scheduled before the current virtual
@@ -175,11 +149,14 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of events still queued, counting preloaded
 // arrivals not yet delivered and cancelled events not yet reaped. Cancelled
-// events stay in the heap until the dispatcher reaches them (Cancel is O(1)
+// events stay queued until the dispatcher reaches them (Cancel is O(1)
 // because it runs on the disk submit hot path); use Live for the count that
 // excludes them.
 func (e *Engine) Pending() int {
-	n := len(e.queue)
+	n := e.q.Len()
+	if e.slot != nil {
+		n++
+	}
 	for i := range e.runs {
 		n += len(e.runs[i].events) - e.runs[i].next
 	}
@@ -202,9 +179,18 @@ func (e *Engine) At(t time.Duration, fn Event) Handle {
 	it := e.alloc()
 	it.at, it.seq, it.fn, it.cancelled = t, e.seq, fn, false
 	e.seq++
-	heap.Push(&e.queue, it)
-	if len(e.queue) > e.queueHW {
-		e.queueHW = len(e.queue)
+	// Fast path: hold the earliest pending schedule in the slot. A
+	// later-keyed schedule goes through the queue; an earlier one takes the
+	// slot and demotes the previous holder to the queue (the returned
+	// handle must stay on the new item).
+	if s := e.slot; s == nil || t < s.at {
+		it.index = inSlot
+		e.slot = it
+		if s != nil {
+			e.q.Push(s)
+		}
+	} else {
+		e.q.Push(it)
 	}
 	return Handle{item: it, gen: it.gen}
 }
@@ -216,10 +202,10 @@ func (e *Engine) After(d time.Duration, fn Event) Handle {
 
 // Preload schedules delivery of every request at its arrival time, calling
 // fn(request, now) as each fires. It is equivalent to an At call per
-// request — preloaded deliveries interleave with heap events in exactly the
-// (time, scheduling-order) sequence those At calls would produce — but
-// stores the batch as one sorted run merged lazily with the heap, costing
-// one allocation instead of a heap push per request. Arrivals before the
+// request — preloaded deliveries interleave with queued events in exactly
+// the (time, scheduling-order) sequence those At calls would produce — but
+// stores the batch as one sorted run merged lazily with the queue, costing
+// one allocation instead of a queue push per request. Arrivals before the
 // current virtual time panic like At; preloaded deliveries cannot be
 // cancelled.
 func (e *Engine) Preload(reqs []core.Request, fn func(core.Request, time.Duration)) {
@@ -276,74 +262,93 @@ func (e *Engine) Cancel(h Handle) {
 // Halt stops the run loop after the currently executing event returns.
 func (e *Engine) Halt() { e.halted = true }
 
-// reapCancelled pops cancelled events off the heap top so e.queue[0], when
-// present, is live.
-func (e *Engine) reapCancelled() {
-	for len(e.queue) > 0 && e.queue[0].cancelled {
-		e.release(heap.Pop(&e.queue).(*eventItem))
+// head returns the earliest live queued record — the slot or the calendar
+// minimum — reaping the cancelled records it passes, or nil when none is
+// queued.
+func (e *Engine) head() *eventItem {
+	for {
+		it := e.q.Peek()
+		if s := e.slot; s != nil && (it == nil || s.before(it)) {
+			it = s
+		}
+		if it == nil || !it.cancelled {
+			return it
+		}
+		e.take(it)
 		e.cancelled--
+		e.release(it)
 	}
 }
 
-// nextSource locates the earliest live event in (time, seq) order: the
-// index of the preload run holding it, or srcHeap for the heap top. The
-// run list stays tiny (one entry per Preload batch), so the scan is a few
-// comparisons, far cheaper than keeping arrivals heapified.
-const srcHeap = -1
+// take removes the record head returned.
+func (e *Engine) take(it *eventItem) {
+	if it == e.slot {
+		e.slot = nil
+		it.index = fired
+		e.slotHits++
+		return
+	}
+	e.q.Pop()
+}
 
-func (e *Engine) nextSource() (int, bool) {
-	e.reapCancelled()
-	src, have := srcHeap, false
+// firstRun returns the index of the preload run whose head precedes it
+// (nil: precedes everything) in (time, seq) order, or -1. The run list
+// stays tiny (one entry per Preload batch), so the scan is a few
+// comparisons, far cheaper than keeping arrivals queued.
+func (e *Engine) firstRun(it *eventItem) int {
+	src, have := -1, it != nil
 	var at time.Duration
 	var seq uint64
-	if len(e.queue) > 0 {
-		at, seq, have = e.queue[0].at, e.queue[0].seq, true
+	if have {
+		at, seq = it.at, it.seq
 	}
 	for i := range e.runs {
 		r := &e.runs[i]
-		ev := r.events[r.next]
+		ev := &r.events[r.next]
 		if !have || ev.at < at || (ev.at == at && ev.seq < seq) {
 			src, at, seq, have = i, ev.at, ev.seq, true
 		}
 	}
-	return src, have
+	return src
 }
 
 // Step executes the next non-cancelled event, advancing the clock. It
-// returns false when the queue is empty.
+// returns false when nothing is pending.
 func (e *Engine) Step() bool {
-	src, ok := e.nextSource()
-	if !ok {
+	it := e.head()
+	if len(e.runs) > 0 {
+		if src := e.firstRun(it); src >= 0 {
+			r := &e.runs[src]
+			ev := &r.events[r.next]
+			r.next++
+			fn, at, req := r.fn, ev.at, ev.req
+			if r.next == len(r.events) {
+				e.runs = slices.Delete(e.runs, src, src+1)
+			}
+			e.now = at
+			e.fired++
+			if e.probe != nil {
+				e.probe(at, e.fired)
+			}
+			fn(req, at)
+			return true
+		}
+	}
+	if it == nil {
 		return false
 	}
-	if src >= 0 {
-		r := &e.runs[src]
-		ev := r.events[r.next]
-		r.next++
-		fn := r.fn
-		if r.next == len(r.events) {
-			e.runs = slices.Delete(e.runs, src, src+1)
-		}
-		e.now = ev.at
-		e.fired++
-		if e.probe != nil {
-			e.probe(e.now, e.fired)
-		}
-		fn(ev.req, e.now)
-		return true
-	}
-	it := heap.Pop(&e.queue).(*eventItem)
-	fn := it.fn
-	e.now = it.at
+	e.take(it)
+	at, fn := it.at, it.fn
+	e.now = at
 	e.fired++
 	// Recycle before dispatch: fn may schedule new events, and the record is
 	// free for them — any handle to the fired event is invalidated by the
 	// generation bump.
 	e.release(it)
 	if e.probe != nil {
-		e.probe(e.now, e.fired)
+		e.probe(at, e.fired)
 	}
-	fn(e.now)
+	fn(at)
 	return true
 }
 
@@ -375,15 +380,13 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 
 // peek returns the timestamp of the next live event.
 func (e *Engine) peek() (time.Duration, bool) {
-	src, ok := e.nextSource()
-	if !ok {
-		return 0, false
-	}
-	if src >= 0 {
+	it := e.head()
+	if src := e.firstRun(it); src >= 0 {
 		r := &e.runs[src]
 		return r.events[r.next].at, true
 	}
-	return e.queue[0].at, true
+	if it == nil {
+		return 0, false
+	}
+	return it.at, true
 }
-
-var _ Sim = (*Engine)(nil)

@@ -215,7 +215,7 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 }
 
 // TestProbeSeesEveryExecutedEvent pins the SetProbe contract: the probe
-// fires after every executed event — heap-scheduled and preloaded alike —
+// fires after every executed event — queued and preloaded alike —
 // with the post-execution clock and a fired count that increments by one
 // each call.
 func TestProbeSeesEveryExecutedEvent(t *testing.T) {

@@ -2,13 +2,12 @@ package simkernel
 
 import "time"
 
-// ShardStats is one sub-kernel's introspection counters. The structural
+// ShardStats is one Engine's introspection counters. The structural
 // counters (queue ops, rebuilds, slot hits, pool growth) are always on —
 // each is a plain field increment on a path that already touches the same
 // cache line — while the wall-clock buckets (ExecNS/QueueNS/StallNS) are
-// populated only after EnableTelemetry, which swaps the drain loops for
-// timestamp-chaining variants. A serial Engine reports itself as a single
-// pseudo-shard with the calendar-specific fields zero.
+// populated only by RunFree drains after EnableTelemetry. A lone Engine
+// reports itself as shard 0 of an untimed snapshot.
 type ShardStats struct {
 	Shard  int    `json:"shard"`
 	Events uint64 `json:"events"`
@@ -25,7 +24,7 @@ type ShardStats struct {
 	// Event-arena high-water mark: pooled records ever allocated.
 	PoolHighWater int `json:"pool_high_water"`
 
-	// Free-running slot fast-path hits.
+	// Slot fast-path consumes.
 	SlotHits uint64 `json:"slot_hits"`
 
 	// Wall-clock attribution (telemetry mode only): time spent executing
@@ -79,111 +78,65 @@ func (ks *KernelStats) Straggler() int {
 	return best
 }
 
-// shardTimes is the opt-in wall-clock meter attached to a shard by
-// EnableTelemetry.
-type shardTimes struct {
+// engineTimes is an engine's wall-clock meter, filled by timed drains.
+type engineTimes struct {
 	execNS  int64
 	queueNS int64
 	stallNS int64
-	loopNS  int64 // this shard's loop wall, used to derive stall
+	loopNS  int64 // the engine's own drain wall, used to derive stall
 }
 
-// EnableTelemetry arms wall-clock attribution: subsequent RunFree drains
-// run through a timestamp-chaining loop that buckets every nanosecond into
-// execute/queue/stall. The structural counters
-// are always on; this only adds the timing. Costs two clock reads per event
-// while enabled — leave it off on throughput-critical runs.
-func (se *Sharded) EnableTelemetry() {
-	for _, sh := range se.shards {
-		if sh.telem == nil {
-			sh.telem = &shardTimes{}
-		}
+// stats snapshots one engine's counters as shard index shard.
+func (e *Engine) stats(shard int) ShardStats {
+	return ShardStats{
+		Shard:          shard,
+		Events:         e.fired,
+		Pushes:         e.q.pushes,
+		Pops:           e.q.pops,
+		Rebuilds:       e.q.rebuilds,
+		Recalibrations: e.q.recals,
+		Migrations:     e.q.migrations,
+		FarHighWater:   e.q.farHW,
+		QueueHighWater: e.q.nHW,
+		PoolHighWater:  e.poolBlocks * poolBlock,
+		SlotHits:       e.slotHits,
+		ExecNS:         e.times.execNS,
+		QueueNS:        e.times.queueNS,
+		StallNS:        e.times.stallNS,
 	}
-	se.telemetry = true
 }
 
-// Telemetry snapshots the kernel's per-shard counters in shard order. Call
-// it between drains (it reads shard state the drain loops write).
-func (se *Sharded) Telemetry() *KernelStats {
-	ks := &KernelStats{
-		Shards: make([]ShardStats, len(se.shards)),
-		WallNS: se.wallNS,
-		Events: se.fired,
-		Timed:  se.telemetry,
-	}
-	for i, sh := range se.shards {
-		st := &ks.Shards[i]
-		st.Shard = i
-		st.Events = sh.firedTotal
-		st.Pushes = sh.q.pushes
-		st.Pops = sh.q.pops
-		st.Rebuilds = sh.q.rebuilds
-		st.Recalibrations = sh.q.recals
-		st.Migrations = sh.q.migrations
-		st.FarHighWater = sh.q.farHW
-		st.QueueHighWater = sh.q.nHW
-		st.PoolHighWater = sh.poolBlocks * poolBlock
-		st.SlotHits = sh.slotHits
-		if sh.telem != nil {
-			st.ExecNS = sh.telem.execNS
-			st.QueueNS = sh.telem.queueNS
-			st.StallNS = sh.telem.stallNS
-		}
-	}
-	return ks
-}
-
-// Telemetry snapshots the serial engine's counters as a single pseudo-shard.
-// The heap path has no calendar meters; events, queue high-water and the
-// pool high-water are the introspectable state.
+// Telemetry snapshots the engine's counters as a one-shard, untimed
+// KernelStats.
 func (e *Engine) Telemetry() *KernelStats {
-	return &KernelStats{
-		Shards: []ShardStats{{
-			Events:         e.fired,
-			QueueHighWater: e.queueHW,
-			PoolHighWater:  e.poolBlocks * poolBlock,
-		}},
-		Events: e.fired,
-	}
+	return &KernelStats{Shards: []ShardStats{e.stats(0)}, Events: e.fired}
 }
 
-// runFreeLocalTimed is runFreeLocal with timestamp chaining: consecutive
-// clock reads bracket the queue operation and the callback of every
-// iteration, so queueNS+execNS equals the loop's wall minus only the
-// bucketing arithmetic itself.
-func (sh *shard) runFreeLocalTimed() {
-	tm := sh.telem
+// drainTimed runs the engine to empty like a plain Step loop, bucketing its
+// wall time by timestamp chaining: a probe wrapped around the installed one
+// splits every Step where the clock advances, so the time before it (queue
+// work) and after it (the callback) tile the loop's wall up to the bucketing
+// arithmetic itself.
+func (e *Engine) drainTimed() {
+	tm := &e.times
 	start := time.Now()
 	t := start
-	for {
-		it := sh.slot
-		if it != nil {
-			if m := sh.q.Peek(); m != nil && (m.at < it.at || (m.at == it.at && m.seq < it.seq)) {
-				it = sh.q.Pop()
-			} else {
-				sh.slot = nil
-				it.index = fired
-				sh.slotHits++
-			}
-		} else if it = sh.q.Pop(); it == nil {
-			now := time.Now()
-			tm.queueNS += int64(now.Sub(t))
-			tm.loopNS += int64(now.Sub(start))
-			return
-		}
-		if it.cancelled {
-			sh.cancelled--
-			sh.release(it)
-			continue
-		}
-		at, fn := it.at, it.fn
-		sh.now = at
-		sh.fired++
-		sh.release(it)
+	probe := e.probe
+	e.probe = func(now time.Duration, fired uint64) {
 		tq := time.Now()
 		tm.queueNS += int64(tq.Sub(t))
-		fn(at)
-		t = time.Now()
-		tm.execNS += int64(t.Sub(tq))
+		t = tq
+		if probe != nil {
+			probe(now, fired)
+		}
 	}
+	for e.Step() {
+		now := time.Now()
+		tm.execNS += int64(now.Sub(t))
+		t = now
+	}
+	end := time.Now()
+	tm.queueNS += int64(end.Sub(t))
+	tm.loopNS += int64(end.Sub(start))
+	e.probe = probe
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestEngineTelemetry pins the serial pseudo-shard snapshot: event count
+// TestEngineTelemetry pins a lone Engine's one-shard snapshot: event count
 // matches Fired, the queue and pool high-water marks are live, and the
 // snapshot is untimed.
 func TestEngineTelemetry(t *testing.T) {

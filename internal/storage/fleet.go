@@ -23,24 +23,24 @@ import (
 // rack-locally: the generator picks ReplicationFactor candidate replicas by
 // hash and submits to the best one under the paper's heuristic preference
 // order (spinning before standby, least-loaded among equals). Racks never
-// touch each other's disks, so with Shards > 1 the whole run executes in
-// free-running mode (simkernel.Sharded.RunFree) and every aggregate below
-// is shard-count invariant by construction: latencies are accumulated as
-// integer sums and log-scale histogram counts per shard, energy and spin
-// counts are folded per disk in disk order.
+// touch each other's disks, so the whole run executes in free-running mode
+// (simkernel.Sharded.RunFree) and every aggregate below is shard-count
+// invariant by construction: latencies are accumulated as integer sums and
+// log-scale histogram counts per shard, energy and spin counts are folded
+// per disk in disk order.
 type FleetConfig struct {
 	NumDisks int
 	NumRacks int // must divide NumDisks
-	// Shards selects the kernel: 0 or 1 runs the serial engine, >1 runs
-	// per-rack sub-kernels in free-running mode. Must divide NumRacks so a
-	// rack never straddles a shard boundary. Results are identical at any
+	// Shards is the number of kernel engines the racks are split over; 0
+	// or 1 runs every rack on one engine. Must divide NumRacks so a rack
+	// never straddles a shard boundary. Results are identical at any
 	// value.
 	Shards int
-	// Workers caps the goroutines driving a sharded run; 0 means
+	// Workers caps the goroutines draining the shards; 0 means
 	// GOMAXPROCS.
 	Workers int
 	// Telemetry arms the kernel's wall-clock attribution
-	// (simkernel.EnableTelemetry) and attaches a KernelStats snapshot to the
+	// (simkernel.Sharded.EnableTelemetry) and attaches a KernelStats snapshot to the
 	// result. Costs two clock reads per event, so leave it off when
 	// measuring peak throughput; the structural counters in the snapshot are
 	// collected either way.
@@ -184,7 +184,7 @@ func (s *fleetSink) record(lat time.Duration) {
 // fleetGen is one rack's closed-loop request generator: a self-scheduling
 // event chain that lives entirely on the rack's shard.
 type fleetGen struct {
-	sim    simkernel.Sim
+	sim    *simkernel.Engine
 	sink   *fleetSink
 	disks  []*diskmodel.Disk // this rack's stripe
 	tickFn simkernel.Event   // bound once; rescheduling allocates nothing
@@ -261,10 +261,9 @@ func (g *fleetGen) tick(now time.Duration) {
 	g.sim.After(gap, g.tickFn)
 }
 
-// RunFleet executes the fleet workload and returns its aggregates. With
-// cfg.Shards <= 1 it runs on the serial engine; otherwise on the sharded
-// kernel in free-running mode. Both paths produce the same FleetResult
-// modulo wall-clock fields.
+// RunFleet executes the fleet workload on the sharded kernel in
+// free-running mode and returns its aggregates. Every shard count produces
+// the same FleetResult modulo wall-clock fields.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -278,16 +277,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		policy = power.TwoCompetitive{Config: cfg.Power}
 	}
 	perRack := cfg.NumDisks / cfg.NumRacks
-	sharded := cfg.Shards > 1
 
-	var se *simkernel.Sharded
-	var eng simkernel.Engine
-	numSinks := 1
-	if sharded {
-		se = simkernel.NewSharded(cfg.NumDisks, cfg.Shards, cfg.Workers)
-		numSinks = se.NumShards()
-	}
-	sinks := make([]*fleetSink, numSinks)
+	se := simkernel.NewSharded(cfg.NumDisks, cfg.Shards, cfg.Workers)
+	sinks := make([]*fleetSink, se.NumShards())
 	for i := range sinks {
 		sinks[i] = &fleetSink{}
 	}
@@ -295,13 +287,8 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	disks := make([]*diskmodel.Disk, cfg.NumDisks)
 	for rack := 0; rack < cfg.NumRacks; rack++ {
 		first := rack * perRack
-		var sim simkernel.Sim = &eng
-		sink := sinks[0]
-		if sharded {
-			v := se.DiskSim(core.DiskID(first))
-			sim = v
-			sink = sinks[simkernel.ShardOf(core.DiskID(first), cfg.NumDisks, se.NumShards())]
-		}
+		sim := se.DiskSim(core.DiskID(first))
+		sink := sinks[simkernel.ShardOf(core.DiskID(first), cfg.NumDisks, se.NumShards())]
 		done := func(req core.Request, at time.Duration) {
 			sink.record(at - req.Arrival)
 		}
@@ -333,22 +320,13 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		sim.At(start, g.tickFn)
 	}
 
-	var horizon time.Duration
-	var events uint64
-	if sharded && cfg.Telemetry {
+	if cfg.Telemetry {
 		se.EnableTelemetry()
 	}
 	t0 := time.Now()
-	if sharded {
-		horizon = se.RunFree()
-		events = se.Fired()
-	} else {
-		for eng.Step() {
-		}
-		horizon = eng.Now()
-		events = eng.Fired()
-	}
+	horizon := se.RunFree()
 	wall := time.Since(t0)
+	events := se.Fired()
 
 	res := &FleetResult{
 		NumDisks: cfg.NumDisks,
@@ -356,14 +334,10 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 		Events:   events,
 		Horizon:  horizon,
 		Wall:     wall,
+		Kernel:   se.Telemetry(),
 	}
 	if s := wall.Seconds(); s > 0 {
 		res.EventsPerSec = float64(events) / s
-	}
-	if sharded {
-		res.Kernel = se.Telemetry()
-	} else {
-		res.Kernel = eng.Telemetry()
 	}
 	for _, d := range disks { // disk order: float sums deterministic
 		st := d.Close()

@@ -20,8 +20,8 @@ func smallFleetConfig() FleetConfig {
 // TestFleetShardInvariant pins the free-running mode's guarantee: every
 // deterministic field of FleetResult — event count, horizon, energy float
 // bits, spin counts, latency mean and percentiles — is identical between
-// the serial engine and the sharded kernel at any shard and worker count,
-// and across repeated runs.
+// the one-shard run and every other shard and worker count, and across
+// repeated runs.
 func TestFleetShardInvariant(t *testing.T) {
 	t.Parallel()
 	run := func(shards, workers int) FleetResult {

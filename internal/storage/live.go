@@ -139,11 +139,11 @@ func (l *Live) Accounting() *account.Accumulator { return l.sys.acct }
 // Dropped returns the number of dropped requests so far.
 func (l *Live) Dropped() int { return l.sys.dropped }
 
-// KernelStats snapshots the engine's introspection counters (events fired,
-// queue and event-pool high-water marks). A Live system runs the serial
-// kernel, so the snapshot holds exactly one pseudo-shard and carries no
-// wall-clock attribution. Safe to call from the driving goroutine at any
-// point in the lifecycle.
+// KernelStats snapshots the engine's introspection counters: events fired,
+// calendar-queue operations, rebuilds and high-water marks, slot hits and
+// event-pool growth. A Live system runs on one Engine, so the snapshot
+// holds exactly one shard and carries no wall-clock attribution. Safe to
+// call from the driving goroutine at any point in the lifecycle.
 func (l *Live) KernelStats() *simkernel.KernelStats { return l.sys.eng.Telemetry() }
 
 // DiskSnapshot is one disk's live state for status surfaces (/state).

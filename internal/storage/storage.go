@@ -37,7 +37,7 @@ type Config struct {
 	InitialState core.DiskState
 	// Discipline selects each disk's queue service order (default FIFO).
 	Discipline diskmodel.Discipline
-	// Shards is ignored: every ordered run executes on the serial
+	// Shards is ignored: every ordered run executes on one
 	// simkernel.Engine.
 	//
 	// Deprecated: kept only so existing callers compile; it has no effect.
@@ -593,8 +593,8 @@ func RunOnline(cfg Config, loc sched.Locator, scheduler sched.Online, reqs []cor
 			return nil, err
 		}
 	}
-	// One preloaded run replaces a heap push per request; delivery order is
-	// identical to per-request At scheduling.
+	// One preloaded run replaces a queue push per request; delivery order
+	// is identical to per-request At scheduling.
 	s.eng.Preload(reqs, func(r core.Request, now time.Duration) {
 		s.tr.Arrive(now, r.ID, r.Block)
 		if s.lookupCache(o, r) {

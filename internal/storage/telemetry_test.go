@@ -52,9 +52,28 @@ func TestKernelTelemetryAttribution(t *testing.T) {
 	}
 }
 
+// TestFleetTelemetryOneShard pins that FleetConfig.Telemetry arms the
+// wall-clock attribution at every shard count, one shard included.
+func TestFleetTelemetryOneShard(t *testing.T) {
+	t.Parallel()
+	cfg := smallFleetConfig()
+	cfg.Telemetry = true
+	res, err := RunFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := res.Kernel
+	if ks == nil || !ks.Timed || len(ks.Shards) != 1 {
+		t.Fatalf("Shards=0 with telemetry armed: want one timed shard, got %+v", ks)
+	}
+	if _, _, _, cov := ks.Attribution(); cov <= 0 {
+		t.Fatalf("attribution coverage %v, want > 0", cov)
+	}
+}
+
 // TestFleetKernelCountersAlwaysOn pins that the structural counters ride
-// along on every run — telemetry off, wall-clock buckets empty — on both
-// the sharded and the serial path.
+// along on every run — telemetry off, wall-clock buckets empty — at one
+// shard and at four.
 func TestFleetKernelCountersAlwaysOn(t *testing.T) {
 	t.Parallel()
 	for _, shards := range []int{0, 4} {
@@ -77,7 +96,7 @@ func TestFleetKernelCountersAlwaysOn(t *testing.T) {
 		s := ks.Shards[0]
 		if shards == 0 {
 			if len(ks.Shards) != 1 || s.QueueHighWater == 0 || s.PoolHighWater == 0 {
-				t.Fatalf("serial pseudo-shard incomplete: %+v", s)
+				t.Fatalf("one-shard counters incomplete: %+v", s)
 			}
 		} else if len(ks.Shards) != shards || s.Pushes == 0 || s.Pops == 0 {
 			t.Fatalf("sharded counters dead: %+v", s)
