@@ -29,8 +29,8 @@ check: vet
 # in alloc_test.go run, and once race-detected), the benchmark's own tests
 # (bench/ is a separate module that `go test ./...` does not reach), the
 # log-replay consistency gate (a seeded cell's event log must replay to a
-# byte-identical metrics export and a bit-exact energy attribution), the
-# doctor gate (runtime invariants over both log encodings plus the
+# byte-identical metrics export and a bit-exact energy attribution, and be
+# doctor-clean in both log encodings), the doctor gate (the
 # paper-fidelity scorecard), the serving gate (a live eschedd run under
 # load must drain clean and doctor-clean), the carbon gate (live
 # gCO2e/$ totals byte-identical to their tracelens replay under flat,
@@ -68,18 +68,17 @@ race-hot:
 bench-test:
 	$(GO) -C bench test -parallel 1 ./...
 
-# Log-replay consistency gate: record a seeded cell with esched
-# -events/-metrics in both encodings, then `tracelens verify` and
-# `tracelens attribute` must reproduce the export exactly (see
+# Log-replay and runtime-invariant gate: record a seeded cell once per
+# encoding with esched -doctor -events -metrics, then `tracelens verify`
+# and `tracelens attribute` must reproduce the export exactly and
+# `tracelens doctor` must find zero invariant violations in the log (see
 # scripts/replaygate.sh and docs/OBSERVABILITY.md).
 replay-gate:
 	scripts/replaygate.sh
 
-# Runtime-invariant + paper-fidelity gate: `tracelens doctor` must find
-# zero invariant violations in a seeded cell's log in both encodings, and
-# `tracelens doctor fidelity` must score the regenerated seeded sweep
-# inside the committed golden envelope (see scripts/doctorgate.sh and
-# docs/OBSERVABILITY.md).
+# Paper-fidelity gate: `tracelens doctor fidelity` must score the
+# regenerated seeded sweep inside the committed golden envelope (see
+# scripts/doctorgate.sh and docs/OBSERVABILITY.md).
 doctor-gate:
 	scripts/doctorgate.sh
 
@@ -152,6 +151,7 @@ examples:
 	$(GO) run ./examples/realtrace
 	$(GO) run ./examples/fullstack
 	$(GO) run ./examples/failures
+	$(GO) run ./examples/datacenter
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

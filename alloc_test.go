@@ -52,8 +52,8 @@ func TestUntracedRunAllocs(t *testing.T) {
 
 // TestFlightRecorderAllocs prices the flight recorder in allocations: on a
 // run streaming binary events, attaching it with storage.WithFlight adds a
-// constant 5 per run and none per event, so the delta is the same on the
-// whole fixture (10,735 vs 10,730) and on its first half.
+// constant 4 per run and none per event, so the delta is the same on the
+// whole fixture (10,734 vs 10,730) and on its first half.
 func TestFlightRecorderAllocs(t *testing.T) {
 	skipUnderRace(t)
 	reqs, plc, cfg := benchFixture(t, 3)
@@ -74,8 +74,8 @@ func TestFlightRecorderAllocs(t *testing.T) {
 	}
 	for _, n := range []int{len(reqs), len(reqs) / 2} {
 		base, on := run(reqs[:n], nil), run(reqs[:n], rec)
-		if on-base != 5 {
-			t.Errorf("%d requests: recorder adds %.0f allocs (%.0f vs %.0f), want 5", n, on-base, on, base)
+		if on-base != 4 {
+			t.Errorf("%d requests: recorder adds %.0f allocs (%.0f vs %.0f), want 4", n, on-base, on, base)
 		}
 		if n == len(reqs) && base != 10730 {
 			t.Errorf("traced run: %.0f allocs, want 10730", base)

@@ -15,14 +15,13 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro"
+	"repro/cmd/internal/runobs"
 	"repro/internal/experiments"
 )
 
@@ -85,17 +84,18 @@ func run() error {
 	fmt.Printf("  max per-request energy       %.1f J\n", cfg.MaxRequestEnergy())
 	fmt.Printf("  idle:standby power ratio     %.1fx\n", cfg.IdlePower/cfg.StandbyPower)
 
-	if *events == "" && *metrics == "" && !*doctor {
+	spec := runobs.Spec{Events: *events, Metrics: *metrics, Doctor: *doctor}
+	if spec == (runobs.Spec{}) {
 		return nil
 	}
-	return demoRun(cfg, *events, *metrics, *doctor)
+	return demoRun(cfg, spec)
 }
 
 // demoRun simulates one disk under the configured model with arrivals
 // spaced to straddle the break-even threshold — gap 1 inside T_B (the
 // 2CPM policy keeps spinning), gap 2 past the replacement window (it spins
 // down and pays the cycle on the next arrival) — and records the run.
-func demoRun(pc repro.PowerConfig, events, metrics string, doctor bool) error {
+func demoRun(pc repro.PowerConfig, spec runobs.Spec) error {
 	sys := repro.DefaultSystemConfig()
 	sys.NumDisks = 1
 	sys.Power = pc
@@ -111,83 +111,16 @@ func demoRun(pc repro.PowerConfig, events, metrics string, doctor bool) error {
 		reqs = append(reqs, repro.Request{ID: repro.RequestID(i), Block: 0, Arrival: at})
 	}
 
-	var opts []repro.RunOption
-	var tracer *repro.Tracer
-	var collector *repro.Collector
-	var eventsBuf *bufio.Writer
-	var eventsOut *os.File
-	if events != "" {
-		f, err := os.Create(events)
-		if err != nil {
-			return err
-		}
-		eventsOut = f
-		eventsBuf = bufio.NewWriterSize(f, 1<<20)
-		tracer = repro.NewTracer(0)
-		tracer.SetSink(eventsBuf, strings.HasSuffix(events, ".bin"))
-		opts = append(opts, repro.WithTracer(tracer))
+	obsSet, err := runobs.Open("breakeven", spec, sys, loc, nil)
+	if err != nil {
+		return err
 	}
-	if metrics != "" {
-		collector = repro.NewCollector()
-		opts = append(opts, repro.WithCollector(collector))
-	}
-	var suite *repro.Doctor
-	if doctor {
-		suite = repro.NewDoctor(repro.DoctorConfig{
-			Power: sys.Power, Mech: sys.Mech, Policy: sys.Policy, Locations: loc,
-		})
-		opts = append(opts, repro.WithDoctor(suite))
-	}
-
-	res, runErr := repro.RunOnline(sys, loc, repro.NewStaticScheduler(loc), reqs, opts...)
+	res, runErr := repro.RunOnline(sys, loc, repro.NewStaticScheduler(loc), reqs, obsSet.Options()...)
 	if runErr == nil {
 		fmt.Printf("\ndemonstration run (1 disk, %d requests straddling T_B):\n", len(reqs))
 		fmt.Printf("  energy %.1f J, %d spin-ups, %d spin-downs\n", res.Energy, res.SpinUps, res.SpinDowns)
 	}
-
-	// Flush telemetry even when the run failed, matching esched.
-	if tracer != nil {
-		ferr := tracer.Flush()
-		if err := eventsBuf.Flush(); ferr == nil {
-			ferr = err
-		}
-		if err := eventsOut.Close(); ferr == nil {
-			ferr = err
-		}
-		if ferr != nil && runErr == nil {
-			runErr = fmt.Errorf("event log %s: %w", events, ferr)
-		}
-		fmt.Fprintf(os.Stderr, "breakeven: event log flushed to %s\n", events)
-	}
-	if collector != nil {
-		if metrics == "-" {
-			if _, err := collector.WriteTo(os.Stdout); err != nil && runErr == nil {
-				runErr = err
-			}
-		} else {
-			f, err := os.Create(metrics)
-			if err == nil {
-				_, err = collector.WriteTo(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil && runErr == nil {
-				runErr = fmt.Errorf("metrics %s: %w", metrics, err)
-			} else if err == nil {
-				fmt.Fprintf(os.Stderr, "breakeven: metrics snapshot written to %s\n", metrics)
-			}
-		}
-	}
-	if suite != nil && runErr == nil {
-		if _, err := suite.WriteReport(os.Stderr); err != nil {
-			return err
-		}
-		if !suite.Passed() {
-			runErr = fmt.Errorf("doctor: %d invariant violations", suite.Total())
-		}
-	}
-	return runErr
+	return obsSet.Close(runErr)
 }
 
 // cfgWindow is the replacement window, floored at one second so degenerate

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/cmd/internal/runobs"
 )
 
 func main() {
@@ -113,95 +114,26 @@ func run() error {
 		runOpts = append(runOpts, repro.WithStateLog(bw))
 	}
 
-	// Observability: stream events while the run executes, snapshot metrics
-	// at exit. Both survive a failed run — see the flush below.
-	var tracer *repro.Tracer
-	var collector *repro.Collector
-	var eventsBuf *bufio.Writer
-	var eventsOut *os.File
-	if *events != "" {
-		f, err := os.Create(*events)
-		if err != nil {
-			return err
-		}
-		eventsOut = f
-		eventsBuf = bufio.NewWriterSize(f, 1<<20)
-		tracer = repro.NewTracer(0)
-		tracer.SetSink(eventsBuf, strings.HasSuffix(*events, ".bin"))
-		runOpts = append(runOpts, repro.WithTracer(tracer))
-	}
-	if *metrics != "" {
-		collector = repro.NewCollector()
-		runOpts = append(runOpts, repro.WithCollector(collector))
-	}
-
-	// Carbon & cost accounting: integrate the event stream against a grid
-	// profile so the printed totals are byte-identical to a `tracelens
-	// carbon` replay of the -events log.
-	var acct *repro.CarbonAccountant
-	if *grid != "" {
-		switch {
-		case *compare:
-			return fmt.Errorf("-grid does not apply to -compare (run one scheduler at a time)")
-		case *schedName == "mwis":
-			return fmt.Errorf("-grid does not apply to the offline analytic MWIS model (no event stream)")
-		}
-		g, err := repro.ResolveGridProfile(*grid)
-		if err != nil {
-			return err
-		}
-		cm, err := repro.ResolveCostModel(*costName)
-		if err != nil {
-			return err
-		}
-		if acct, err = repro.NewCarbonAccountant(cfg, g, cm); err != nil {
-			return err
-		}
-		acct.Bind(collector) // no-op without -metrics
-		runOpts = append(runOpts, repro.WithAccounting(acct))
-	}
-
 	// The always-on baseline swaps the power policy; decide it before the
 	// doctor snapshots the policy for its threshold monitor.
 	if *schedName == "always-on" && !*compare {
 		cfg.Policy = repro.AlwaysOnPolicy()
 		cfg.InitialState = repro.StateIdle
 	}
-	var suite *repro.Doctor
-	if *doctor {
-		switch {
-		case *compare:
-			return fmt.Errorf("-doctor does not apply to -compare (run one scheduler at a time)")
-		case *schedName == "mwis":
-			return fmt.Errorf("-doctor does not apply to the offline analytic MWIS model (no event stream)")
-		}
-		if tracer == nil {
-			// No -events log requested: still trace so scheduler decisions
-			// reach the monitors (the ring itself stays minimal).
-			tracer = repro.NewTracer(1)
-			runOpts = append(runOpts, repro.WithTracer(tracer))
-		}
-		suite = repro.NewDoctor(repro.DoctorConfig{
-			Power: cfg.Power, Mech: cfg.Mech, Policy: cfg.Policy, Locations: plc.Locations,
-		})
-		runOpts = append(runOpts, repro.WithDoctor(suite))
+	// -grid prices the energy so the printed totals are byte-identical to a
+	// `tracelens carbon` replay of the -events log; on a batch run the
+	// flight recorder's trigger is the doctor.
+	spec := runobs.Spec{Events: *events, Metrics: *metrics, Doctor: *doctor,
+		Grid: *grid, Cost: *costName, FlightDir: *flightDir}
+	if (*compare || *schedName == "mwis") && (spec.Grid != "" || spec.Doctor || spec.FlightDir != "") {
+		return fmt.Errorf("-grid, -doctor and -flight apply to one simulated run, not to -compare or the offline analytic MWIS model")
 	}
-
-	// Flight recorder: an always-on ring of the most recent events. On a
-	// batch run its trigger is the doctor (each violation freezes the
-	// window into a replayable dump under -flight); inspect dumps with
-	// `tracelens last DIR`.
-	var rec *repro.FlightRecorder
-	if *flightDir != "" {
-		switch {
-		case *compare:
-			return fmt.Errorf("-flight does not apply to -compare (run one scheduler at a time)")
-		case *schedName == "mwis":
-			return fmt.Errorf("-flight does not apply to the offline analytic MWIS model (no event stream)")
-		}
-		rec = repro.NewFlightRecorder(repro.FlightConfig{Dir: *flightDir, Pprof: true})
-		runOpts = append(runOpts, repro.WithFlight(rec))
+	obsSet, err := runobs.Open("esched", spec, cfg, plc.Locations, nil)
+	if err != nil {
+		return err
 	}
+	runOpts = append(runOpts, obsSet.Options()...)
+	tracer := obsSet.Tracer
 
 	ws := repro.AnalyzeWorkload(reqs)
 	fmt.Printf("workload: %d requests, %d unique blocks, %s span, inter-arrival CoV %.1f\n",
@@ -211,7 +143,8 @@ func run() error {
 		if *compare {
 			return runComparison(cfg, plc, cost, reqs, *interval, *seed)
 		}
-
+		var res *repro.Result
+		var err error
 		switch *schedName {
 		case "mwis":
 			_, st, err := repro.SolveOffline(reqs, plc.Locations, cfg.Power, repro.OfflineOptions{
@@ -225,35 +158,19 @@ func run() error {
 				st.Energy, st.DisksUsed, st.SpinUps, st.SpinDowns)
 			fmt.Printf("energy saving vs per-request worst case: %.0f J\n", st.Saving)
 			return nil
-		case "always-on":
-			res, err := repro.RunOnline(cfg, plc.Locations, repro.NewStaticScheduler(plc.Locations), reqs, runOpts...)
-			if err != nil {
-				return err
-			}
-			report(res)
-			return nil
 		case "wsc":
-			res, err := repro.RunBatch(cfg, plc.Locations,
+			res, err = repro.RunBatch(cfg, plc.Locations,
 				repro.NewTracedWSCScheduler(plc.Locations, cost, tracer), reqs, *interval, runOpts...)
-			if err != nil {
-				return err
-			}
-			report(res)
-			return nil
-		}
-
-		var s repro.OnlineScheduler
-		switch *schedName {
 		case "random":
-			s = repro.NewRandomScheduler(plc.Locations, *seed+1)
-		case "static":
-			s = repro.NewStaticScheduler(plc.Locations)
+			res, err = repro.RunOnline(cfg, plc.Locations, repro.NewRandomScheduler(plc.Locations, *seed+1), reqs, runOpts...)
+		case "static", "always-on":
+			res, err = repro.RunOnline(cfg, plc.Locations, repro.NewStaticScheduler(plc.Locations), reqs, runOpts...)
 		case "heuristic":
-			s = repro.NewTracedHeuristicScheduler(plc.Locations, cost, tracer)
+			res, err = repro.RunOnline(cfg, plc.Locations,
+				repro.NewTracedHeuristicScheduler(plc.Locations, cost, tracer), reqs, runOpts...)
 		default:
 			return fmt.Errorf("unknown scheduler %q", *schedName)
 		}
-		res, err := repro.RunOnline(cfg, plc.Locations, s, reqs, runOpts...)
 		if err != nil {
 			return err
 		}
@@ -261,77 +178,7 @@ func run() error {
 		return nil
 	}()
 
-	if acct != nil && runErr == nil {
-		rep := acct.Finalize()
-		fmt.Println(rep.CarbonLine())
-		fmt.Println(rep.CostLine())
-	}
-
-	// Flush whatever observability data was collected — also on the error
-	// path, so a failed run never discards its partial telemetry — and log
-	// where each artifact went.
-	if eventsBuf != nil {
-		ferr := tracer.Flush()
-		if err := eventsBuf.Flush(); ferr == nil {
-			ferr = err
-		}
-		if err := eventsOut.Close(); ferr == nil {
-			ferr = err
-		}
-		if ferr != nil && runErr == nil {
-			runErr = fmt.Errorf("event log %s: %w", *events, ferr)
-		}
-		fmt.Fprintf(os.Stderr, "esched: event log flushed to %s\n", *events)
-	}
-	if collector != nil {
-		if err := writeMetrics(collector, *metrics); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if rec != nil {
-		// Flush a trigger raised after the last observed event, then surface
-		// any dump-write failure (the observer chain cannot).
-		if _, err := rec.MaybeDump(); err != nil && runErr == nil {
-			runErr = err
-		}
-		if n := rec.Dumps(); n > 0 {
-			fmt.Fprintf(os.Stderr, "esched: flight recorder wrote %d dump(s) under %s\n", n, *flightDir)
-		}
-		if err := rec.Err(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if suite != nil && runErr == nil {
-		if _, err := suite.WriteReport(os.Stderr); err != nil {
-			return err
-		}
-		if !suite.Passed() {
-			runErr = fmt.Errorf("doctor: %d invariant violations", suite.Total())
-		}
-	}
-	return runErr
-}
-
-// writeMetrics dumps a Prometheus text snapshot to path ("-" = stdout) and
-// logs the destination.
-func writeMetrics(c *repro.Collector, path string) error {
-	if path == "-" {
-		_, err := c.WriteTo(os.Stdout)
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, werr := c.WriteTo(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("metrics %s: %w", path, werr)
-	}
-	fmt.Fprintf(os.Stderr, "esched: metrics snapshot written to %s\n", path)
-	return nil
+	return obsSet.Close(runErr)
 }
 
 func loadRequests(traceFile, format, workload string, n, blocks int, seed int64) ([]repro.Request, error) {

@@ -23,8 +23,8 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,12 +38,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/account"
+	"repro/cmd/internal/runobs"
 	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
-	"repro/internal/obs/monitor"
 	"repro/internal/placement"
 	"repro/internal/power"
 	"repro/internal/sched"
@@ -53,41 +51,74 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "serve":
-		err = runServe(os.Args[2:])
-	case "loadgen":
-		err = runLoadgen(os.Args[2:])
-	case "probe":
-		err = runProbe(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
-		usage()
-		err = fmt.Errorf("unknown subcommand %q", os.Args[1])
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "eschedd:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: eschedd <serve|loadgen|probe> [flags]
+const usageText = `usage: eschedd <serve|loadgen|probe> [flags]
 
   serve    run the scheduling daemon (eschedd serve -h)
   loadgen  drive a running daemon and print an SLO report (eschedd loadgen -h)
-  probe    check /healthz and /metrics of a running daemon (eschedd probe -h)`)
+  probe    check /healthz and /metrics of a running daemon (eschedd probe -h)`
+
+// usageError marks a command-line mistake; run maps it to exit code 2. An
+// empty message means the diagnostics are already on stderr.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is the CLI entry point. Its exit codes: 0 for success or -h, 1 for
+// an operational failure, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := dispatch(args, stdout, stderr)
+	var ue usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		if ue != "" {
+			fmt.Fprintln(stderr, "eschedd:", ue.Error())
+		}
+		return 2
+	default:
+		fmt.Fprintln(stderr, "eschedd:", err)
+		return 1
+	}
 }
 
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("eschedd serve", flag.ExitOnError)
+func dispatch(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usageText)
+		return usageError("")
+	}
+	switch cmd, rest := args[0], args[1:]; cmd {
+	case "serve":
+		return runServe(rest, stdout, stderr)
+	case "loadgen":
+		return runLoadgen(rest, stdout, stderr)
+	case "probe":
+		return runProbe(rest, stdout, stderr)
+	case "-h", "-help", "--help", "help":
+		fmt.Fprintln(stderr, usageText)
+		return nil
+	default:
+		fmt.Fprintln(stderr, usageText)
+		return usageError(fmt.Sprintf("unknown subcommand %q", cmd))
+	}
+}
+
+// parseFlags parses a subcommand's flags, reporting on stderr: -h passes
+// through, any other failure is a usage error the flag set has printed.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return usageError("")
+}
+
+func runServe(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("eschedd serve", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address (\":0\" = ephemeral)")
 		addrFile  = fs.String("addrfile", "", "write the bound address to this file (for scripts)")
@@ -110,7 +141,9 @@ func runServe(args []string) error {
 		flightDir = fs.String("flight", "", "flight-recorder dump directory (off when empty; SIGQUIT forces a dump)")
 		flightSLO = fs.Duration("flight-slo", 0, "submit-to-reply bound whose first breach triggers a flight dump (0 = off)")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 
 	plc, err := placement.Generate(placement.GenerateConfig{
 		NumDisks: *disks, NumBlocks: *blocks,
@@ -132,6 +165,7 @@ func runServe(args []string) error {
 		MaxInFlight: *queue,
 		RoundMax:    *roundMax,
 		Deadline:    *deadline,
+		FlightSLO:   *flightSLO,
 	}
 	switch *mode {
 	case "heuristic":
@@ -139,76 +173,37 @@ func runServe(args []string) error {
 	case "wsc":
 		cfg.Mode = serve.ModeWSC
 	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
+		return usageError(fmt.Sprintf("unknown -mode %q", *mode))
 	}
 
+	// The daemon always owns a collector: /metrics serves it.
 	col := obs.NewCollector()
-	cfg.Collector = col
-	var eventsBuf *bufio.Writer
-	var eventsOut *os.File
-	if *events != "" {
-		f, err := os.Create(*events)
-		if err != nil {
-			return err
-		}
-		eventsOut = f
-		eventsBuf = bufio.NewWriterSize(f, 1<<20)
-		cfg.Tracer = obs.NewTracer(0)
-		cfg.Tracer.SetSink(eventsBuf, strings.HasSuffix(*events, ".bin"))
+	obsSet, err := runobs.Open("eschedd", runobs.Spec{Events: *events, Metrics: *metrics,
+		Doctor: *doctor, Grid: *grid, Cost: *costName, FlightDir: *flightDir},
+		cfg.System, plc.Locations, col)
+	if err != nil {
+		return err
 	}
-	var suite *monitor.Suite
-	if *doctor {
-		if cfg.Tracer == nil {
-			// Monitors ride the tracer's observer hook; a minimal ring is
-			// enough when no -events log was requested.
-			cfg.Tracer = obs.NewTracer(1)
-		}
-		suite = monitor.NewSuite(monitor.Config{
-			Power: pc, Mech: cfg.System.Mech, Policy: cfg.System.Policy,
-			Locations: plc.Locations,
-		})
-		cfg.Monitor = suite
-	}
-
-	var acc *account.Accumulator
-	if *grid != "" {
-		g, err := account.ResolveGrid(*grid)
-		if err != nil {
-			return err
-		}
-		cm, err := account.ResolveCost(*costName)
-		if err != nil {
-			return err
-		}
-		if acc, err = account.NewAccumulator(pc, g, cm); err != nil {
-			return err
-		}
-		acc.Bind(col)
-		cfg.Accounting = acc
-	}
-
-	var rec *flight.Recorder
-	if *flightDir != "" {
-		rec = flight.New(flight.Config{Dir: *flightDir, Pprof: true})
-		cfg.Flight = rec
-		cfg.FlightSLO = *flightSLO
-	}
+	rec := obsSet.Recorder
+	cfg.Tracer, cfg.Collector, cfg.Monitor, cfg.Accounting, cfg.Flight =
+		obsSet.Tracer, col, obsSet.Doctor, obsSet.Accounting, rec
 
 	eng, err := serve.New(cfg)
 	if err != nil {
-		return err
+		return obsSet.Close(err)
 	}
 	srv := serve.NewServer(eng, col)
 	bound, shutdown, err := srv.Serve(*addr)
 	if err != nil {
-		return err
+		return obsSet.Close(err)
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			return err
+			shutdown() // the failed write is the error to report
+			return obsSet.Close(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "eschedd: serving on %s (%d disks, %d blocks, rf=%d, mode=%s)\n",
+	fmt.Fprintf(stderr, "eschedd: serving on %s (%d disks, %d blocks, rf=%d, mode=%s)\n",
 		bound, *disks, *blocks, *rf, *mode)
 
 	sig := make(chan os.Signal, 1)
@@ -226,86 +221,29 @@ wait:
 		case s = <-sig:
 			break wait
 		case <-quit:
-			fmt.Fprintln(os.Stderr, "eschedd: SIGQUIT — flight dump requested")
+			fmt.Fprintln(stderr, "eschedd: SIGQUIT — flight dump requested")
 			rec.RequestDump("sigquit")
 			eng.FlushFlight()
 		}
 	}
-	fmt.Fprintf(os.Stderr, "eschedd: %v — draining\n", s)
+	fmt.Fprintf(stderr, "eschedd: %v — draining\n", s)
 
 	res, runErr := eng.Drain()
 	if err := shutdown(); err != nil && runErr == nil {
 		runErr = err
 	}
-	if eventsBuf != nil {
-		ferr := eventsBuf.Flush()
-		if err := eventsOut.Close(); ferr == nil {
-			ferr = err
-		}
-		if ferr != nil && runErr == nil {
-			runErr = fmt.Errorf("event log %s: %w", *events, ferr)
-		}
-		fmt.Fprintf(os.Stderr, "eschedd: event log flushed to %s\n", *events)
-	}
-	if *metrics != "" {
-		if err := writeMetrics(col, *metrics); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
 	if res != nil {
-		fmt.Printf("decisions: %d\n", eng.Decisions())
-		fmt.Printf("energy: %.0f J (%.3f of always-on %.0f J) over %s\n",
+		fmt.Fprintf(stdout, "decisions: %d\n", eng.Decisions())
+		fmt.Fprintf(stdout, "energy: %.0f J (%.3f of always-on %.0f J) over %s\n",
 			res.Energy, res.NormalizedEnergy(), res.AlwaysOnEnergy, res.Horizon.Round(time.Second))
-		fmt.Printf("spin operations: %d up / %d down\n", res.SpinUps, res.SpinDowns)
-		fmt.Printf("requests: %d served, %d dropped\n", res.Served, res.Dropped)
-		if acc != nil {
-			rep := acc.Finalize()
-			fmt.Println(rep.CarbonLine())
-			fmt.Println(rep.CostLine())
-		}
+		fmt.Fprintf(stdout, "spin operations: %d up / %d down\n", res.SpinUps, res.SpinDowns)
+		fmt.Fprintf(stdout, "requests: %d served, %d dropped\n", res.Served, res.Dropped)
 	}
-	if rec != nil {
-		if n := rec.Dumps(); n > 0 {
-			fmt.Fprintf(os.Stderr, "eschedd: flight recorder wrote %d dump(s) under %s (tracelens last %s)\n",
-				n, *flightDir, *flightDir)
-		}
-		if err := rec.Err(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if suite != nil && runErr == nil {
-		if _, err := suite.WriteReport(os.Stderr); err != nil {
-			return err
-		}
-		if !suite.Passed() {
-			runErr = fmt.Errorf("doctor: invariant violations on the serving run")
-		}
-	}
-	return runErr
+	return obsSet.Close(runErr)
 }
 
-func writeMetrics(c *obs.Collector, path string) error {
-	if path == "-" {
-		_, err := c.WriteTo(os.Stdout)
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, werr := c.WriteTo(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("metrics %s: %w", path, werr)
-	}
-	fmt.Fprintf(os.Stderr, "eschedd: metrics snapshot written to %s\n", path)
-	return nil
-}
-
-func runLoadgen(args []string) error {
-	fs := flag.NewFlagSet("eschedd loadgen", flag.ExitOnError)
+func runLoadgen(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("eschedd loadgen", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "daemon address")
 		requests = fs.Int("requests", 10000, "number of requests to send")
@@ -317,9 +255,14 @@ func runLoadgen(args []string) error {
 		rate     = fs.Float64("rate", 5000, "open-loop arrival rate, requests/sec")
 		batch    = fs.Int("batch", 1, "requests per POST (>1 uses the compact batch endpoint)")
 	)
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *batch < 1 {
-		return fmt.Errorf("-batch must be >= 1")
+		return usageError("-batch must be >= 1")
+	}
+	if *loop == "open" && *rate <= 0 {
+		return usageError("-rate must be positive for the open loop")
 	}
 
 	// Draw the block sequence from the workload model so popularity skew
@@ -337,7 +280,7 @@ func runLoadgen(args []string) error {
 			seq[i] = core.BlockID(rng.Intn(*blocks))
 		}
 	default:
-		return fmt.Errorf("unknown -workload %q", *wl)
+		return usageError(fmt.Sprintf("unknown -workload %q", *wl))
 	}
 
 	base := "http://" + *addr
@@ -378,9 +321,7 @@ func runLoadgen(args []string) error {
 	open := *loop == "open"
 	start := time.Now()
 	if open {
-		if err := openLoop(client, base, seq, *conns, *rate, *batch, record); err != nil {
-			return err
-		}
+		openLoop(client, base, seq, *conns, *rate, *batch, record)
 	} else {
 		closedLoop(client, base, seq, *conns, *batch, record)
 	}
@@ -390,7 +331,7 @@ func runLoadgen(args []string) error {
 	if err != nil {
 		return err
 	}
-	return report(os.Stdout, lat, service, open, *batch, wall, sent, rejected, failed, startState, endState)
+	return report(stdout, lat, service, open, *batch, wall, sent, rejected, failed, startState, endState)
 }
 
 // blockSeq strips a generated trace down to its block sequence.
@@ -441,10 +382,7 @@ func closedLoop(client *http.Client, base string, reqs []core.BlockID, conns, ba
 }
 
 func openLoop(client *http.Client, base string, reqs []core.BlockID, conns int, rate float64, batch int,
-	record func(corrected, service time.Duration, n, rej int, err error)) error {
-	if rate <= 0 {
-		return fmt.Errorf("-rate must be positive for the open loop")
-	}
+	record func(corrected, service time.Duration, n, rej int, err error)) {
 	interval := time.Duration(float64(time.Second) * float64(batch) / rate)
 	if interval <= 0 {
 		interval = time.Microsecond
@@ -483,7 +421,6 @@ func openLoop(client *http.Client, base string, reqs []core.BlockID, conns int, 
 		}
 	}
 	wg.Wait()
-	return nil
 }
 
 // post sends one chunk (single JSON request or compact batch) and returns
@@ -643,10 +580,12 @@ func report(w io.Writer, lat, service []time.Duration, open bool, batch int, wal
 	return nil
 }
 
-func runProbe(args []string) error {
-	fs := flag.NewFlagSet("eschedd probe", flag.ExitOnError)
+func runProbe(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("eschedd probe", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "daemon address")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	base := "http://" + *addr
 	client := &http.Client{Timeout: 10 * time.Second}
 	if err := checkHealth(client, base); err != nil {
@@ -668,7 +607,7 @@ func runProbe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ok: healthz healthy, %d metric bytes, %d decisions, %.1f J settled\n",
+	fmt.Fprintf(stdout, "ok: healthz healthy, %d metric bytes, %d decisions, %.1f J settled\n",
 		len(body), st.Decisions, st.EnergyJ)
 	return nil
 }

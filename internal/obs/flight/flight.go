@@ -1,6 +1,6 @@
 // Package flight implements the always-on flight recorder: a fixed-size
-// ring of the most recent canonical events, written inline by the run's
-// observer chain at ring-slot cost, plus a trigger/dump protocol that
+// ring of the most recent canonical events, written inline by a tracer
+// subscriber at ring-slot cost, plus a trigger/dump protocol that
 // freezes the window into a replayable ESCHOBS2 snapshot the moment
 // something goes wrong — an SLO breach, a doctor violation, a queue-full
 // spike, or an operator SIGQUIT. The dump bundles the event window with an

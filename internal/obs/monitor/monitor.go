@@ -5,8 +5,8 @@
 // that are the integral of each disk's state timeline, request
 // conservation, replica-valid scheduling decisions, 2CPM threshold
 // compliance and mechanically-possible latencies — and the suite checks
-// all of them continuously, either live (teed off a Tracer via
-// SetObserver) or offline over a recorded JSONL/binary log.
+// all of them continuously, either live (subscribed to a Tracer with
+// Tracer.Subscribe) or offline over a recorded JSONL/binary log.
 //
 // The suite follows the observability layer's design rule: it consumes
 // events and never feeds back into a run. A nil or absent suite costs the
@@ -117,7 +117,7 @@ type invariant interface {
 }
 
 // Suite runs a set of invariant monitors over one event stream. Create
-// with NewSuite, feed with Observe (directly, via Tracer.SetObserver, or
+// with NewSuite, feed with Observe (directly, via Tracer.Subscribe, or
 // ObserveAll over a decoded log), then call Finish once and inspect
 // Violations / WriteReport. A Suite is single-goroutine, like the
 // simulator and the Tracer.
@@ -173,8 +173,8 @@ func NewSuite(cfg Config) *Suite {
 }
 
 // Observe feeds one event to every monitor. Events must arrive in emission
-// order (the tracer's, or a decoded log's). Call via Tracer.SetObserver
-// for live monitoring: tracer.SetObserver(suite.Observe).
+// order (the tracer's, or a decoded log's). Subscribe it for live
+// monitoring: tracer.Subscribe(suite.Observe).
 func (s *Suite) Observe(ev obs.Event) {
 	s.cur = ev
 	s.events++

@@ -190,7 +190,8 @@ type Tracer struct {
 	binary    bool
 	encBuf    []byte
 	err       error
-	observer  func(Event)
+	subs      []func(Event)
+	subBuf    [4]func(Event) // backs subs: a run's observers need no allocation
 }
 
 // DefaultCapacity is the ring size used when NewTracer is given a
@@ -221,14 +222,17 @@ func (t *Tracer) SetSink(w io.Writer, binary bool) {
 	t.binary = binary
 }
 
-// SetObserver tees every emitted event (after its sequence number is
-// assigned) to fn, in emission order, in addition to the ring buffer. It is
-// how runtime verifiers (internal/obs/monitor) watch a live run without a
-// second log pass. A nil fn removes the tee; the disabled-tracer fast path
-// is unaffected either way, so observation follows the layer's rule:
-// nothing feeds back into the run, and a disabled tracer still costs one
-// branch and zero allocations.
-func (t *Tracer) SetObserver(fn func(Event)) { t.observer = fn }
+// Subscribe tees every emitted event, after its sequence number is
+// assigned, to fn; subscribers run in subscription order. It is how the
+// doctor, accountant and flight recorder watch a live run. Subscriptions
+// last the tracer's lifetime, so give each run its own tracer. A disabled
+// tracer still costs one branch and zero allocations.
+func (t *Tracer) Subscribe(fn func(Event)) {
+	if t.subs == nil {
+		t.subs = t.subBuf[:0]
+	}
+	t.subs = append(t.subs, fn)
+}
 
 // Enabled reports whether the tracer is recording. A nil tracer is
 // disabled.
@@ -280,8 +284,8 @@ func (t *Tracer) Emit(ev Event) {
 	}
 	t.ring[i] = ev
 	t.n++
-	if t.observer != nil {
-		t.observer(ev)
+	for _, fn := range t.subs {
+		fn(ev)
 	}
 }
 

@@ -132,6 +132,44 @@ func TestTracerStreamingBinarySink(t *testing.T) {
 	}
 }
 
+// TestTracerSubscribersInOrder pins the subscriber contract: every
+// subscriber sees every emitted event, with its sequence number already
+// assigned, and subscribers run in subscription order for each event. A
+// flight-recorder ring smaller than the run drops nothing from them, and a
+// disabled tracer feeds them nothing.
+func TestTracerSubscribersInOrder(t *testing.T) {
+	t.Parallel()
+	type call struct {
+		sub int
+		ev  Event
+	}
+	var calls []call
+	tr := NewTracer(4)
+	for i := 0; i < 3; i++ {
+		tr.Subscribe(func(ev Event) { calls = append(calls, call{i, ev}) })
+	}
+	emitOneOfEach(tr)
+
+	ref := NewTracer(64)
+	emitOneOfEach(ref)
+	want := ref.Events()
+	if len(calls) != 3*len(want) {
+		t.Fatalf("%d subscriber calls, want %d", len(calls), 3*len(want))
+	}
+	for i, c := range calls {
+		if ev := want[i/3]; c.sub != i%3 || c.ev != ev || c.ev.Seq != uint64(i/3) {
+			t.Fatalf("call %d: subscriber %d saw %+v, want subscriber %d to see %+v", i, c.sub, c.ev, i%3, ev)
+		}
+	}
+
+	calls = nil
+	tr.SetEnabled(false)
+	emitOneOfEach(tr)
+	if len(calls) != 0 {
+		t.Fatalf("disabled tracer fed its subscribers %d events", len(calls))
+	}
+}
+
 func TestTracerDisabledAndNilAllocateNothing(t *testing.T) {
 	tr := NewTracer(16)
 	tr.SetEnabled(false)

@@ -367,10 +367,8 @@ func (s *system) closeRun(res *Result, ingested int) (*Result, error) {
 		rm.SimTime.Set(res.Horizon.Seconds())
 		rm.EventsFired.Set(float64(fired))
 	}
-	if s.tr != nil {
-		if err := s.tr.Flush(); err != nil {
-			return nil, fmt.Errorf("storage: event sink: %w", err)
-		}
+	if err := s.tr.Flush(); err != nil {
+		return nil, fmt.Errorf("storage: event sink: %w", err)
 	}
 	if want := ingested - res.Dropped; res.Served != want {
 		return nil, fmt.Errorf("storage: served %d of %d requests", res.Served, want)
@@ -418,6 +416,9 @@ func WithCache(c ReadCache) RunOption {
 // disabled tracer costs one branch per instrumentation point. When the
 // scheduler also traces decisions, pass the same tracer to it (see
 // sched.Heuristic.Tracer) so the event streams interleave in one log.
+// WithMonitor, WithAccounting and WithFlight subscribe to tr (to a minimal
+// internal tracer when WithTracer is absent, in which case scheduler
+// decisions are missing from what they see), so give each run its own.
 func WithTracer(tr *obs.Tracer) RunOption {
 	return func(o *runOptions) { o.tracer = tr }
 }
@@ -435,13 +436,10 @@ func WithCollector(c *obs.Collector) RunOption {
 // WithMonitor tees every traced event into a runtime-verification suite
 // (the "doctor"): power-machine legality, energy and request conservation,
 // replica validity, threshold compliance and latency sanity are checked
-// live as the run executes. When no WithTracer is given, a minimal
-// internal tracer is created to feed the suite (scheduler decisions are
-// then absent from the stream; pass a shared traced scheduler + WithTracer
-// for full coverage). At the end of the run the suite's end-of-stream
-// checks run and the reported energy totals are cross-checked against the
-// stream integral; inspect Suite.Passed / WriteReport afterwards. A
-// violation does not abort the run.
+// live as the run executes. At the end of the run the suite's
+// end-of-stream checks run and the reported energy totals are
+// cross-checked against the stream integral; inspect Suite.Passed /
+// WriteReport afterwards. A violation does not abort the run.
 func WithMonitor(m *monitor.Suite) RunOption {
 	return func(o *runOptions) { o.monitor = m }
 }
@@ -450,12 +448,11 @@ func WithMonitor(m *monitor.Suite) RunOption {
 // accumulator (internal/account): per-state energy is integrated over the
 // grid profile's intensity windows as the run executes, so gCO2e and
 // dollar totals are priced window by window rather than from end-of-run
-// totals. When no WithTracer is given, a minimal internal tracer is
-// created to feed the accumulator. At the end of the run the accounting
-// is finalized (and, when a collector is attached, the carbon/cost
-// counter families are reconciled to the report totals); with a monitor
-// also attached, the accumulator's windowed integral is cross-checked
-// bit-exactly against the meters (Suite.VerifyWindows).
+// totals. When a collector is attached, the run binds the accumulator to
+// it (Accumulator.Bind). At the end of the run the accounting is finalized,
+// reconciling the carbon/cost counter families to the report totals; with
+// a monitor also attached, the accumulator's windowed integral is
+// cross-checked bit-exactly against the meters (Suite.VerifyWindows).
 func WithAccounting(a *account.Accumulator) RunOption {
 	return func(o *runOptions) { o.acct = a }
 }
@@ -465,10 +462,9 @@ func WithAccounting(a *account.Accumulator) RunOption {
 // trigger raised by any of them (or by RequestDump from another goroutine,
 // e.g. a SIGQUIT handler) is materialised inline, on the observing
 // goroutine, right after the event that raised it — so the dump's window
-// always ends at the triggering event. When no WithTracer is given, a
-// minimal internal tracer is created to feed the recorder. With a monitor
-// also attached, each violation requests a dump automatically (once; later
-// triggers reuse the already-armed request until it is written).
+// always ends at the triggering event. With a monitor also attached, each
+// violation requests a dump automatically (once; later triggers reuse the
+// already-armed request until it is written).
 func WithFlight(r *flight.Recorder) RunOption {
 	return func(o *runOptions) { o.flight = r }
 }
@@ -478,52 +474,34 @@ func applyOptions(opts []RunOption) runOptions {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.monitor != nil || o.acct != nil || o.flight != nil {
-		if o.tracer == nil {
-			o.tracer = obs.NewTracer(1)
-		}
-		// The tracer holds a single observer slot; chain the recorder, the
-		// doctor and the accountant when several are attached. The recorder
-		// observes first (its window must include the event a monitor is
-		// about to flag) and sweeps pending dump triggers last.
-		var chain []func(obs.Event)
-		if o.flight != nil {
-			chain = append(chain, o.flight.Observe)
-			if o.monitor != nil {
-				rec := o.flight
-				o.monitor.SetOnViolation(func(v monitor.Violation) {
-					rec.RequestDump("doctor-" + v.Monitor)
-				})
-			}
-		}
-		if o.monitor != nil {
-			chain = append(chain, o.monitor.Observe)
-		}
-		if o.acct != nil {
-			chain = append(chain, o.acct.Observe)
-		}
-		switch rec := o.flight; {
-		case rec != nil:
-			o.tracer.SetObserver(func(ev obs.Event) {
-				for _, f := range chain {
-					f(ev)
-				}
-				if rec.Pending() {
-					rec.MaybeDump() // write failures surface via rec.Err()
-				}
-			})
-		case len(chain) == 1:
-			o.tracer.SetObserver(chain[0])
-		default:
-			o.tracer.SetObserver(func(ev obs.Event) {
-				for _, f := range chain {
-					f(ev)
-				}
+	if o.tracer == nil && (o.monitor != nil || o.acct != nil || o.flight != nil) {
+		o.tracer = obs.NewTracer(1)
+	}
+	// The recorder observes first (its window must include the event a
+	// monitor is about to flag) and sweeps pending dump triggers last, so a
+	// dump raised by any observer ends at the event that raised it.
+	rec := o.flight
+	if rec != nil {
+		o.tracer.Subscribe(rec.Observe)
+	}
+	if o.monitor != nil {
+		o.tracer.Subscribe(o.monitor.Observe)
+		if rec != nil {
+			o.monitor.SetOnViolation(func(v monitor.Violation) {
+				rec.RequestDump("doctor-" + v.Monitor)
 			})
 		}
 	}
-	if o.acct != nil && o.collector != nil {
+	if o.acct != nil {
+		o.tracer.Subscribe(o.acct.Observe)
 		o.acct.Bind(o.collector)
+	}
+	if rec != nil {
+		o.tracer.Subscribe(func(obs.Event) {
+			if rec.Pending() {
+				rec.MaybeDump() // write failures surface via rec.Err()
+			}
+		})
 	}
 	return o
 }

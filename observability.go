@@ -110,8 +110,8 @@ func NewCarbonAccountant(cfg SystemConfig, grid *GridProfile, cost CostModel) (*
 }
 
 // WithAccounting tees a live run's event stream into the accountant and
-// finalizes it when the run ends; when a collector is also attached, call
-// CarbonAccountant.Bind first so the carbon/cost metric families are
+// finalizes it when the run ends; when a collector is also attached, the
+// run binds the accountant to it, so the carbon/cost metric families are
 // registered and reconciled.
 func WithAccounting(a *CarbonAccountant) RunOption { return storage.WithAccounting(a) }
 

@@ -40,14 +40,9 @@ requests="${CARBON_REQUESTS:-6000}"
 blocks="${CARBON_BLOCKS:-2500}"
 seed="${CARBON_SEED:-7}"
 
+gate=carbongate
 tmp="$(mktemp -d)"
-daemon_pid=""
-cleanup() {
-	if [ -n "$daemon_pid" ] && kill -0 "$daemon_pid" 2>/dev/null; then
-		kill -KILL "$daemon_pid" 2>/dev/null || true
-	fi
-	rm -rf "$tmp"
-}
+. scripts/daemon.sh
 trap cleanup EXIT
 
 go build -o "$tmp/esched" ./cmd/esched
@@ -103,38 +98,11 @@ check_batch "$tmp/cycle.json" "$tmp/cycle.events"
 # Serving leg: the eschedd drain summary must be byte-identical to a
 # replay of the serving log.
 echo "carbongate: booting eschedd with -grid diurnal..." >&2
-"$tmp/eschedd" serve -addr 127.0.0.1:0 -addrfile "$tmp/addr" \
-	-disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
-	-grid diurnal -events "$tmp/serve.jsonl" -metrics "$tmp/serve.prom" \
-	>"$tmp/daemon.out" 2>"$tmp/daemon.err" &
-daemon_pid=$!
-i=0
-while [ ! -s "$tmp/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "carbongate: daemon did not bind within 10s" >&2
-		cat "$tmp/daemon.err" >&2
-		exit 1
-	fi
-	if ! kill -0 "$daemon_pid" 2>/dev/null; then
-		echo "carbongate: daemon exited during startup" >&2
-		cat "$tmp/daemon.err" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-addr="$(cat "$tmp/addr")"
+boot_daemon -disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
+	-grid diurnal -events "$tmp/serve.jsonl" -metrics "$tmp/serve.prom"
 "$tmp/eschedd" loadgen -addr "$addr" -requests 3000 \
 	-blocks "$blocks" -seed "$seed" -conns 4 -batch 16 >&2
-kill -TERM "$daemon_pid"
-drain_rc=0
-wait "$daemon_pid" || drain_rc=$?
-daemon_pid=""
-if [ "$drain_rc" -ne 0 ]; then
-	echo "carbongate: daemon exited $drain_rc" >&2
-	cat "$tmp/daemon.err" >&2
-	exit 1
-fi
+drain_daemon
 grep -E '^(carbon|cost):' "$tmp/daemon.out" >"$tmp/serve.lines"
 "$tmp/tracelens" carbon -grid diurnal -metrics "$tmp/serve.prom" \
 	"$tmp/serve.jsonl" >"$tmp/serve.replay"

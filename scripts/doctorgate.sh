@@ -1,64 +1,31 @@
 #!/bin/sh
-# doctorgate.sh — runtime-invariant and paper-fidelity gate (part of
-# `make ci`).
+# doctorgate.sh — paper-fidelity gate (part of `make ci`).
 #
-# Two independent certifications:
+# `tracelens doctor fidelity` regenerates the seeded small-scale
+# replication sweep (under live invariant monitoring) and scores every cell
+# of Figures 6/7/8/13 against the committed golden envelope
+# (internal/experiments/envelopes.json). After a deliberate, reviewed
+# change to scheduling behavior, regenerate the envelope with:
 #
-#   1. Invariant monitors over recorded logs. Records the same seeded
-#      SmallScale-sized cell as the replay gate (esched -events, JSONL and
-#      the dense binary encoding) and requires `tracelens doctor` to find
-#      zero violations in either: power-state-machine legality, bit-exact
-#      energy conservation, request conservation, replica validity, 2CPM
-#      threshold compliance and latency sanity. The recording itself runs
-#      with -doctor, so the live tee is exercised too.
+#     go run ./cmd/tracelens doctor fidelity -write internal/experiments/envelopes.json
 #
-#   2. Paper-fidelity scorecard. `tracelens doctor fidelity` regenerates
-#      the seeded small-scale replication sweep (under live monitoring)
-#      and scores every cell of Figures 6/7/8/13 against the committed
-#      golden envelope (internal/experiments/envelopes.json). After a
-#      deliberate, reviewed change to scheduling behavior, regenerate the
-#      envelope with:
-#
-#          go run ./cmd/tracelens doctor fidelity -write internal/experiments/envelopes.json
-#
-# Non-zero exit (from set -e) on any violation or out-of-band cell.
+# The invariant monitors over a recorded cell's logs (live -doctor plus
+# `tracelens doctor` on both encodings) run in scripts/replaygate.sh, on
+# the same recordings the replay checks use. Non-zero exit (from set -e)
+# on any violation or out-of-band cell.
 #
 # Usage: scripts/doctorgate.sh
-#   DOCTOR_DISKS / DOCTOR_REQUESTS / DOCTOR_BLOCKS / DOCTOR_SEED override
-#   the recorded cell (defaults: 24 disks, 6000 requests, 2500 blocks,
-#   seed 7 — the replay gate's shape).
 
 set -eu
 
 cd "$(dirname "$0")/.."
 
-disks="${DOCTOR_DISKS:-24}"
-requests="${DOCTOR_REQUESTS:-6000}"
-blocks="${DOCTOR_BLOCKS:-2500}"
-seed="${DOCTOR_SEED:-7}"
-
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-go build -o "$tmp/esched" ./cmd/esched
 go build -o "$tmp/tracelens" ./cmd/tracelens
-
-for enc in jsonl bin; do
-	case "$enc" in
-	jsonl) log="$tmp/run.events" ;;
-	bin) log="$tmp/run.bin" ;;
-	esac
-	echo "doctorgate: recording $enc cell with live -doctor (disks=$disks requests=$requests blocks=$blocks seed=$seed)..." >&2
-	"$tmp/esched" -disks "$disks" -requests "$requests" -blocks "$blocks" \
-		-rf 3 -seed "$seed" -scheduler heuristic -doctor \
-		-events "$log" >/dev/null 2>"$tmp/live.$enc.report"
-
-	echo "doctorgate: tracelens doctor ($enc)..." >&2
-	"$tmp/tracelens" doctor -disks "$disks" -blocks "$blocks" \
-		-rf 3 -z 1 -seed "$seed" "$log" >&2
-done
 
 echo "doctorgate: fidelity scorecard..." >&2
 "$tmp/tracelens" doctor fidelity >&2
 
-echo "doctorgate: OK — invariants hold in both encodings, fidelity within envelope" >&2
+echo "doctorgate: OK — fidelity within envelope" >&2

@@ -26,57 +26,24 @@ blocks="${FLIGHT_BLOCKS:-1500}"
 requests="${FLIGHT_REQUESTS:-800}"
 seed="${FLIGHT_SEED:-7}"
 
+gate=flightgate
 tmp="$(mktemp -d)"
-daemon_pid=""
-cleanup() {
-	if [ -n "$daemon_pid" ] && kill -0 "$daemon_pid" 2>/dev/null; then
-		kill -KILL "$daemon_pid" 2>/dev/null || true
-	fi
-	rm -rf "$tmp"
-}
+. scripts/daemon.sh
 trap cleanup EXIT
 
 go build -o "$tmp/eschedd" ./cmd/eschedd
 go build -o "$tmp/tracelens" ./cmd/tracelens
 
 echo "flightgate: booting eschedd (-flight, -flight-slo 1ns)..." >&2
-"$tmp/eschedd" serve -addr 127.0.0.1:0 -addrfile "$tmp/addr" \
-	-disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
-	-flight "$tmp/flight" -flight-slo 1ns \
-	>"$tmp/daemon.out" 2>"$tmp/daemon.err" &
-daemon_pid=$!
-
-i=0
-while [ ! -s "$tmp/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "flightgate: daemon did not bind within 10s" >&2
-		cat "$tmp/daemon.err" >&2
-		exit 1
-	fi
-	if ! kill -0 "$daemon_pid" 2>/dev/null; then
-		echo "flightgate: daemon exited during startup" >&2
-		cat "$tmp/daemon.err" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-addr="$(cat "$tmp/addr")"
+boot_daemon -disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
+	-flight "$tmp/flight" -flight-slo 1ns
 
 echo "flightgate: loadgen burst ($requests requests against $addr)..." >&2
 "$tmp/eschedd" loadgen -addr "$addr" -requests "$requests" \
 	-blocks "$blocks" -seed "$seed" -conns 4 -batch 8 >&2
 
 echo "flightgate: draining daemon (SIGTERM)..." >&2
-kill -TERM "$daemon_pid"
-drain_rc=0
-wait "$daemon_pid" || drain_rc=$?
-daemon_pid=""
-if [ "$drain_rc" -ne 0 ]; then
-	echo "flightgate: daemon exited $drain_rc" >&2
-	cat "$tmp/daemon.err" >&2
-	exit 1
-fi
+drain_daemon
 grep "flight recorder wrote" "$tmp/daemon.err" >&2
 
 dump="$(ls -d "$tmp"/flight/flight-* | sort | tail -1)"

@@ -30,42 +30,17 @@ blocks="${SERVE_BLOCKS:-2000}"
 requests="${SERVE_REQUESTS:-5000}"
 seed="${SERVE_SEED:-7}"
 
+gate=servegate
 tmp="$(mktemp -d)"
-daemon_pid=""
-cleanup() {
-	if [ -n "$daemon_pid" ] && kill -0 "$daemon_pid" 2>/dev/null; then
-		kill -KILL "$daemon_pid" 2>/dev/null || true
-	fi
-	rm -rf "$tmp"
-}
+. scripts/daemon.sh
 trap cleanup EXIT
 
 go build -o "$tmp/eschedd" ./cmd/eschedd
 go build -o "$tmp/tracelens" ./cmd/tracelens
 
 echo "servegate: booting eschedd (disks=$disks blocks=$blocks seed=$seed, -events -doctor)..." >&2
-"$tmp/eschedd" serve -addr 127.0.0.1:0 -addrfile "$tmp/addr" \
-	-disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
-	-events "$tmp/run.jsonl" -metrics "$tmp/metrics.txt" -doctor \
-	>"$tmp/daemon.out" 2>"$tmp/daemon.err" &
-daemon_pid=$!
-
-i=0
-while [ ! -s "$tmp/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "servegate: daemon did not bind within 10s" >&2
-		cat "$tmp/daemon.err" >&2
-		exit 1
-	fi
-	if ! kill -0 "$daemon_pid" 2>/dev/null; then
-		echo "servegate: daemon exited during startup" >&2
-		cat "$tmp/daemon.err" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-addr="$(cat "$tmp/addr")"
+boot_daemon -disks "$disks" -blocks "$blocks" -rf 3 -z 1 -seed "$seed" \
+	-events "$tmp/run.jsonl" -metrics "$tmp/metrics.txt" -doctor
 
 echo "servegate: loadgen burst ($requests requests against $addr)..." >&2
 "$tmp/eschedd" loadgen -addr "$addr" -requests "$requests" \
@@ -75,15 +50,7 @@ echo "servegate: probing /healthz and /metrics..." >&2
 "$tmp/eschedd" probe -addr "$addr" >&2
 
 echo "servegate: draining daemon (SIGTERM)..." >&2
-kill -TERM "$daemon_pid"
-drain_rc=0
-wait "$daemon_pid" || drain_rc=$?
-daemon_pid=""
-if [ "$drain_rc" -ne 0 ]; then
-	echo "servegate: daemon exited $drain_rc" >&2
-	cat "$tmp/daemon.err" >&2
-	exit 1
-fi
+drain_daemon
 cat "$tmp/daemon.out" >&2
 
 echo "servegate: tracelens doctor over the serving log..." >&2
