@@ -121,7 +121,9 @@ bench-all:
 
 # Short fuzz pass over the trace parsers, the event-log reader, the
 # flight-snapshot reader, eschedd's two HTTP schedule decoders and the
-# MWIS reduction's conflict edges (checked against a brute-force oracle).
+# MWIS reduction: its conflict edges and residual degrees, checked against
+# a brute-force oracle, and its range greedy, checked against graph.GWMIN
+# on the built graph.
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzReadSPC -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadCelloText -fuzztime 10s

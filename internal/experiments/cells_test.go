@@ -82,6 +82,38 @@ func TestFiguresSimulateEachSweepCellOnce(t *testing.T) {
 	}
 }
 
+// TestFigure10ReusesSweepCells pins Figure 10's sharing: its z=1 row is
+// the sweep's Random, Static and Heuristic cells on the sweep's
+// placements, so after a sweep it simulates only the other 60 of its 75
+// cells and builds only the other 20 of its 25 placements, and its table
+// is byte-identical either way. Not parallel: it reads the package-wide
+// counters.
+func TestFigure10ReusesSweepCells(t *testing.T) {
+	s := cacheScale(9106)
+	s.ZipfSteps = FullScale().ZipfSteps
+	points := len(s.ZipfSteps) * len(ReplicationFactors())
+
+	cold, n := countCells(t, NewSweepCache().figure10, s)
+	if n != int64(3*points) {
+		t.Fatalf("cold Figure 10 simulated %d cells, want %d", n, 3*points)
+	}
+	swept := NewSweepCache()
+	if _, err := swept.Sweep(s, Cello); err != nil {
+		t.Fatal(err)
+	}
+	before := placementBuilds.Load()
+	got, n := countCells(t, swept.figure10, s)
+	if want := int64(3 * (points - len(ReplicationFactors()))); n != want {
+		t.Errorf("Figure 10 after a sweep simulated %d cells, want %d", n, want)
+	}
+	if n, want := placementBuilds.Load()-before, int64(points-len(ReplicationFactors())); n != want {
+		t.Errorf("Figure 10 after a sweep built %d placements, want %d", n, want)
+	}
+	if got != cold {
+		t.Errorf("Figure 10 after a sweep differs from cold:\n%s\nwant:\n%s", got, cold)
+	}
+}
+
 // TestConcurrentLookupsShareCells races a sweep against Figures 9 and 12
 // on one cold key: however their claims interleave, the grid's 25 cells
 // are simulated once between them and the sweep matches a fresh one. Not

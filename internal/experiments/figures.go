@@ -184,13 +184,14 @@ func appendBreakdownRows(t *Table, algo string, perDisk []diskmodel.Stats) {
 
 // Figure10 renders the energy surface over replication factor and data
 // locality (Appendix A.1): Random, Static and Heuristic under Zipf
-// exponents from ZipfSteps and replication factors 1-5.
-func Figure10(s Scale, tr Trace) (*Table, error) {
+// exponents from ZipfSteps and replication factors 1-5. Its z=1 cells are
+// the replication sweep's, shared through the sweep cache.
+func Figure10(s Scale, tr Trace) (*Table, error) { return defaultSweepCache.figure10(s, tr) }
+
+func (c *SweepCache) figure10(s Scale, tr Trace) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	reqs := tr.Requests(s)
-	cost := sched.DefaultCost(storage.DefaultConfig().Power)
 	algos := []string{AlgoRandom, AlgoStatic, AlgoHeuristic}
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 10: normalized energy vs replication factor and data locality z (%s)", tr),
@@ -201,14 +202,36 @@ func Figure10(s Scale, tr Trace) (*Table, error) {
 		rf int
 	}
 	var points []point
+	var swept, own []int // indices into points: sweep-grid points and the rest
+	var want []int       // the sweep-grid points' cells
 	for _, z := range s.ZipfSteps {
 		for _, rf := range ReplicationFactors() {
+			if z == 1 {
+				swept = append(swept, len(points))
+				want = append(want, gridCells(rf, algos...)...)
+			} else {
+				own = append(own, len(points))
+			}
 			points = append(points, point{z, rf})
 		}
 	}
 	energies := make([][]float64, len(points))
-	err := runParallel(len(points), s.Parallelism,
-		s.Monitor.Track("figure10:"+tr.String(), len(points)), func(i int) error {
+	if len(want) > 0 {
+		_, runs, err := c.lookup(s, tr, "figure10-zipf1", want)
+		if err != nil {
+			return nil, err
+		}
+		for k, i := range swept {
+			for _, run := range runs[k*len(algos) : (k+1)*len(algos)] {
+				energies[i] = append(energies[i], run.NormEnergy)
+			}
+		}
+	}
+	reqs := tr.Requests(s)
+	cost := sched.DefaultCost(storage.DefaultConfig().Power)
+	err := runParallel(len(own), s.Parallelism,
+		s.Monitor.Track("figure10:"+tr.String(), len(own)), func(j int) error {
+			i := own[j]
 			p := points[i]
 			plc, err := makePlacement(s, p.rf, p.z)
 			if err != nil {

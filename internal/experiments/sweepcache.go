@@ -25,8 +25,10 @@ import (
 // explicit. Every (replication factor, algorithm) cell of a (Scale, Trace,
 // cost, system-config) key is a single-flight slot: the first lookup that
 // wants a cell simulates it, every later lookup shares the stored Run.
-// Sweep wants the whole grid, Figure9 its five rf=3 cells and Figure12 its
-// four online rf=3 cells, so each simulates only what no earlier call did.
+// Sweep wants the whole grid, Figure9 its five rf=3 cells, Figure12 its
+// four online rf=3 cells and Figure10 the Random, Static and Heuristic
+// cells of every rf, its z=1 row, so each simulates only what no earlier
+// call did.
 // An optional on-disk tier (SetDir) persists complete sweeps across
 // processes for cmd/figures; entries are keyed by the same canonical hash,
 // so any input change simply misses and old files become unreachable.
@@ -112,7 +114,7 @@ func (c *SweepCache) SetDir(dir string) error {
 }
 
 // CacheStats is a point-in-time snapshot of the lookup counters. A lookup
-// is one Sweep, Figure9 or Figure12 call.
+// is one Sweep, Figure9, Figure10 or Figure12 call.
 type CacheStats struct {
 	Hits     uint64 // served from memory
 	DiskHits uint64 // served from the on-disk tier

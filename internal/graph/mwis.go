@@ -195,9 +195,9 @@ func (g *Graph) SetWeightSum(vs []int) float64 {
 // stale pop is re-keyed and reinserted (ratios only grow as the graph
 // shrinks, so the first fresh pop is the true maximum).
 type ratioItem struct {
-	v     int
 	ratio float64
-	stamp int64 // value of the vertex's version counter when keyed
+	v     int32
+	stamp int32 // the vertex's stamp when keyed
 }
 
 // ratioHeap is a concrete binary max-heap ordered by (ratio desc, v asc).
@@ -269,23 +269,37 @@ func (h *ratioHeap) push(it ratioItem) {
 // W(u)/(deg(u)+1) in the remaining graph. It guarantees an independent set
 // of weight at least Sum_v W(v)/(deg(v)+1).
 //
-// Residual degrees need no bookkeeping of their own: the greedy's version
-// counter increments exactly once per alive neighbor lost, so the residual
-// degree is the initial degree minus the vertex's version. Re-keying a
-// stale heap entry is therefore O(1), and the computed ratios — hence the
-// selected set — are bit-identical to a recomputing implementation
-// (integer arithmetic feeding the same division).
+// Residual degrees need no bookkeeping of their own: a vertex's counter
+// increments exactly once per alive neighbor lost, so the residual degree
+// is the initial degree minus the counter. Re-keying a stale heap entry is
+// therefore O(1).
 func GWMIN(g *Graph) ([]int, float64) {
 	n := g.N()
 	alive := make([]bool, n)
-	for v := 0; v < n; v++ {
+	for v := range alive {
 		alive[v] = true
 	}
-	version := make([]int64, n)
-	return greedyWithAlive(g, alive, version, func(v int) float64 {
-		deg := int64(g.off[v+1]-g.off[v]) - version[v]
-		return g.weights[v] / float64(deg+1)
-	})
+	lost := make([]int32, n)
+	is := GWMINResidual(g.weights, alive,
+		func(v int) int { return g.Degree(v) - int(lost[v]) },
+		func(v int) { g.deleteClosed(v, alive, lost) })
+	return is, g.SetWeightSum(is)
+}
+
+// GWMINResidual runs GWMIN on a graph known only through its residual
+// degrees, for callers that can count a vertex's alive neighbors without
+// an adjacency list. weights has one entry per vertex; alive starts all
+// true. degree(v) returns the number of alive neighbors of the alive
+// vertex v, and take(v) deletes v and its alive neighbors, clearing their
+// alive flags. It returns the selected vertices in selection order, which
+// is GWMIN's on the same graph: the ratios come from the same integer
+// degrees fed to the same division, and an entry is stale exactly when
+// its vertex's residual degree changed since it was keyed.
+func GWMINResidual(weights []float64, alive []bool, degree func(v int) int, take func(v int)) []int {
+	return selectGreedy(len(weights), alive, func(v int) (float64, int32) {
+		d := degree(v)
+		return weights[v] / float64(d+1), int32(d)
+	}, take)
 }
 
 // GWMIN2 is the second greedy from [22]: select the vertex maximizing
@@ -295,11 +309,13 @@ func GWMIN(g *Graph) ([]int, float64) {
 // by subtraction) so the floating-point ratios match a from-scratch
 // evaluation exactly, keeping results reproducible across refactors.
 func GWMIN2(g *Graph) ([]int, float64) {
-	alive := make([]bool, g.N())
-	for i := range alive {
-		alive[i] = true
+	n := g.N()
+	alive := make([]bool, n)
+	for v := range alive {
+		alive[v] = true
 	}
-	return greedyWithAlive(g, alive, make([]int64, g.N()), func(v int) float64 {
+	lost := make([]int32, n)
+	is := selectGreedy(n, alive, func(v int) (float64, int32) {
 		sum := g.weights[v]
 		for _, u := range g.Neighbors(v) {
 			if alive[u] {
@@ -307,59 +323,61 @@ func GWMIN2(g *Graph) ([]int, float64) {
 			}
 		}
 		if sum == 0 {
-			return math.Inf(1) // zero-weight isolated vertex: free to take
+			return math.Inf(1), lost[v] // zero-weight isolated vertex: free to take
 		}
-		return g.weights[v] / sum
-	})
+		return g.weights[v] / sum, lost[v]
+	}, func(v int) { g.deleteClosed(v, alive, lost) })
+	return is, g.SetWeightSum(is)
 }
 
-// greedyWithAlive runs a degree-driven greedy: repeatedly select the alive
-// vertex maximizing ratio(v), add it to the independent set, and delete it
-// with its closed neighborhood. ratio must be non-decreasing under vertex
-// deletions (true for GWMIN and GWMIN2), which keeps the lazy max-heap
-// exact: a stale pop is re-keyed and reinserted with a ratio at least as
-// large. version, caller-allocated with one counter per vertex, increments
-// each time an alive vertex loses an alive neighbor; the ratio closure may
-// read it to derive incremental state (GWMIN's residual degrees).
-func greedyWithAlive(g *Graph, alive []bool, version []int64, ratio func(v int) float64) ([]int, float64) {
-	n := g.N()
-	h := make(ratioHeap, 0, n)
-	for v := 0; v < n; v++ {
-		h = append(h, ratioItem{v: v, ratio: ratio(v)})
-	}
-	h.init()
-
-	deleteVertex := func(v int) {
+// deleteClosed deletes v and its alive neighbors, counting in lost each
+// neighbor an alive vertex loses.
+func (g *Graph) deleteClosed(v int, alive []bool, lost []int32) {
+	del := func(v int) {
 		alive[v] = false
 		for _, u := range g.Neighbors(v) {
 			if alive[u] {
-				version[u]++
+				lost[u]++
 			}
 		}
 	}
+	del(v)
+	for _, u := range g.Neighbors(v) {
+		if alive[u] {
+			del(int(u))
+		}
+	}
+}
 
+// selectGreedy is the selection loop every greedy here shares: repeatedly
+// select the alive vertex maximizing its ratio, add it to the independent
+// set, and take it with its closed neighborhood. key(v) returns v's ratio
+// and a stamp that changes whenever the ratio may have; the ratio must be
+// non-decreasing under vertex deletions (true for GWMIN and GWMIN2), which
+// keeps the lazy max-heap exact: a stale pop is re-keyed and reinserted
+// with a ratio at least as large.
+func selectGreedy(n int, alive []bool, key func(v int) (float64, int32), take func(v int)) []int {
+	h := make(ratioHeap, n)
+	for v := range h {
+		r, s := key(v)
+		h[v] = ratioItem{ratio: r, v: int32(v), stamp: s}
+	}
+	h.init()
 	var is []int
-	total := 0.0
 	for len(h) > 0 {
 		it := h.pop()
-		if !alive[it.v] {
+		v := int(it.v)
+		if !alive[v] {
 			continue
 		}
-		if it.stamp != version[it.v] {
-			h.push(ratioItem{v: it.v, ratio: ratio(it.v), stamp: version[it.v]})
+		if r, s := key(v); s != it.stamp {
+			h.push(ratioItem{ratio: r, v: it.v, stamp: s})
 			continue
 		}
-		is = append(is, it.v)
-		total += g.weights[it.v]
-		neighbors := g.Neighbors(it.v)
-		deleteVertex(it.v)
-		for _, u := range neighbors {
-			if alive[u] {
-				deleteVertex(int(u))
-			}
-		}
+		is = append(is, v)
+		take(v)
 	}
-	return is, total
+	return is
 }
 
 // ExactMWIS solves maximum weighted independent set exactly by branch and

@@ -132,7 +132,9 @@ func TestBuildEdgesMatchOracle(t *testing.T) {
 }
 
 // FuzzBuildEdges feeds Build tiny fuzzer-chosen request streams and
-// replica sets and checks the graph against the brute-force oracle. The
+// replica sets and checks the graph against the brute-force oracle, the
+// reduction's residual degrees against the oracle's adjacency, and the
+// range greedy against graph.GWMIN on the graph. The
 // input decodes as: one byte of options (disk count, successor cap,
 // workers), one replica bitmask per block, then (gap, block) byte pairs,
 // one per request. Gaps are in eighths of the replacement window, so
@@ -165,11 +167,19 @@ func FuzzBuildEdges(f *testing.F) {
 			at += time.Duration(data[p]%16) * unit
 			reqs = append(reqs, core.Request{ID: core.RequestID(len(reqs)), Block: core.BlockID(data[p+1] % blocks), Arrival: at})
 		}
-		in, err := Build(reqs, func(b core.BlockID) []core.DiskID { return locs[b] }, pcfg, opts)
+		locations := func(b core.BlockID) []core.DiskID { return locs[b] }
+		in, err := Build(reqs, locations, pcfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAgainstOracle(t, in)
+		checkGreedy(t, reqs, locations, pcfg, opts)
+		rd, err := reduce(reqs, locations, pcfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj, _ := conflictOracle(rd.nodes)
+		checkResidual(t, rd, adj)
 	})
 }
 
@@ -230,6 +240,54 @@ func BenchmarkBuild(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(reqs, locations, pcfg, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSolveAllocatesPerVertex bounds what the default Solve allocates per
+// vertex of the reduction. It runs GWMIN on the reduction's request ranges
+// and never builds the conflict graph, so nothing it holds grows with the
+// edges: about 160 bytes per vertex at both replication factors. A CSR
+// alone would cost 8 bytes per edge, 137 and 264 bytes per vertex on these
+// fixtures, and building one puts Solve near 300 and 425.
+func TestSolveAllocatesPerVertex(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	pcfg := power.DefaultConfig()
+	for _, rf := range []int{3, 5} {
+		reqs, locations, opts := buildFixture(t, rf)
+		in, err := Build(reqs, locations, pcfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Solve(reqs, locations, pcfg, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		perVertex := float64(res.AllocedBytesPerOp()) / float64(in.Graph.N())
+		t.Logf("rf %d: %d vertices, %d edges, %d bytes, %.1f bytes/vertex", rf, in.Graph.N(), in.Graph.M(), res.AllocedBytesPerOp(), perVertex)
+		if perVertex > 200 {
+			t.Errorf("rf %d: Solve allocates %.1f bytes per vertex, want at most 200", rf, perVertex)
+		}
+	}
+}
+
+// BenchmarkSolve times the default greedy pipeline on the same fixture.
+func BenchmarkSolve(b *testing.B) {
+	pcfg := power.DefaultConfig()
+	for _, rf := range []int{2, 3, 5} {
+		reqs, locations, opts := buildFixture(b, rf)
+		b.Run(fmt.Sprintf("rf=%d", rf), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Solve(reqs, locations, pcfg, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

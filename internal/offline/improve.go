@@ -35,11 +35,12 @@ func Improve(reqs []core.Request, sched core.Schedule, cfg power.Config, locatio
 			locs := locations(r.Block)
 			best := cur
 			bestDelta := 0.0
+			removal := tl.removalDelta(cur, r) // the same for every candidate
 			for _, d := range locs {
 				if d == cur {
 					continue
 				}
-				delta := tl.removalDelta(cur, r) + tl.insertionDelta(d, r)
+				delta := removal + tl.insertionDelta(d, r)
 				if delta < bestDelta-1e-9 {
 					best, bestDelta = d, delta
 				}
@@ -64,6 +65,7 @@ func Improve(reqs []core.Request, sched core.Schedule, cfg power.Config, locatio
 // are dense), avoiding per-query map lookups on the local-search hot path.
 type timelines struct {
 	cfg  power.Config
+	gm   gapModel
 	tail float64
 	byD  [][]core.Request
 }
@@ -71,6 +73,7 @@ type timelines struct {
 func newTimelines(reqs []core.Request, sched core.Schedule, cfg power.Config) *timelines {
 	tl := &timelines{
 		cfg:  cfg,
+		gm:   newGapModel(cfg),
 		tail: cfg.Breakeven().Seconds()*cfg.IdlePower + cfg.SpinDownEnergy,
 	}
 	numDisks := 0
@@ -135,7 +138,7 @@ func (tl *timelines) pos(d core.DiskID, r core.Request) int {
 	return i
 }
 
-func (tl *timelines) gap(a, b time.Duration) float64 { return GapCost(tl.cfg, b-a) }
+func (tl *timelines) gap(a, b time.Duration) float64 { return tl.gm.cost(b - a) }
 
 // removalDelta returns the energy change from removing r from disk d.
 func (tl *timelines) removalDelta(d core.DiskID, r core.Request) float64 {

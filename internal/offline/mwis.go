@@ -39,15 +39,16 @@ type BuildOptions struct {
 	// MaxNodes aborts construction when exceeded (0 = unlimited),
 	// guarding against quadratic blowup on pathological traces.
 	MaxNodes int
-	// HybridExactLimit, when positive, solves connected components of the
-	// conflict graph with at most this many vertices exactly (branch and
-	// bound) and only the larger ones greedily. Bursty traces decompose
-	// into many small components, so modest limits recover most of the
-	// optimum at near-greedy cost.
+	// HybridExactLimit, when positive, makes Solve build the conflict
+	// graph and solve its connected components with at most this many
+	// vertices exactly (branch and bound) and only the larger ones
+	// greedily. Bursty traces decompose into many small components, so
+	// modest limits recover most of the optimum at near-greedy cost. 0
+	// runs GWMIN on the reduction itself, with no graph built.
 	HybridExactLimit int
-	// Workers bounds the goroutines used for graph construction (the
-	// per-disk successor scans are independent) and for the
-	// component-parallel MWIS solve. 0 or 1 means serial. Results are
+	// Workers bounds the goroutines that generate vertices (the per-disk
+	// successor scans are independent) and, when HybridExactLimit > 0,
+	// that solve components. 0 or 1 means serial. Results are
 	// bit-identical for every worker count.
 	Workers int
 }
@@ -60,20 +61,17 @@ func (o BuildOptions) workerCount() int {
 	return o.Workers
 }
 
-// Build constructs the MWIS reduction of Section 3.1.2 for a request
-// stream: Step 1 adds a vertex for every non-zero X(i,j,k) (Eqs. 3-4),
-// Step 2 adds an edge for every energy-constraint violation (same i) and
-// schedule-constraint violation (shared request, different disk).
+// reduce builds the reduction's vertices (Step 1: one for every non-zero
+// X(i,j,k), Eqs. 3-4) and the request ranges and tallies its conflicts
+// (Step 2) follow from.
 //
 // Construction is allocation-lean and sharded: replica membership is
 // gathered into one sorted (disk, request) run instead of a map of slices,
-// each disk's successor scan runs independently (concurrently when
-// opts.Workers > 1) into a pre-counted node slice, and the conflict-edge
-// expansion walks sorted (request, vertex) index ranges rather than a
-// map keyed by request. The produced instance is bit-identical to the
-// serial construction for every worker count.
-func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (*Instance, error) {
-	window := cfg.ReplacementWindow()
+// and each disk's successor scan runs independently (concurrently when
+// opts.Workers > 1) into a pre-counted node slice. The result is
+// bit-identical to the serial construction for every worker count.
+func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (*reduction, error) {
+	gm := newGapModel(cfg)
 
 	// Step 0: one sorted run of (disk, request index) pairs replaces the
 	// per-disk map of request copies. Packing both into a uint64 keyed by
@@ -149,7 +147,7 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 			ti := reqs[uint32(run[i])].Arrival
 			c := 0
 			for j := i + 1; j < len(run); j++ {
-				if reqs[uint32(run[j])].Arrival-ti >= window {
+				if reqs[uint32(run[j])].Arrival-ti >= gm.window {
 					break
 				}
 				c++
@@ -165,10 +163,10 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 			succ := 0
 			for j := i + 1; j < len(run); j++ {
 				rj := reqs[uint32(run[j])]
-				if rj.Arrival-ri.Arrival >= window {
+				if rj.Arrival-ri.Arrival >= gm.window {
 					break
 				}
-				w := Saving(cfg, ri.Arrival, rj.Arrival)
+				w := gm.saving(rj.Arrival - ri.Arrival)
 				if w <= 0 {
 					continue
 				}
@@ -236,98 +234,202 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 		}
 		return int(na.Disk) - int(nb.Disk)
 	})
+	return newReduction(nodes), nil
+}
 
-	// Step 2: conflict edges. Every vertex is indexed under both requests
-	// it mentions via one sorted (request, vertex) run; vertices sharing a
-	// request form a contiguous range, replacing the map of slices.
-	weights := make([]float64, len(nodes))
-	mentions := make([]uint64, 0, 2*len(nodes))
-	disks := 0
-	for v, n := range nodes {
-		weights[v] = n.Weight
-		disks = max(disks, int(n.Disk)+1)
-		mentions = append(mentions,
-			uint64(n.I)<<32|uint64(uint32(v)),
-			uint64(n.J)<<32|uint64(uint32(v)))
+// reduction is the MWIS reduction of Section 3.1.2 before any edge is
+// materialised: the vertices, each request's range of the vertices that
+// mention it, and alive tallies from which every vertex's residual degree
+// follows in O(1). Build compiles it into a CSR graph; Solve runs GWMIN on
+// it directly.
+//
+// Within request r's range a vertex either leaves r (i == r) or enters it
+// (j == r). Two vertices conflict when they share the predecessor i
+// (energy constraint) or a request on different disks (schedule
+// constraint). Two vertices entering r from the same i are the pair (i,r)
+// on two disks; they meet again in i's range and are an edge from there
+// only, so every edge belongs to exactly one range (see conflicts).
+type reduction struct {
+	nodes []Node
+	off   []int32   // request r's range is ms[off[r]:off[r+1]]
+	ms    []mention // the two mentions of every vertex, grouped by request
+	vs    []vtally  // per vertex: where its tallies are kept
+	req   []tally   // per request: alive vertices leaving and entering it
+	slot  []tally   // per (request, disk) slot: the same, on that disk only
+	pair  []int32   // alive vertices of the (i, j) run headed by the index
+}
+
+// mention is a vertex as its range sees it: its predecessor and its disk.
+type mention struct{ v, i, disk int32 }
+
+// vtally locates a vertex's five tallies: its requests i and j, its
+// (i, disk) and (j, disk) slots, and the head of its (i, j) run.
+type vtally struct{ i, j, si, sj, p int32 }
+
+// tally counts alive vertices leaving (i == r) and entering (j == r) a
+// request r.
+type tally struct{ leave, enter int32 }
+
+// newReduction indexes nodes, sorted by (I, J, Disk), under the requests
+// they mention and tallies them all alive.
+func newReduction(nodes []Node) *reduction {
+	n := len(nodes)
+	rd := &reduction{nodes: nodes, ms: make([]mention, 2*n), vs: make([]vtally, n), pair: make([]int32, n)}
+	// The ranges: a counting sort of the mentions by request. Scattering in
+	// vertex order leaves every range ascending.
+	nreq, disks := 0, 0
+	for _, nd := range nodes {
+		nreq = max(nreq, int(nd.I)+1, int(nd.J)+1)
+		disks = max(disks, int(nd.Disk)+1)
 	}
-	graph.RadixSortUint64(mentions)
-	// eachRange calls f with every request r and, in vertex order, the
-	// vertices mentioning it, gathered with their predecessor and disk into
-	// one reused slice so the loops over a range read contiguous memory.
-	type mention struct {
-		v    int32
-		i    core.RequestID
-		disk core.DiskID
+	rd.off = make([]int32, nreq+1)
+	for _, nd := range nodes {
+		rd.off[nd.I+1]++
+		rd.off[nd.J+1]++
 	}
-	var local []mention
-	eachRange := func(f func(r core.RequestID, ms []mention)) {
-		for lo := 0; lo < len(mentions); {
-			r := core.RequestID(mentions[lo] >> 32)
-			local = local[:0]
-			for ; lo < len(mentions) && core.RequestID(mentions[lo]>>32) == r; lo++ {
-				v := int32(uint32(mentions[lo]))
-				local = append(local, mention{v, nodes[v].I, nodes[v].Disk})
-			}
-			f(r, local)
+	for r := range nreq {
+		rd.off[r+1] += rd.off[r]
+	}
+	next := slices.Clone(rd.off[:nreq])
+	for v, nd := range nodes {
+		m := mention{int32(v), int32(nd.I), int32(nd.Disk)}
+		rd.ms[next[nd.I]] = m
+		next[nd.I]++
+		rd.ms[next[nd.J]] = m
+		next[nd.J]++
+		// Vertices sort by (i, j, disk), so an (i, j) run is contiguous.
+		p := int32(v)
+		if v > 0 && nodes[v-1].I == nd.I && nodes[v-1].J == nd.J {
+			p = rd.vs[v-1].p
 		}
+		rd.vs[v] = vtally{i: int32(nd.I), j: int32(nd.J), p: p}
 	}
-	// Within r's range a vertex either leaves r (i == r) or enters it
-	// (j == r). Two vertices conflict when they share the predecessor i
-	// (energy constraint) or sit on different disks (schedule constraint).
-	// Two vertices entering r from the same i are the pair (i,r) on two
-	// disks; they meet again in i's range and are an edge from there only,
-	// so every edge is yielded once. Hence, in r's range: two leaving
-	// vertices always conflict, and any other pair conflicts when the
-	// predecessors and the disks both differ.
-	//
-	// The degrees graph.New needs come from per-range tallies rather than a
-	// second walk over the pairs. Vertices sort by (i, j, disk), so within a
-	// range those sharing a predecessor are contiguous.
-	deg := make([]int32, len(nodes))
-	leaving, entering := make([]int32, disks), make([]int32, disks) // per disk, in the current range
-	eachRange(func(r core.RequestID, ms []mention) {
-		var leave int32
+	// One slot per disk a range holds, numbered range by range.
+	slotOf := make([]int32, disks)
+	for d := range slotOf {
+		slotOf[d] = -1
+	}
+	var slots int32
+	for r := range nreq {
+		ms := rd.mentions(int32(r))
 		for _, m := range ms {
-			if m.i == r {
-				leave++
-				leaving[m.disk]++
+			if slotOf[m.disk] < 0 {
+				slotOf[m.disk] = slots
+				slots++
+			}
+			if m.i == int32(r) {
+				rd.vs[m.v].si = slotOf[m.disk]
 			} else {
-				entering[m.disk]++
+				rd.vs[m.v].sj = slotOf[m.disk]
 			}
 		}
-		enter := int32(len(ms)) - leave
-		for a := 0; a < len(ms); {
-			b := a + 1
-			for b < len(ms) && ms[b].i == ms[a].i {
-				b++
-			}
-			same := int32(b - a)
-			for _, m := range ms[a:b] {
-				if m.i == r {
-					deg[m.v] += same - 1 + enter - entering[m.disk]
-				} else {
-					// m itself is both on its disk and of its i: add it back.
-					deg[m.v] += leave - leaving[m.disk] + enter - entering[m.disk] - same + 1
+		for _, m := range ms {
+			slotOf[m.disk] = -1
+		}
+	}
+	rd.req, rd.slot = make([]tally, nreq), make([]tally, slots)
+	for v := range nodes {
+		rd.count(v, 1)
+	}
+	return rd
+}
+
+// mentions returns request r's range, in vertex order.
+func (rd *reduction) mentions(r int32) []mention { return rd.ms[rd.off[r]:rd.off[r+1]] }
+
+// count adds by to each of vertex v's five tallies: +1 when it is tallied
+// alive, -1 when it is deleted.
+func (rd *reduction) count(v int, by int32) {
+	x := rd.vs[v]
+	rd.req[x.i].leave += by
+	rd.req[x.j].enter += by
+	rd.slot[x.si].leave += by
+	rd.slot[x.sj].enter += by
+	rd.pair[x.p] += by
+}
+
+// degree returns the number of alive vertices conflicting with the alive
+// vertex v = (i, j, d). In i's range v leaves i: it conflicts with every
+// other vertex leaving i and with every vertex entering i on another disk.
+// In j's range v enters j from i: it conflicts with every vertex leaving j
+// on another disk, and with every vertex entering j on another disk except
+// the rest of the (i, j) run, which shares v's predecessor and was counted
+// in i's range.
+func (rd *reduction) degree(v int) int32 {
+	x := rd.vs[v]
+	ri, rj, si, sj := rd.req[x.i], rd.req[x.j], rd.slot[x.si], rd.slot[x.sj]
+	return ri.leave - 1 + ri.enter - si.enter +
+		rj.leave - sj.leave + rj.enter - sj.enter - (rd.pair[x.p] - 1)
+}
+
+// conflicts reports whether a and b, two distinct vertices of request r's
+// range, are an edge owned by this range: both leave r, or their
+// predecessors and their disks both differ.
+func conflicts(r int32, a, b mention) bool {
+	return a.i == b.i && a.i == r || a.i != b.i && a.disk != b.disk
+}
+
+// gwmin runs GWMIN on the reduction without building its graph: residual
+// degrees come from the alive tallies, and taking a vertex scans its two
+// ranges for the alive vertices it conflicts with, each deleted by
+// decrementing five tallies. The selection, order included, is
+// graph.GWMIN's on Build's graph.
+func (rd *reduction) gwmin() []int {
+	n := len(rd.nodes)
+	weights, alive := make([]float64, n), make([]bool, n)
+	for v, nd := range rd.nodes {
+		weights[v], alive[v] = nd.Weight, true
+	}
+	del := func(v int) {
+		alive[v] = false
+		rd.count(v, -1)
+	}
+	return graph.GWMINResidual(weights, alive,
+		func(v int) int { return int(rd.degree(v)) },
+		func(v int) {
+			x := rd.vs[v]
+			self := mention{int32(v), x.i, int32(rd.nodes[v].Disk)}
+			for _, r := range [2]int32{x.i, x.j} {
+				for _, m := range rd.mentions(r) {
+					if alive[m.v] && m.v != self.v && conflicts(r, self, m) {
+						del(int(m.v))
+					}
 				}
 			}
-			a = b
-		}
-		for _, m := range ms {
-			leaving[m.disk], entering[m.disk] = 0, 0
-		}
-	})
+			del(v)
+		})
+}
+
+// Build constructs the MWIS reduction of Section 3.1.2 for a request
+// stream as a graph: Step 1 adds a vertex for every non-zero X(i,j,k)
+// (Eqs. 3-4), Step 2 adds an edge for every energy-constraint violation
+// (same i) and schedule-constraint violation (shared request, different
+// disk). The edges are yielded range by range, and the degrees graph.New
+// needs are the reduction's tallied ones, so no pair is walked twice.
+// Solve does not call it unless opts.HybridExactLimit > 0; it serves the
+// exact and hybrid solvers and callers that inspect the graph.
+func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (*Instance, error) {
+	rd, err := reduce(reqs, locations, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	weights, deg := make([]float64, len(rd.nodes)), make([]int32, len(rd.nodes))
+	for v, nd := range rd.nodes {
+		weights[v], deg[v] = nd.Weight, rd.degree(v)
+	}
 	g := graph.New(weights, deg, func(yield func(u, v int)) {
-		eachRange(func(r core.RequestID, ms []mention) {
+		for r := range int32(len(rd.off) - 1) {
+			ms := rd.mentions(r)
 			for a, mu := range ms {
 				for _, mv := range ms[a+1:] {
-					if mu.i == mv.i && mu.i == r || mu.i != mv.i && mu.disk != mv.disk {
+					if conflicts(r, mu, mv) {
 						yield(int(mu.v), int(mv.v))
 					}
 				}
 			}
-		})
+		}
 	})
-	return &Instance{Graph: g, Nodes: nodes}, nil
+	return &Instance{Graph: g, Nodes: rd.nodes}, nil
 }
 
 // DeriveSchedule is Step 4 of the algorithm: requests appearing in selected
@@ -335,6 +437,10 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 // save energy anywhere and are placed on a replica already in use when
 // possible, else their original location.
 func (in *Instance) DeriveSchedule(reqs []core.Request, locations func(core.BlockID) []core.DiskID, selected []int) (core.Schedule, error) {
+	return deriveSchedule(in.Nodes, reqs, locations, selected)
+}
+
+func deriveSchedule(nodes []Node, reqs []core.Request, locations func(core.BlockID) []core.DiskID, selected []int) (core.Schedule, error) {
 	sched := make(core.Schedule, len(reqs))
 	for i := range sched {
 		sched[i] = core.InvalidDisk
@@ -347,10 +453,10 @@ func (in *Instance) DeriveSchedule(reqs []core.Request, locations func(core.Bloc
 		return nil
 	}
 	for _, v := range selected {
-		if v < 0 || v >= len(in.Nodes) {
+		if v < 0 || v >= len(nodes) {
 			return nil, fmt.Errorf("offline: selected vertex %d out of range", v)
 		}
-		n := in.Nodes[v]
+		n := nodes[v]
 		if err := assign(n.I, n.Disk); err != nil {
 			return nil, err
 		}
@@ -397,21 +503,29 @@ func (in *Instance) DeriveSchedule(reqs []core.Request, locations func(core.Bloc
 
 // Solve runs the full offline pipeline with the GWMIN greedy the paper uses
 // (Section 4.3): build the reduction, solve MWIS, derive the schedule.
-// With opts.Workers > 1 both graph construction and the component-parallel
-// solve run concurrently; the schedule and stats are bit-identical for
-// every worker count.
+// GWMIN runs on the reduction's request ranges, so no conflict graph is
+// built; only opts.HybridExactLimit > 0 builds one, to split it into
+// components. The schedule and stats are bit-identical for every worker
+// count.
 func Solve(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (core.Schedule, Stats, error) {
-	in, err := Build(reqs, locations, cfg, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
+	var nodes []Node
 	var selected []int
 	if opts.HybridExactLimit > 0 {
+		in, err := Build(reqs, locations, cfg, opts)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		nodes = in.Nodes
 		selected, _ = graph.ParallelHybridMWIS(in.Graph, opts.HybridExactLimit, opts.workerCount())
 	} else {
-		selected, _ = graph.ParallelGWMIN(in.Graph, opts.workerCount())
+		rd, err := reduce(reqs, locations, cfg, opts)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		nodes = rd.nodes
+		selected = rd.gwmin()
 	}
-	sched, err := in.DeriveSchedule(reqs, locations, selected)
+	sched, err := deriveSchedule(nodes, reqs, locations, selected)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -31,11 +31,7 @@ import (
 // its successor on the same disk arrives at t_j. It is zero when the gap
 // reaches the replacement window T_B + T_up + T_down.
 func Saving(cfg power.Config, ti, tj time.Duration) float64 {
-	gap := tj - ti
-	if gap < 0 || gap >= cfg.ReplacementWindow() {
-		return 0
-	}
-	return cfg.UpDownEnergy() + (cfg.Breakeven()-gap).Seconds()*cfg.IdlePower
+	return newGapModel(cfg).saving(tj - ti)
 }
 
 // GapCost returns the energy a disk spends between servicing a request and
@@ -45,10 +41,44 @@ func GapCost(cfg power.Config, gap time.Duration) float64 {
 	if gap < 0 {
 		panic(fmt.Sprintf("offline: negative gap %s", gap))
 	}
-	if gap < cfg.ReplacementWindow() {
-		return gap.Seconds() * cfg.IdlePower
+	return newGapModel(cfg).cost(gap)
+}
+
+// gapModel holds what Saving and GapCost derive from a power.Config, so
+// loops over many gaps derive T_B (a float division) once rather than per
+// gap. Its methods evaluate the same expressions on the same operands, so
+// their results are bit-identical to Saving's and GapCost's.
+type gapModel struct {
+	window, breakeven time.Duration
+	upDown, idle      float64
+	cycle             float64 // one full power cycle: E_up/down + T_B*P_I
+}
+
+func newGapModel(cfg power.Config) gapModel {
+	tb := cfg.Breakeven()
+	return gapModel{
+		window:    cfg.ReplacementWindow(),
+		breakeven: tb,
+		upDown:    cfg.UpDownEnergy(),
+		idle:      cfg.IdlePower,
+		cycle:     cfg.UpDownEnergy() + tb.Seconds()*cfg.IdlePower,
 	}
-	return cfg.UpDownEnergy() + cfg.Breakeven().Seconds()*cfg.IdlePower
+}
+
+// saving is Saving for a successor gap later.
+func (m gapModel) saving(gap time.Duration) float64 {
+	if gap < 0 || gap >= m.window {
+		return 0
+	}
+	return m.upDown + (m.breakeven-gap).Seconds()*m.idle
+}
+
+// cost is GapCost for a non-negative gap.
+func (m gapModel) cost(gap time.Duration) float64 {
+	if gap < m.window {
+		return gap.Seconds() * m.idle
+	}
+	return m.cycle
 }
 
 // Stats summarizes a schedule under the offline analytic model.
@@ -93,6 +123,7 @@ func Evaluate(reqs []core.Request, sched core.Schedule, cfg power.Config, locati
 		perDisk[d] = append(perDisk[d], r.Arrival)
 	}
 	var st Stats
+	gm := newGapModel(cfg)
 	tail := cfg.Breakeven().Seconds()*cfg.IdlePower + cfg.SpinDownEnergy
 	// Disks are visited in id order so the floating-point energy sum is the
 	// same on every run (map iteration would reorder the additions).
@@ -107,8 +138,8 @@ func Evaluate(reqs []core.Request, sched core.Schedule, cfg power.Config, locati
 		st.Energy += cfg.SpinUpEnergy
 		for i := 0; i+1 < len(times); i++ {
 			gap := times[i+1] - times[i]
-			st.Energy += GapCost(cfg, gap)
-			if gap >= cfg.ReplacementWindow() {
+			st.Energy += gm.cost(gap)
+			if gap >= gm.window {
 				st.SpinUps++
 				st.SpinDowns++
 			}
