@@ -114,6 +114,33 @@ func TestFigure10ReusesSweepCells(t *testing.T) {
 	}
 }
 
+// TestFigure11ReusesSweepInputs pins Figure 11's sharing: it runs its own
+// cells, but on the sweep entry's request stream and rf=3 placement, so
+// cold it builds that one placement and after a sweep none, and its table
+// is byte-identical either way. Not parallel: it reads the package-wide
+// counters.
+func TestFigure11ReusesSweepInputs(t *testing.T) {
+	s := cacheScale(9107)
+	s.Alphas, s.Betas = s.Alphas[:2], s.Betas[:1]
+	before := placementBuilds.Load()
+	cold, _ := countCells(t, NewSweepCache().figure11, s)
+	if n := placementBuilds.Load() - before; n != 1 {
+		t.Errorf("cold Figure 11 built %d placements, want 1", n)
+	}
+	swept := NewSweepCache()
+	if _, err := swept.Sweep(s, Cello); err != nil {
+		t.Fatal(err)
+	}
+	before = placementBuilds.Load()
+	got, _ := countCells(t, swept.figure11, s)
+	if n := placementBuilds.Load() - before; n != 0 {
+		t.Errorf("Figure 11 after a sweep built %d placements, want 0", n)
+	}
+	if got != cold {
+		t.Errorf("Figure 11 after a sweep differs from cold:\n%s\nwant:\n%s", got, cold)
+	}
+}
+
 // TestConcurrentLookupsShareCells races a sweep against Figures 9 and 12
 // on one cold key: however their claims interleave, the grid's 25 cells
 // are simulated once between them and the sweep matches a fresh one. Not

@@ -263,16 +263,20 @@ func (c *SweepCache) figure10(s Scale, tr Trace) (*Table, error) {
 // Figure11 renders the cost-function sweep (Appendix A.2): normalized
 // energy and mean response time of the online Heuristic for every
 // (alpha, beta) pair, each normalized to that beta's alpha=0 run. The
-// pairs run on the worker pool.
-func Figure11(s Scale, tr Trace) (*Table, error) {
+// pairs run on the worker pool, on the replication sweep's request stream
+// and rf=3 placement, shared through the sweep cache.
+func Figure11(s Scale, tr Trace) (*Table, error) { return defaultSweepCache.figure11(s, tr) }
+
+func (c *SweepCache) figure11(s Scale, tr Trace) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	reqs := tr.Requests(s)
-	plc, err := makePlacement(s, 3, 1)
+	e, _, _ := c.entry(s, tr)
+	plc, err := e.plcs[3]()
 	if err != nil {
 		return nil, err
 	}
+	reqs := e.reqs()
 	pwr := storage.DefaultConfig().Power
 	na := len(s.Alphas)
 	runs := make([]Run, len(s.Betas)*na)

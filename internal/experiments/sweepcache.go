@@ -28,7 +28,8 @@ import (
 // Sweep wants the whole grid, Figure9 its five rf=3 cells, Figure12 its
 // four online rf=3 cells and Figure10 the Random, Static and Heuristic
 // cells of every rf, its z=1 row, so each simulates only what no earlier
-// call did.
+// call did. Figure11 simulates cells of its own, but on the entry's request
+// stream and rf=3 placement.
 // An optional on-disk tier (SetDir) persists complete sweeps across
 // processes for cmd/figures; entries are keyed by the same canonical hash,
 // so any input change simply misses and old files become unreachable.
@@ -188,22 +189,12 @@ func (c *SweepCache) lookup(s Scale, tr Trace, name string, want []int) (*sweepE
 	}
 	tk := s.Monitor.Track(name+":"+tr.String(), len(want))
 	defer tk.Finish()
+	e, key, dir := c.entry(s, tr)
 	if s.Doctor {
 		c.count(s, &c.bypasses, "bypass")
-		e := newSweepEntry(s, tr)
 		runs, _, err := e.runs(s, want, tk)
 		return e, runs, err
 	}
-	key := sweepKey(s, tr, sched.DefaultCost(storage.DefaultConfig().Power))
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = newSweepEntry(s, tr)
-		c.entries[key] = e
-	}
-	dir := c.dir
-	c.mu.Unlock()
-
 	loaded := false
 	e.probe.Do(func() {
 		var runs []Run
@@ -228,6 +219,24 @@ func (c *SweepCache) lookup(s Scale, tr Trace, name string, want []int) (*sweepE
 		writeSweepFile(dir, key, tr, runs)
 	}
 	return e, runs, nil
+}
+
+// entry returns (s, tr)'s entry, created empty on first use, with its key
+// and the disk tier's directory. A doctored scale gets a fresh entry that
+// no other call shares.
+func (c *SweepCache) entry(s Scale, tr Trace) (e *sweepEntry, key, dir string) {
+	if s.Doctor {
+		return newSweepEntry(s, tr), "", ""
+	}
+	key = sweepKey(s, tr, sched.DefaultCost(storage.DefaultConfig().Power))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		e = newSweepEntry(s, tr)
+		c.entries[key] = e
+	}
+	return e, key, c.dir
 }
 
 // runs returns the runs of the cells want, in want's order, and whether

@@ -190,78 +190,69 @@ func (g *Graph) SetWeightSum(vs []int) float64 {
 	return total
 }
 
-// ratioItem is a lazy max-heap entry keyed by a selection ratio. Entries go
-// stale when deletions change a vertex's degree or neighborhood weight; a
-// stale pop is re-keyed and reinserted (ratios only grow as the graph
-// shrinks, so the first fresh pop is the true maximum).
-type ratioItem struct {
-	ratio float64
-	v     int32
-	stamp int32 // the vertex's stamp when keyed
-}
-
-// ratioHeap is a concrete binary max-heap ordered by (ratio desc, v asc).
-// The comparison is a strict total order over live entries, so the pop
-// sequence — and therefore every greedy selection — is independent of the
-// heap's internal layout. Hand-rolled rather than container/heap to avoid
+// ratioHeap is selectGreedy's re-key heap: a binary heap of the vertices
+// whose entries were keyed again after going stale, ordered by before on
+// their current keys. Hand-rolled rather than container/heap to avoid
 // interface dispatch on the greedy's hottest loop.
-type ratioHeap []ratioItem
-
-func (h ratioHeap) less(i, j int) bool {
-	if h[i].ratio != h[j].ratio {
-		return h[i].ratio > h[j].ratio // max-heap
-	}
-	return h[i].v < h[j].v
+type ratioHeap struct {
+	keys []uint64 // by vertex: the key of its one live entry
+	vs   []int32
 }
 
-func (h ratioHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+// before reports whether vertex a precedes vertex b in selection order:
+// (ratio desc, v asc), that is (key asc, v asc). This is a strict total
+// order, so the order entries leave the front and the heap in is
+// independent of how either holds them.
+func (h *ratioHeap) before(a, b int32) bool {
+	ka, kb := h.keys[a], h.keys[b]
+	return ka < kb || ka == kb && a < b
 }
 
-func (h ratioHeap) down(i int) {
+func (h *ratioHeap) less(i, j int) bool { return h.before(h.vs[i], h.vs[j]) }
+
+func (h *ratioHeap) down(i int) {
+	vs := h.vs
 	for {
 		l := 2*i + 1
-		if l >= len(h) {
+		if l >= len(vs) {
 			return
 		}
 		m := l
-		if r := l + 1; r < len(h) && h.less(r, l) {
+		if r := l + 1; r < len(vs) && h.less(r, l) {
 			m = r
 		}
 		if !h.less(m, i) {
 			return
 		}
-		h[i], h[m] = h[m], h[i]
+		vs[i], vs[m] = vs[m], vs[i]
 		i = m
 	}
 }
 
-func (h ratioHeap) up(i int) {
+func (h *ratioHeap) up(i int) {
+	vs := h.vs
 	for i > 0 {
 		p := (i - 1) / 2
 		if !h.less(i, p) {
 			return
 		}
-		h[i], h[p] = h[p], h[i]
+		vs[i], vs[p] = vs[p], vs[i]
 		i = p
 	}
 }
 
-func (h *ratioHeap) pop() ratioItem {
-	old := *h
-	it := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	(*h).down(0)
-	return it
+func (h *ratioHeap) pop() int32 {
+	v := h.vs[0]
+	n := len(h.vs) - 1
+	h.vs[0] = h.vs[n]
+	h.vs = h.vs[:n]
+	h.down(0)
+	return v
 }
 
-func (h *ratioHeap) push(it ratioItem) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
+func (h *ratioHeap) push(v int32) {
+	h.vs = append(h.vs, v)
+	h.up(len(h.vs) - 1)
 }
 
 // GWMIN is the greedy of Sakai, Togasaki and Yamazaki [22] used by the
@@ -271,7 +262,7 @@ func (h *ratioHeap) push(it ratioItem) {
 //
 // Residual degrees need no bookkeeping of their own: a vertex's counter
 // increments exactly once per alive neighbor lost, so the residual degree
-// is the initial degree minus the counter. Re-keying a stale heap entry is
+// is the initial degree minus the counter. Keying a vertex again is
 // therefore O(1).
 func GWMIN(g *Graph) ([]int, float64) {
 	n := g.N()
@@ -293,12 +284,10 @@ func GWMIN(g *Graph) ([]int, float64) {
 // vertex v, and take(v) deletes v and its alive neighbors, clearing their
 // alive flags. It returns the selected vertices in selection order, which
 // is GWMIN's on the same graph: the ratios come from the same integer
-// degrees fed to the same division, and an entry is stale exactly when
-// its vertex's residual degree changed since it was keyed.
+// degrees fed to the same division.
 func GWMINResidual(weights []float64, alive []bool, degree func(v int) int, take func(v int)) []int {
-	return selectGreedy(len(weights), alive, func(v int) (float64, int32) {
-		d := degree(v)
-		return weights[v] / float64(d+1), int32(d)
+	return selectGreedy(len(weights), alive, func(v int) float64 {
+		return weights[v] / float64(degree(v)+1)
 	}, take)
 }
 
@@ -315,7 +304,7 @@ func GWMIN2(g *Graph) ([]int, float64) {
 		alive[v] = true
 	}
 	lost := make([]int32, n)
-	is := selectGreedy(n, alive, func(v int) (float64, int32) {
+	is := selectGreedy(n, alive, func(v int) float64 {
 		sum := g.weights[v]
 		for _, u := range g.Neighbors(v) {
 			if alive[u] {
@@ -323,9 +312,9 @@ func GWMIN2(g *Graph) ([]int, float64) {
 			}
 		}
 		if sum == 0 {
-			return math.Inf(1), lost[v] // zero-weight isolated vertex: free to take
+			return math.Inf(1) // zero-weight isolated vertex: free to take
 		}
-		return g.weights[v] / sum, lost[v]
+		return g.weights[v] / sum
 	}, func(v int) { g.deleteClosed(v, alive, lost) })
 	return is, g.SetWeightSum(is)
 }
@@ -351,33 +340,56 @@ func (g *Graph) deleteClosed(v int, alive []bool, lost []int32) {
 
 // selectGreedy is the selection loop every greedy here shares: repeatedly
 // select the alive vertex maximizing its ratio, add it to the independent
-// set, and take it with its closed neighborhood. key(v) returns v's ratio
-// and a stamp that changes whenever the ratio may have; the ratio must be
-// non-decreasing under vertex deletions (true for GWMIN and GWMIN2), which
-// keeps the lazy max-heap exact: a stale pop is re-keyed and reinserted
-// with a ratio at least as large.
-func selectGreedy(n int, alive []bool, key func(v int) (float64, int32), take func(v int)) []int {
-	h := make(ratioHeap, n)
-	for v := range h {
-		r, s := key(v)
-		h[v] = ratioItem{ratio: r, v: int32(v), stamp: s}
+// set, and take it with its closed neighborhood. ratio(v) is v's ratio in
+// the remaining graph; it must be non-decreasing under vertex deletions
+// (true for GWMIN and GWMIN2).
+//
+// Every vertex is keyed once and the keys are sorted into a front; a heap
+// holds only the vertices keyed again after their entries went stale.
+// Each step takes the first of the front's head and the heap's top under
+// before. An entry whose ratio has grown since it was keyed is stale: the
+// vertex is keyed again into the heap, so the first fresh entry is the
+// true maximum. Each vertex has at most one entry between the two, so the
+// entries leave in the order one lazy max-heap over all of them would pop
+// them, and every selection matches it. A deleted vertex never revives,
+// so the front's dead entries, most of it, are skipped one array step
+// each.
+//
+// Staleness is a changed ratio, not a changed neighborhood: an entry whose
+// neighborhood changed but whose ratio did not would be keyed again with
+// the same key, still first, and selected on the next step all the same.
+func selectGreedy(n int, alive []bool, ratio func(v int) float64, take func(v int)) []int {
+	keys := make([]uint64, n)
+	for v := range keys {
+		keys[v] = descKey(ratio(v))
 	}
-	h.init()
+	front := sortByKey(keys)
+	h := ratioHeap{keys: keys}
 	var is []int
-	for len(h) > 0 {
-		it := h.pop()
-		v := int(it.v)
-		if !alive[v] {
+	for i := 0; ; {
+		for i < len(front) && !alive[front[i]] {
+			i++
+		}
+		var v int32
+		switch {
+		case i < len(front) && (len(h.vs) == 0 || h.before(front[i], h.vs[0])):
+			v = front[i]
+			i++
+		case len(h.vs) > 0:
+			if v = h.pop(); !alive[v] {
+				continue
+			}
+		default:
+			return is
+		}
+		if k := descKey(ratio(int(v))); k != keys[v] {
+			keys[v] = k
+			h.push(v)
 			continue
 		}
-		if r, s := key(v); s != it.stamp {
-			h.push(ratioItem{ratio: r, v: it.v, stamp: s})
-			continue
-		}
-		is = append(is, v)
-		take(v)
+		is = append(is, int(v))
+		take(int(v))
 	}
-	return is
 }
 
 // ExactMWIS solves maximum weighted independent set exactly by branch and

@@ -2,6 +2,7 @@ package offline
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -131,13 +132,76 @@ func TestBuildEdgesMatchOracle(t *testing.T) {
 	}
 }
 
+// sortedNodes returns nodes in the (I, J, Disk) order of one comparison
+// sort, the order reduce's counting passes must reproduce.
+func sortedNodes(nodes []Node) []Node {
+	out := slices.Clone(nodes)
+	slices.SortFunc(out, func(na, nb Node) int {
+		if na.I != nb.I {
+			return int(na.I) - int(nb.I)
+		}
+		if na.J != nb.J {
+			return int(na.J) - int(nb.J)
+		}
+		return int(na.Disk) - int(nb.Disk)
+	})
+	return out
+}
+
+// TestReduceNodeOrder checks reduce's vertex order against a comparison
+// sort by (I, J, Disk), with request IDs shuffled out of arrival order,
+// over replication factors 1 to 5 and the exact and the capped reduction.
+// It also feeds orderNodes the same nodes shuffled across random shards,
+// which must come back in that order, none lost or repeated.
+func TestReduceNodeOrder(t *testing.T) {
+	t.Parallel()
+	pcfg := power.DefaultConfig()
+	rng := rand.New(rand.NewSource(5))
+	reqs := reshape(workload.CelloLike(160, 120, 3), 20, 0)
+	for i, id := range rng.Perm(len(reqs)) {
+		reqs[i].ID = core.RequestID(id)
+	}
+	for rf := 1; rf <= 5; rf++ {
+		plc, err := placement.Generate(placement.GenerateConfig{
+			NumDisks: 16, NumBlocks: 120, ReplicationFactor: rf, ZipfExponent: 1, Seed: int64(rf),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, succ := range []int{0, 4} {
+			rd, err := reduce(reqs, plc.Locations, pcfg, BuildOptions{MaxSuccessors: succ})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rd.nodes) == 0 {
+				t.Fatalf("rf=%d succ=%d: no nodes: the fixture exercises nothing", rf, succ)
+			}
+			want := sortedNodes(rd.nodes)
+			if !slices.Equal(rd.nodes, want) {
+				t.Fatalf("rf=%d succ=%d: reduce's vertex order is not (I, J, Disk)", rf, succ)
+			}
+			shuffled := slices.Clone(want)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			var shards [][]Node
+			for len(shuffled) > 0 {
+				k := min(len(shuffled), 1+rng.Intn(50))
+				shards = append(shards, shuffled[:k])
+				shuffled = shuffled[k:]
+			}
+			if got := orderNodes(shards, len(want)); !slices.Equal(got, want) {
+				t.Fatalf("rf=%d succ=%d: orderNodes on shuffled shards is not (I, J, Disk)", rf, succ)
+			}
+		}
+	}
+}
+
 // FuzzBuildEdges feeds Build tiny fuzzer-chosen request streams and
 // replica sets and checks the graph against the brute-force oracle, the
-// reduction's residual degrees against the oracle's adjacency, and the
-// range greedy against graph.GWMIN on the graph. The
-// input decodes as: one byte of options (disk count, successor cap,
-// workers), one replica bitmask per block, then (gap, block) byte pairs,
-// one per request. Gaps are in eighths of the replacement window, so
+// reduction's residual degrees against the oracle's adjacency, the range
+// greedy against graph.GWMIN on the graph, and the vertex order against a
+// comparison sort by (I, J, Disk). The input decodes as: one byte of
+// options (disk count, successor cap, workers), one replica bitmask per
+// block, then (gap, block) byte pairs, one per request. Gaps are in eighths of the replacement window, so
 // zero gaps make arrival ties and large ones split the stream.
 func FuzzBuildEdges(f *testing.F) {
 	const blocks = 4
@@ -177,6 +241,9 @@ func FuzzBuildEdges(f *testing.F) {
 		rd, err := reduce(reqs, locations, pcfg, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !slices.Equal(rd.nodes, sortedNodes(rd.nodes)) {
+			t.Fatal("reduce's vertex order is not (I, J, Disk)")
 		}
 		adj, _ := conflictOracle(rd.nodes)
 		checkResidual(t, rd, adj)

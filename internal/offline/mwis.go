@@ -219,22 +219,55 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 	if opts.MaxNodes > 0 && total > opts.MaxNodes {
 		return nil, fmt.Errorf("offline: MWIS graph exceeds %d nodes", opts.MaxNodes)
 	}
-	nodes := make([]Node, 0, total)
+	return newReduction(orderNodes(nodesByShard, total)), nil
+}
+
+// orderNodes merges the shards' nodes into the deterministic vertex order
+// (I, J, Disk), whatever the shard or worker schedule; the triple is
+// unique per node, so the order is total. A counting scatter by I buckets
+// the nodes, then each bucket is ordered by (J, Disk). A bucket holds a
+// request's successors on its disks, so it is short; the comparison sort
+// also covers the long buckets of an uncapped reduction and request IDs
+// out of arrival order.
+func orderNodes(nodesByShard [][]Node, total int) []Node {
+	nreq := 0
 	for _, ns := range nodesByShard {
-		nodes = append(nodes, ns...)
+		for _, nd := range ns {
+			nreq = max(nreq, int(nd.I)+1)
+		}
 	}
-	// Deterministic vertex order regardless of shard or worker schedule:
-	// (I, J, Disk) is unique per node, so this order is total.
-	slices.SortFunc(nodes, func(na, nb Node) int {
-		if na.I != nb.I {
-			return int(na.I) - int(nb.I)
+	end := make([]int32, nreq) // bucket starts, then, after the scatter, ends
+	for _, ns := range nodesByShard {
+		for _, nd := range ns {
+			end[nd.I]++
 		}
-		if na.J != nb.J {
-			return int(na.J) - int(nb.J)
+	}
+	var sum int32
+	for i, c := range end {
+		end[i] = sum
+		sum += c
+	}
+	nodes := make([]Node, total)
+	for _, ns := range nodesByShard {
+		for _, nd := range ns {
+			nodes[end[nd.I]] = nd
+			end[nd.I]++
 		}
-		return int(na.Disk) - int(nb.Disk)
-	})
-	return newReduction(nodes), nil
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		slices.SortFunc(nodes[lo:hi], cmpJDisk)
+		lo = hi
+	}
+	return nodes
+}
+
+// cmpJDisk orders the nodes of one I bucket by (J, Disk).
+func cmpJDisk(a, b Node) int {
+	if a.J != b.J {
+		return int(a.J) - int(b.J)
+	}
+	return int(a.Disk) - int(b.Disk)
 }
 
 // reduction is the MWIS reduction of Section 3.1.2 before any edge is

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -105,20 +106,19 @@ func Generate(cfg GenerateConfig) (*Placement, error) {
 	rankToDisk := rng.Perm(cfg.NumDisks)
 	zipf := NewZipf(cfg.NumDisks, cfg.ZipfExponent)
 
+	// Every block's list is a slice of one flat array, each capped at its
+	// own rf entries.
+	rf := cfg.ReplicationFactor
+	flat := make([]core.DiskID, cfg.NumBlocks*rf)
 	locs := make([][]core.DiskID, cfg.NumBlocks)
 	for b := range locs {
-		ds := make([]core.DiskID, 0, cfg.ReplicationFactor)
-		used := make(map[core.DiskID]struct{}, cfg.ReplicationFactor)
-		orig := core.DiskID(rankToDisk[zipf.Sample(rng)])
-		ds = append(ds, orig)
-		used[orig] = struct{}{}
-		for len(ds) < cfg.ReplicationFactor {
+		ds := flat[b*rf : b*rf : (b+1)*rf]
+		ds = append(ds, core.DiskID(rankToDisk[zipf.Sample(rng)]))
+		for len(ds) < rf {
 			d := core.DiskID(rng.Intn(cfg.NumDisks))
-			if _, dup := used[d]; dup {
-				continue
+			if !slices.Contains(ds, d) {
+				ds = append(ds, d)
 			}
-			used[d] = struct{}{}
-			ds = append(ds, d)
 		}
 		locs[b] = ds
 	}

@@ -1,6 +1,9 @@
 package placement
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"sort"
@@ -132,6 +135,50 @@ func TestGenerateDeterministicForSeed(t *testing.T) {
 				t.Fatalf("block %d differs between same-seed generations", b)
 			}
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector instruments
+// allocations, so allocation counts do not hold under it.
+var raceEnabled bool
+
+// TestGenerateLayoutPinned pins the evaluation layout the figures and the
+// benchmark run on: a seeded 180-disk, 30,000-block, rf 3 layout hashes to
+// the value the per-block map version produced, so the RNG draws are
+// unchanged. It also bounds Generate's allocations, which must not grow
+// with the block count.
+func TestGenerateLayoutPinned(t *testing.T) {
+	t.Parallel()
+	cfg := GenerateConfig{NumDisks: 180, NumBlocks: 30000, ReplicationFactor: 3, ZipfExponent: 1, Seed: 1}
+	p, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [4]byte
+	for b := 0; b < p.NumBlocks(); b++ {
+		ls := p.Locations(core.BlockID(b))
+		binary.LittleEndian.PutUint32(buf[:], uint32(len(ls)))
+		h.Write(buf[:])
+		for _, d := range ls {
+			binary.LittleEndian.PutUint32(buf[:], uint32(d))
+			h.Write(buf[:])
+		}
+	}
+	const want = "f717b9a5f4498ccf7ba92612f01ab530afb53eabd6b0376eac6e4f984238c5a0"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("layout hash = %s, want %s", got, want)
+	}
+	if raceEnabled {
+		return // allocation counts are not exact under the race detector
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Generate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("Generate allocates %v times, want at most 8", allocs)
 	}
 }
 
