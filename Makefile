@@ -53,9 +53,12 @@ ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carb
 # other's state show up as a data race and a missed event shows up as a
 # diff — and finally the serving engine's admission and flat-combining
 # paths: the Sequential-mode sequencer under many concurrent submitters
-# (a lost release strands requests and hangs the test), live mode under
+# (a lost release strands requests and hangs the test), the
+# serving-equals-simulation pin (TestSequentialMatchesRunOnline: four
+# concurrent Sequential submitters must reproduce storage.RunOnline's
+# event log, state log, result and metrics export), live mode under
 # concurrent submitters with the doctor attached, and drains racing
-# submitters and idle engines.
+# submitters and idle engines (TestDrainWithoutRequests among them).
 race-hot:
 	$(GO) test -race -count 4 ./internal/experiments ./internal/cache
 	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestEngineMatchesHeapOracle|TestFreeRun|TestShardOf|TestFleet' ./internal/simkernel ./internal/storage

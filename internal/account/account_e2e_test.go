@@ -187,19 +187,12 @@ func TestLiveAccountingMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lv.Accounting() != acc {
-		t.Fatal("Live.Accounting does not expose the attached accumulator")
-	}
 	s := sched.Static{Locations: p.Locations}
 	for _, r := range reqs {
 		lv.Advance(r.Arrival)
 		lv.Arrive(r)
-		d := s.Schedule(r, lv.View())
-		if d == core.InvalidDisk {
-			lv.Drop(r)
-			continue
-		}
-		lv.Dispatch(r, d, 0)
+		d, dec := lv.Decide(s, r)
+		lv.Deliver(r, d, dec)
 	}
 	res, err := lv.Finish("static")
 	if err != nil {

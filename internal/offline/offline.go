@@ -169,5 +169,11 @@ func Horizon(reqs []core.Request, cfg power.Config) time.Duration {
 			last = r.Arrival
 		}
 	}
+	return HorizonAfter(last, cfg)
+}
+
+// HorizonAfter is Horizon for a stream whose last arrival is at last (0
+// when nothing arrived), for callers that see arrivals one at a time.
+func HorizonAfter(last time.Duration, cfg power.Config) time.Duration {
 	return last + cfg.Breakeven() + cfg.SpinUpTime + cfg.SpinDownTime
 }

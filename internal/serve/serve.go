@@ -109,9 +109,10 @@ type Config struct {
 	// submitters supply dense request IDs and virtual arrival times, and
 	// decisions are made in strict ID order regardless of submission
 	// interleaving, so concurrent and serial clients produce bit-identical
-	// accounting. Rounds are per-request and
-	// wall-clock deadlines do not apply. When false (live mode), the engine
-	// stamps IDs and arrivals from the wall clock in admission order.
+	// accounting, equal to storage.RunOnline's over the same trace. Rounds
+	// are per-request, so only ModeHeuristic is accepted, and wall-clock
+	// deadlines do not apply. When false (live mode), the engine stamps IDs
+	// and arrivals from the wall clock in admission order.
 	Sequential bool
 	// Tracer, Collector and Monitor attach the observability stack exactly
 	// as on a batch run (storage.WithTracer / WithCollector / WithMonitor).
@@ -362,6 +363,12 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: router over %d disks, system has %d",
 			cfg.Router.NumDisks(), cfg.System.NumDisks)
 	}
+	if cfg.Sequential && cfg.Mode == ModeWSC {
+		// Sequential rounds hold one request each, so a cover would decide
+		// nothing a heuristic decision does not; serving WSC needs a
+		// virtual-time batch window first.
+		return nil, errors.New("serve: Sequential mode supports only ModeHeuristic")
+	}
 	if cfg.Cost.Beta == 0 && cfg.Cost.Alpha == 0 {
 		cfg.Cost = sched.DefaultCost(cfg.System.Power)
 	}
@@ -583,7 +590,8 @@ func (e *Engine) clamp(arr time.Duration) time.Duration {
 
 // decideRound decides one gathered round. Live mode stamps arrivals here;
 // sequential requests arrive pre-stamped in ID order and are decided one
-// per-request round each, so round grouping can never affect results.
+// by one with the heuristic (New rejects Sequential WSC), so round grouping
+// can never affect results.
 func (e *Engine) decideRound(round []*pending) {
 	if e.cfg.Sequential {
 		for _, p := range round {
@@ -602,7 +610,8 @@ func (e *Engine) decideRound(round []*pending) {
 	}
 	// Expire deadlines first: an expired request still arrives (it was
 	// admitted) but is dropped instead of scheduled, keeping request
-	// conservation intact in the event log.
+	// conservation intact in the event log. The round timestamp closes
+	// every member's queue phase (read only with span metrics on).
 	live := round[:0]
 	for _, p := range round {
 		p.req.Arrival = arr
@@ -610,26 +619,20 @@ func (e *Engine) decideRound(round []*pending) {
 			if now.IsZero() {
 				now = time.Now()
 			}
+			if now.After(p.deadline) {
+				e.lv.Advance(arr)
+				e.lv.Arrive(p.req)
+				e.lv.Drop(p.req)
+				e.count(func(m *serveMetrics) { m.deadline.Inc() })
+				p.publish(Decision{}, ErrDeadline)
+				continue
+			}
 		}
-		if !p.deadline.IsZero() && now.After(p.deadline) {
-			e.lv.Advance(arr)
-			e.lv.Arrive(p.req)
-			e.lv.Drop(p.req)
-			e.count(func(m *serveMetrics) { m.deadline.Inc() })
-			p.publish(Decision{}, ErrDeadline)
-			continue
-		}
+		p.roundAt = now
 		live = append(live, p)
 	}
 	if len(live) == 0 {
 		return
-	}
-	if e.sm != nil {
-		// The round timestamp closes every member's queue phase; per-request
-		// decide timestamps are taken after each Schedule call below.
-		for _, p := range live {
-			p.roundAt = now
-		}
 	}
 	if e.cfg.Mode == ModeWSC && len(live) > 1 {
 		e.decideWSC(live)
@@ -640,25 +643,21 @@ func (e *Engine) decideRound(round []*pending) {
 	}
 }
 
-// decideOne advances the clock to p's arrival, emits the arrival,
-// schedules with the per-request heuristic and dispatches.
+// decideOne advances the clock to p's arrival, emits the arrival and
+// decides it with the per-request heuristic.
 func (e *Engine) decideOne(p *pending) {
 	e.lv.Advance(p.req.Arrival)
 	e.lv.Arrive(p.req)
-	base := e.lv.DecisionBase()
-	d := e.heur.Schedule(p.req, e.lv.View())
+	d, dec := e.lv.Decide(&e.heur, p.req)
 	if e.sm != nil {
 		p.decidedAt = time.Now()
 	}
-	e.answer(p, d, func(r core.Request, d core.DiskID) {
-		e.lv.Dispatch(r, d, base)
-	})
+	e.answer(p, d, dec)
 }
 
 // decideWSC decides one live round as a weighted-set-cover instance:
 // arrivals are emitted at their own timestamps, then the whole batch is
-// assigned at the round's decision time, mirroring storage.RunBatch's tick
-// shape.
+// assigned at the round's decision time, as at a storage.RunBatch tick.
 func (e *Engine) decideWSC(live []*pending) {
 	e.batch = e.batch[:0]
 	for _, p := range live {
@@ -666,43 +665,29 @@ func (e *Engine) decideWSC(live []*pending) {
 		e.lv.Arrive(p.req)
 		e.batch = append(e.batch, p.req)
 	}
-	base := e.lv.DecisionBase()
-	assignment := e.wsc.ScheduleBatch(e.batch, e.lv.View())
-	if e.sm != nil {
-		// One cover decides the whole batch; every member's decide phase
-		// closes at the same instant.
-		decided := time.Now()
-		for _, p := range live {
-			p.decidedAt = decided
+	// One cover decides the whole batch; every member's decide phase
+	// closes at the same instant.
+	var decided time.Time
+	answered := 0
+	e.lv.DecideBatch(&e.wsc, e.batch, func(i int, d core.DiskID, dec obs.DecisionID) {
+		if e.sm != nil && decided.IsZero() {
+			decided = time.Now()
 		}
-	}
-	// A traced WSC emits one decision per placed request in batch order;
-	// pair them back exactly as storage.RunBatch does (IDs base+1..base+n).
-	placed := 0
-	for _, d := range assignment {
-		if d != core.InvalidDisk {
-			placed++
-		}
-	}
-	traced := placed > 0 && e.lv.DecisionBase() == base+uint64(placed)
-	k := base
-	for i, p := range live {
-		var dec obs.DecisionID
-		if traced && assignment[i] != core.InvalidDisk {
-			k++
-			dec = obs.DecisionID(k)
-		}
-		e.answer(p, assignment[i], func(r core.Request, d core.DiskID) {
-			e.lv.DispatchDecision(r, d, dec)
-		})
+		live[i].decidedAt = decided
+		e.answer(live[i], d, dec)
+		answered++
+	})
+	for _, p := range live[answered:] { // a failed cover poisoned the system
+		p.publish(Decision{}, e.lv.Err())
 	}
 }
 
-// answer dispatches the decision via dispatch and replies to the waiter.
-func (e *Engine) answer(p *pending, d core.DiskID, dispatch func(core.Request, core.DiskID)) {
+// answer delivers one decision and replies to the waiter. The reply
+// record reads the chosen disk before the request reaches it.
+func (e *Engine) answer(p *pending, d core.DiskID, dec obs.DecisionID) {
 	if d == core.InvalidDisk {
 		// Replicas vanished between admission and decision (router update).
-		e.lv.Drop(p.req)
+		e.lv.Deliver(p.req, d, dec)
 		e.count(func(m *serveMetrics) { m.noReplica.Inc() })
 		p.publish(Decision{}, fmt.Errorf("%w %d", ErrNoReplica, p.req.Block))
 		return
@@ -720,7 +705,7 @@ func (e *Engine) answer(p *pending, d core.DiskID, dispatch func(core.Request, c
 		EnergyJ: en,
 		At:      e.lv.Now(),
 	}
-	dispatch(p.req, d)
+	e.lv.Deliver(p.req, d, dec)
 	if err := e.lv.Err(); err != nil {
 		p.publish(Decision{}, err)
 		return

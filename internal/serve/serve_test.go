@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/obs/monitor"
 	"repro/internal/placement"
 	"repro/internal/power"
@@ -334,7 +336,9 @@ func TestRingOrder(t *testing.T) {
 }
 
 // TestWSCRoundsServeAll runs live (wall-clock) mode with WSC decision
-// rounds under concurrent submitters and checks full conservation.
+// rounds under concurrent submitters and checks full conservation, and
+// that every dispatch carries the ID of a decision event for the same
+// request and disk, as on storage.RunBatch's path.
 func TestWSCRoundsServeAll(t *testing.T) {
 	t.Parallel()
 	cfg, p := testConfig(t, 8, 60, 2)
@@ -346,12 +350,19 @@ func TestWSCRoundsServeAll(t *testing.T) {
 		Policy:    cfg.System.Policy,
 		Locations: p.Locations,
 	})
+	var log bytes.Buffer
 	cfg.Tracer = obs.NewTracer(256)
+	cfg.Tracer.SetSink(&log, false)
 	cfg.Monitor = mon
+	col := obs.NewCollector()
+	cfg.Collector = col
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the decision loop so the first submissions gather into one
+	// multi-request round: a one-request round is decided by the heuristic.
+	blockLoop(e, 50*time.Millisecond)
 	const n = 200
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -378,6 +389,25 @@ func TestWSCRoundsServeAll(t *testing.T) {
 		var rep bytes.Buffer
 		mon.WriteReport(&rep)
 		t.Fatalf("doctor violations:\n%s", rep.String())
+	}
+	if rounds := col.Counter("esched_serve_rounds_total", "Decision rounds executed.").Value(); rounds >= n {
+		t.Fatalf("%v rounds for %d requests: no WSC round", rounds, n)
+	}
+	evs, err := analyze.Read(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := analyze.New(evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range r.ReqOrder {
+		for _, d := range r.Requests[id].Dispatches {
+			ev := r.Decisions[d.Dec]
+			if d.Dec == 0 || ev == nil || ev.Req != id || ev.Disk != d.Disk {
+				t.Fatalf("request %d dispatched to disk %d with decision %d (%+v)", id, d.Disk, d.Dec, ev)
+			}
+		}
 	}
 }
 
@@ -553,6 +583,33 @@ func TestNewValidation(t *testing.T) {
 	bad.System.NumDisks = 5
 	if _, err := New(bad); err == nil {
 		t.Error("router/system disk mismatch accepted")
+	}
+	bad = cfg
+	bad.Sequential, bad.Mode = true, ModeWSC
+	if _, err := New(bad); err == nil {
+		t.Error("Sequential ModeWSC accepted (its rounds would be decided by the heuristic)")
+	}
+}
+
+// TestDrainWithoutRequests drains an engine that decided nothing, in live
+// and in Sequential mode: the run still settles to a positive horizon, so
+// the normalized energy eschedd prints is finite.
+func TestDrainWithoutRequests(t *testing.T) {
+	t.Parallel()
+	for _, sequential := range []bool{false, true} {
+		cfg, _ := testConfig(t, 4, 20, 2)
+		cfg.Sequential = sequential
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.NormalizedEnergy(); res.Horizon <= 0 || n <= 0 || math.IsInf(n, 0) || math.IsNaN(n) {
+			t.Errorf("sequential=%v: horizon %v, normalized energy %v", sequential, res.Horizon, n)
+		}
 	}
 }
 

@@ -378,6 +378,19 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	return e.now
 }
 
+// RunBefore executes events with timestamps strictly before t (at or
+// before t-1ns: virtual time is integer nanoseconds), then advances the
+// clock to t. Events at exactly t stay queued, so a caller that delivers
+// its own work at t (a streamed arrival) runs ahead of them, as a
+// preloaded arrival would.
+func (e *Engine) RunBefore(t time.Duration) time.Duration {
+	e.RunUntil(t - 1)
+	if e.now < t {
+		e.now = t
+	}
+	return e.now
+}
+
 // peek returns the timestamp of the next live event.
 func (e *Engine) peek() (time.Duration, bool) {
 	it := e.head()

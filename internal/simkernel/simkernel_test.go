@@ -156,6 +156,26 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineRunBefore pins the strict bound: an event at exactly t stays
+// queued while the clock moves to t, and RunUntil(t) then fires it.
+func TestEngineRunBefore(t *testing.T) {
+	t.Parallel()
+	var e Engine
+	var fired []time.Duration
+	for _, s := range []time.Duration{1, 3, 3, 7} {
+		e.At(s*time.Second, func(now time.Duration) { fired = append(fired, now) })
+	}
+	if end := e.RunBefore(3 * time.Second); end != 3*time.Second || len(fired) != 1 {
+		t.Fatalf("RunBefore(3s) = %v with %d fired, want 3s with 1", end, len(fired))
+	}
+	if end := e.RunBefore(3 * time.Second); end != 3*time.Second || len(fired) != 1 {
+		t.Fatalf("repeated RunBefore(3s) = %v with %d fired, want 3s with 1", end, len(fired))
+	}
+	if e.RunUntil(3 * time.Second); len(fired) != 3 {
+		t.Fatalf("RunUntil(3s) fired %d in all, want 3", len(fired))
+	}
+}
+
 func TestEngineRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	t.Parallel()
 	var e Engine

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // FailureEvent takes a disk offline abruptly at At for Duration: pending
@@ -66,43 +65,4 @@ func (s *system) armFailures(events []FailureEvent, redispatch func(core.Request
 		})
 	}
 	return nil
-}
-
-// dispatchWithFailover submits the request to the chosen disk, failing
-// over to a surviving replica (preferring a spinning one) when the choice
-// is down. Requests whose every replica is down are dropped as
-// unavailable.
-func (s *system) dispatchWithFailover(req core.Request, d core.DiskID, loc func(core.BlockID) []core.DiskID, dec obs.DecisionID) {
-	if d != core.InvalidDisk && (d < 0 || int(d) >= len(s.disks)) {
-		s.fail(fmt.Errorf("storage: scheduler chose nonexistent disk %d for %v", d, req))
-		return
-	}
-	if d != core.InvalidDisk && !s.disks[d].Failed() {
-		s.dispatch(req, d, loc, dec)
-		return
-	}
-	if d == core.InvalidDisk {
-		s.drop(req)
-		return
-	}
-	// Chosen disk is down: fail over.
-	fallback := core.InvalidDisk
-	for _, alt := range loc(req.Block) {
-		if s.disks[alt].Failed() {
-			continue
-		}
-		if fallback == core.InvalidDisk {
-			fallback = alt
-		}
-		if s.disks[alt].State().Spinning() {
-			fallback = alt
-			break
-		}
-	}
-	if fallback == core.InvalidDisk {
-		s.drop(req)
-		s.unavailable++
-		return
-	}
-	s.submit(req, fallback, dec)
 }

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/account"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/offline"
 	"repro/internal/sched"
 	"repro/internal/simkernel"
 )
@@ -15,26 +15,30 @@ import (
 // RunOnline/RunBatch consume a complete preloaded trace, a Live system is
 // fed one request at a time by a long-lived caller (internal/serve's
 // decision loop) that interleaves clock advancement, scheduling decisions
-// and dispatches. It reuses the exact disk, power-meter, tracer and metrics
-// plumbing of the batch runners, so a serving run's event log and energy
-// accounting are indistinguishable from a batch run's.
+// and dispatches. Its decision, dispatch and finish steps are the ones
+// RunOnline and RunBatch run, so a serving run's event log and energy
+// accounting are those of a simulated run over the same arrivals.
 //
 // A Live system is single-goroutine like the underlying kernel: the caller
 // must serialize all method calls. The lifecycle is
 //
-//	lv := NewLive(cfg, opts...)
+//	lv, err := NewLive(cfg, loc, opts...)
 //	for each request r:
-//	    lv.Advance(r.Arrival)        // fire completions and spin-downs
-//	    lv.Arrive(r)                 // emit the arrival event
-//	    d := scheduler.Schedule(r, lv.View())
-//	    lv.Dispatch(r, d, loc, dec)  // or lv.Drop(r) / lv.Reject(r)
-//	lv.Finish(name)                  // drain, settle, reconcile, report
+//	    lv.Advance(r.Arrival)       // fire completions and spin-downs before r
+//	    lv.Arrive(r)                // emit the arrival event
+//	    d, dec := lv.Decide(sc, r)  // or lv.DecideBatch over gathered arrivals
+//	    lv.Deliver(r, d, dec)       // dispatch; InvalidDisk drops
+//	lv.Finish(name)                 // drain, settle, reconcile, report
+//
+// Drop rejects an arrived request without deciding it (a deadline expiry).
 type Live struct {
 	sys *system
-	loc sched.Locator
-	// ingested counts requests that produced an Arrive event; Finish
-	// cross-checks served+dropped against it exactly as the batch path does.
+	// ingested counts requests that produced an Arrive event, and last is
+	// the latest of their arrival times: Finish settles at the horizon the
+	// simulator derives from the last arrival and cross-checks
+	// served+dropped against ingested, as RunOnline does.
 	ingested int
+	last     time.Duration
 	finished bool
 }
 
@@ -52,11 +56,11 @@ func NewLive(cfg Config, loc sched.Locator, opts ...RunOption) (*Live, error) {
 	if o.cache != nil {
 		return nil, errors.New("storage: caches are not supported on a Live system")
 	}
-	s, err := newSystem(cfg, o)
+	s, err := newSystem(cfg, loc, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Live{sys: s, loc: loc}, nil
+	return &Live{sys: s}, nil
 }
 
 // View returns the scheduler's read-only window onto the running system
@@ -67,74 +71,55 @@ func (l *Live) View() sched.View { return l.sys }
 func (l *Live) Now() time.Duration { return l.sys.eng.Now() }
 
 // Advance runs the kernel up to t, firing every completion, idle timeout
-// and spin transition scheduled before then, and leaves the clock at t.
-// Advancing into the past is a no-op (the clock never rewinds).
-func (l *Live) Advance(t time.Duration) {
-	if t <= l.sys.eng.Now() {
-		return
-	}
-	l.sys.eng.RunUntil(t)
-}
+// and spin transition scheduled strictly before then, and leaves the clock
+// at t. Events at exactly t stay queued, so a request arriving at t is
+// seen first, as RunOnline's preloaded arrivals are. Advancing into the
+// past is a no-op (the clock never rewinds).
+func (l *Live) Advance(t time.Duration) { l.sys.eng.RunBefore(t) }
 
 // Err returns the first internal simulation error, if any. Once set, the
 // system is poisoned and Finish will return it.
 func (l *Live) Err() error { return l.sys.err }
 
 // Arrive records a request's arrival at the current virtual time. Every
-// Arrive must be balanced by exactly one Dispatch or Drop so request
+// Arrive must be balanced by exactly one Deliver or Drop so request
 // conservation holds at Finish.
 func (l *Live) Arrive(r core.Request) {
 	l.ingested++
-	l.sys.tr.Arrive(l.sys.eng.Now(), r.ID, r.Block)
+	l.last = l.sys.eng.Now()
+	l.sys.tr.Arrive(l.last, r.ID, r.Block)
 }
 
-// DecisionBase returns the tracer's decision counter; pass it to Dispatch
-// so the dispatch event carries the decision a traced scheduler just
-// emitted (see system.lastDecision).
-func (l *Live) DecisionBase() uint64 { return l.sys.tr.DecisionCount() }
-
-// Dispatch validates the scheduling decision against the placement and
-// submits the request to its disk. base is the DecisionBase captured before
-// the scheduler ran (0 for untraced schedulers).
-func (l *Live) Dispatch(r core.Request, d core.DiskID, base uint64) {
-	if l.sys.rm != nil {
-		l.sys.rm.Decisions.Inc()
-	}
-	l.sys.dispatch(r, d, l.loc, l.sys.lastDecision(base))
+// Decide runs RunOnline's decision step: sc assigns r at the current
+// virtual time. It returns the chosen disk (InvalidDisk when no replica
+// qualifies) and the ID of the decision a traced scheduler emitted (0 when
+// untraced); pass both to Deliver.
+func (l *Live) Decide(sc sched.Online, r core.Request) (core.DiskID, obs.DecisionID) {
+	return l.sys.decide(sc, r)
 }
 
-// DispatchDecision submits the request with an explicit decision ID —
-// the batch pairing path, where one traced ScheduleBatch emits a decision
-// per placed request and the caller re-walks the batch to pair them (see
-// RunBatch). dec 0 means the dispatch carries no decision.
-func (l *Live) DispatchDecision(r core.Request, d core.DiskID, dec obs.DecisionID) {
-	if l.sys.rm != nil {
-		l.sys.rm.Decisions.Inc()
-	}
-	l.sys.dispatch(r, d, l.loc, dec)
+// DecideBatch runs RunBatch's decision step: sc assigns the whole batch at
+// once, then each(i, d, dec) runs for batch[i] in batch order with its
+// disk and decision ID; each should Deliver it. A scheduler returning the
+// wrong number of assignments poisons the system (see Err) and each runs
+// for no request.
+func (l *Live) DecideBatch(sc sched.Batch, batch []core.Request, each func(i int, d core.DiskID, dec obs.DecisionID)) {
+	l.sys.decideBatch(sc, batch, each)
 }
 
-// Drop records that an arrived request could not be served (no replica, or
-// rejected by serving policy after admission, e.g. a deadline expiry).
+// Deliver executes a decision exactly as the simulated runs do: the request
+// is validated against the placement and submitted to disk d with decision
+// ID dec, or dropped when d is InvalidDisk.
+func (l *Live) Deliver(r core.Request, d core.DiskID, dec obs.DecisionID) {
+	l.sys.deliver(r, d, dec)
+}
+
+// Drop records that an arrived request was rejected without a decision
+// (by serving policy after admission, e.g. a deadline expiry).
 func (l *Live) Drop(r core.Request) { l.sys.drop(r) }
-
-// Outstanding returns the number of requests queued or in service across
-// all disks.
-func (l *Live) Outstanding() int {
-	n := 0
-	for _, d := range l.sys.disks {
-		n += d.Load()
-	}
-	return n
-}
 
 // Served returns the number of completed requests so far.
 func (l *Live) Served() int { return l.sys.served }
-
-// Accounting returns the carbon/cost accumulator attached via
-// WithAccounting, or nil. Callers may snapshot it (Accumulator.Snapshot)
-// from the same goroutine that drives the system.
-func (l *Live) Accounting() *account.Accumulator { return l.sys.acct }
 
 // Dropped returns the number of dropped requests so far.
 func (l *Live) Dropped() int { return l.sys.dropped }
@@ -177,37 +162,15 @@ func (l *Live) Snapshot() []DiskSnapshot {
 	return out
 }
 
-// Finish drains the system — every outstanding request completes, trailing
-// idle timeouts and spin-downs settle — closes the disks, reconciles the
-// metrics export to the exact meter totals and returns the run result. The
-// horizon extends at least one replacement window past the last event so
-// always-on normalization matches the batch runners' convention.
+// Finish runs RunOnline's end of run: every outstanding request completes,
+// the run settles to the accounting horizon of the last arrival
+// (offline.Horizon; later if the clock or the last completion is past it),
+// the disks close, the metrics export is reconciled to the exact meter
+// totals and the run result is returned.
 func (l *Live) Finish(name string) (*Result, error) {
 	if l.finished {
 		return nil, errors.New("storage: Finish called twice on a Live system")
 	}
 	l.finished = true
-	s := l.sys
-	for s.err == nil && l.Outstanding() > 0 {
-		if !s.eng.Step() {
-			break
-		}
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	end := s.eng.Now() + settleTail(s.cfg.Power)
-	s.eng.RunUntil(end)
-	if s.err != nil {
-		return nil, s.err
-	}
-	res := &Result{
-		Scheduler: name,
-		Served:    s.served,
-		Dropped:   s.dropped,
-		Horizon:   end,
-		Response:  s.resp,
-		PerDisk:   s.closeDisks(),
-	}
-	return s.closeRun(res, l.ingested)
+	return l.sys.finish(name, offline.HorizonAfter(l.last, l.sys.cfg.Power), l.ingested)
 }

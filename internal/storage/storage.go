@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/account"
@@ -99,10 +100,11 @@ type Result struct {
 // NormalizedEnergy returns Energy / AlwaysOnEnergy (Figure 6's y-axis).
 func (r *Result) NormalizedEnergy() float64 { return r.Energy / r.AlwaysOnEnergy }
 
-// system wires an engine, disks and metrics together and implements
-// sched.View.
+// system wires an engine, disks, the placement lookup and metrics
+// together and implements sched.View.
 type system struct {
 	cfg   Config
+	loc   sched.Locator
 	eng   simkernel.Engine
 	disks []*diskmodel.Disk
 	resp  metrics.ResponseTimes
@@ -121,7 +123,7 @@ type system struct {
 
 var _ sched.View = (*system)(nil)
 
-func newSystem(cfg Config, o runOptions) (*system, error) {
+func newSystem(cfg Config, loc sched.Locator, o runOptions) (*system, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -129,7 +131,7 @@ func newSystem(cfg Config, o runOptions) (*system, error) {
 	if policy == nil {
 		policy = power.TwoCompetitive{Config: cfg.Power}
 	}
-	s := &system{cfg: cfg, disks: make([]*diskmodel.Disk, cfg.NumDisks),
+	s := &system{cfg: cfg, loc: loc, disks: make([]*diskmodel.Disk, cfg.NumDisks),
 		tr: o.tracer, mon: o.monitor, acct: o.acct}
 	if o.collector != nil {
 		s.rm = obs.NewRunMetrics(o.collector)
@@ -219,8 +221,12 @@ func (s *system) submit(req core.Request, d core.DiskID, dec obs.DecisionID) {
 	}
 }
 
-// dispatch validates the scheduling decision and submits the request.
-func (s *system) dispatch(req core.Request, d core.DiskID, loc sched.Locator, dec obs.DecisionID) {
+// deliver executes a scheduling decision. InvalidDisk drops the request,
+// and a disk that does not hold the block fails the run. A chosen disk
+// that is down (only with failures armed) fails over to a surviving
+// replica, preferring a spinning one; a request whose every replica is
+// down is dropped as unavailable.
+func (s *system) deliver(req core.Request, d core.DiskID, dec obs.DecisionID) {
 	if d == core.InvalidDisk {
 		s.drop(req)
 		return
@@ -229,37 +235,96 @@ func (s *system) dispatch(req core.Request, d core.DiskID, loc sched.Locator, de
 		s.fail(fmt.Errorf("storage: scheduler chose nonexistent disk %d for %v", d, req))
 		return
 	}
-	valid := false
-	for _, l := range loc(req.Block) {
-		if l == d {
-			valid = true
+	if !s.disks[d].Failed() {
+		if !slices.Contains(s.loc(req.Block), d) {
+			s.fail(fmt.Errorf("storage: scheduler chose off-replica disk %d for %v", d, req))
+			return
+		}
+		s.submit(req, d, dec)
+		return
+	}
+	fallback := core.InvalidDisk
+	for _, alt := range s.loc(req.Block) {
+		if s.disks[alt].Failed() {
+			continue
+		}
+		if fallback == core.InvalidDisk {
+			fallback = alt
+		}
+		if s.disks[alt].State().Spinning() {
+			fallback = alt
 			break
 		}
 	}
-	if !valid {
-		s.fail(fmt.Errorf("storage: scheduler chose off-replica disk %d for %v", d, req))
+	if fallback == core.InvalidDisk {
+		s.drop(req)
+		s.unavailable++
 		return
 	}
-	s.submit(req, d, dec)
+	s.submit(req, fallback, dec)
 }
 
-// lastDecision derives the ID of the decision a traced scheduler just
-// emitted: the tracer's decision counter was base before the Schedule
-// call, so if it advanced, the (deterministic, single-threaded) run's
-// newest decision caused this dispatch. Untraced schedulers leave the
-// counter unchanged and the dispatch carries no decision ID.
-func (s *system) lastDecision(base uint64) obs.DecisionID {
-	if n := s.tr.DecisionCount(); n > base {
-		return obs.DecisionID(n)
+// decide is the online decision step (Section 2.2): the scheduler assigns
+// r at the current virtual time. It returns the chosen disk and the ID of
+// the decision a traced scheduler emitted for it: the tracer's decision
+// counter was base before the Schedule call, so if it advanced, the
+// (single-threaded) run's newest decision is this one. Untraced schedulers
+// leave the counter unchanged and the decision ID is 0.
+func (s *system) decide(sc sched.Online, r core.Request) (core.DiskID, obs.DecisionID) {
+	base := s.tr.DecisionCount()
+	d := sc.Schedule(r, s)
+	if s.rm != nil {
+		s.rm.Decisions.Inc()
 	}
-	return 0
+	if n := s.tr.DecisionCount(); n > base {
+		return d, obs.DecisionID(n)
+	}
+	return d, 0
 }
 
-// finish drains the engine up to the workload horizon (not beyond it for
-// administrative events such as distant repairs), extends accounting to
-// the normalization horizon, and collects results.
-func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
-	end := s.eng.RunUntil(offline.Horizon(reqs, s.cfg.Power))
+// decideBatch is the batch decision step (Section 2.2): the scheduler
+// assigns the whole batch at once, then each(i, d, dec) runs for every
+// request in batch order with its disk and decision ID. A traced batch
+// scheduler emits one decision per placed request, in batch order
+// (sched.traceBatchDecisions); when the counter advanced by exactly that
+// many, the placed requests are paired with IDs base+1, base+2, ... in
+// order. An assignment of the wrong length fails the run and calls each
+// for no request.
+func (s *system) decideBatch(sc sched.Batch, batch []core.Request, each func(i int, d core.DiskID, dec obs.DecisionID)) {
+	base := s.tr.DecisionCount()
+	assignment := sc.ScheduleBatch(batch, s)
+	if len(assignment) != len(batch) {
+		s.fail(fmt.Errorf("storage: batch scheduler returned %d assignments for %d requests",
+			len(assignment), len(batch)))
+		return
+	}
+	if s.rm != nil {
+		s.rm.Decisions.Add(float64(len(batch)))
+	}
+	placed := 0
+	for _, d := range assignment {
+		if d != core.InvalidDisk {
+			placed++
+		}
+	}
+	traced := placed > 0 && s.tr.DecisionCount() == base+uint64(placed)
+	k := base
+	for i, d := range assignment {
+		var dec obs.DecisionID
+		if traced && d != core.InvalidDisk {
+			k++
+			dec = obs.DecisionID(k)
+		}
+		each(i, d, dec)
+	}
+}
+
+// finish drains the engine up to the accounting horizon (not beyond it for
+// administrative events such as distant repairs), keeps stepping while
+// disks still hold work, and collects results. ingested is the number of
+// requests that arrived.
+func (s *system) finish(name string, horizon time.Duration, ingested int) (*Result, error) {
+	end := s.eng.RunUntil(horizon)
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -297,7 +362,7 @@ func (s *system) finish(name string, reqs []core.Request) (*Result, error) {
 		Response:     s.resp,
 		PerDisk:      s.closeDisks(),
 	}
-	return s.closeRun(res, len(reqs))
+	return s.closeRun(res, ingested)
 }
 
 // settleTail is how far a run's clock advances past its last completion so
@@ -545,23 +610,14 @@ func RunOnline(cfg Config, loc sched.Locator, scheduler sched.Online, reqs []cor
 		return nil, errors.New("storage: nil scheduler or locator")
 	}
 	o := applyOptions(opts)
-	s, err := newSystem(cfg, o)
+	s, err := newSystem(cfg, loc, o)
 	if err != nil {
 		return nil, err
 	}
 	s.resp.Grow(len(reqs))
 	deliver := func(r core.Request) {
-		base := s.tr.DecisionCount()
-		d := scheduler.Schedule(r, s)
-		dec := s.lastDecision(base)
-		if s.rm != nil {
-			s.rm.Decisions.Inc()
-		}
-		if len(o.failures) > 0 {
-			s.dispatchWithFailover(r, d, loc, dec)
-			return
-		}
-		s.dispatch(r, d, loc, dec)
+		d, dec := s.decide(scheduler, r)
+		s.deliver(r, d, dec)
 	}
 	if len(o.failures) > 0 {
 		if err := s.armFailures(o.failures, func(r core.Request) {
@@ -580,7 +636,7 @@ func RunOnline(cfg Config, loc sched.Locator, scheduler sched.Online, reqs []cor
 		}
 		deliver(r)
 	})
-	return s.finish(scheduler.Name(), reqs)
+	return s.finish(scheduler.Name(), offline.Horizon(reqs, cfg.Power), len(reqs))
 }
 
 // RunBatch simulates the batch scheduling model (Section 2.2): arrivals
@@ -594,18 +650,11 @@ func RunBatch(cfg Config, loc sched.Locator, scheduler sched.Batch, reqs []core.
 		return nil, fmt.Errorf("storage: batch interval %s must be positive", interval)
 	}
 	o := applyOptions(opts)
-	s, err := newSystem(cfg, o)
+	s, err := newSystem(cfg, loc, o)
 	if err != nil {
 		return nil, err
 	}
 	s.resp.Grow(len(reqs))
-	deliver := func(r core.Request, d core.DiskID, dec obs.DecisionID) {
-		if len(o.failures) > 0 {
-			s.dispatchWithFailover(r, d, loc, dec)
-			return
-		}
-		s.dispatch(r, d, loc, dec)
-	}
 	// pending and spare double-buffer the batch queue: each tick takes the
 	// accumulated batch and hands arrivals (and mid-tick failover re-queues)
 	// the other buffer, so steady-state ticking reuses two slices instead of
@@ -621,48 +670,23 @@ func RunBatch(cfg Config, loc sched.Locator, scheduler sched.Batch, reqs []core.
 		}
 		batch := pending
 		pending = spare[:0]
-		base := s.tr.DecisionCount()
-		assignment := scheduler.ScheduleBatch(batch, s)
-		if len(assignment) != len(batch) {
-			s.fail(fmt.Errorf("storage: batch scheduler returned %d assignments for %d requests",
-				len(assignment), len(batch)))
-			return
-		}
-		if s.rm != nil {
-			s.rm.Decisions.Add(float64(len(batch)))
-		}
-		// A traced batch scheduler emits one decision per placed request, in
-		// batch order (sched.traceBatchDecisions); when the counter advanced
-		// by exactly that many, re-walk the batch in the same order to pair
-		// each placed request with its decision ID.
-		placed := 0
-		for _, d := range assignment {
-			if d != core.InvalidDisk {
-				placed++
-			}
-		}
-		traced := placed > 0 && s.tr.DecisionCount() == base+uint64(placed)
-		k := base
-		for i, r := range batch {
-			var dec obs.DecisionID
-			if traced && assignment[i] != core.InvalidDisk {
-				k++
-				dec = obs.DecisionID(k)
-			}
-			deliver(r, assignment[i], dec)
-		}
+		s.decideBatch(scheduler, batch, func(i int, d core.DiskID, dec obs.DecisionID) {
+			s.deliver(batch[i], d, dec)
+		})
 		spare = batch[:0] // drained: recycle as the next tick's batch buffer
+	}
+	// enqueue adds r to the next interval boundary's batch.
+	enqueue := func(r core.Request) {
+		pending = append(pending, r)
+		if !tickScheduled {
+			tickScheduled = true
+			s.eng.At((s.eng.Now()/interval+1)*interval, tick)
+		}
 	}
 	if len(o.failures) > 0 {
 		if err := s.armFailures(o.failures, func(r core.Request) {
 			s.redispatched++
-			// Re-queue into the next batch tick.
-			pending = append(pending, r)
-			if !tickScheduled {
-				tickScheduled = true
-				boundary := (s.eng.Now()/interval + 1) * interval
-				s.eng.At(boundary, tick)
-			}
+			enqueue(r)
 		}); err != nil {
 			return nil, err
 		}
@@ -672,14 +696,9 @@ func RunBatch(cfg Config, loc sched.Locator, scheduler sched.Batch, reqs []core.
 		if s.lookupCache(o, r) {
 			return
 		}
-		pending = append(pending, r)
-		if !tickScheduled {
-			tickScheduled = true
-			boundary := (now/interval + 1) * interval
-			s.eng.At(boundary, tick)
-		}
+		enqueue(r)
 	})
-	return s.finish(scheduler.Name(), reqs)
+	return s.finish(scheduler.Name(), offline.Horizon(reqs, cfg.Power), len(reqs))
 }
 
 // WithStateLog streams every disk power-state transition to w as CSV
