@@ -51,18 +51,20 @@ ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carb
 # RunFree drains) checked against a binary-heap oracle, and a small
 # multi-shard fleet sweep — under -race, where shards touching each
 # other's state show up as a data race and a missed event shows up as a
-# diff — and finally the serving engine's admission and flat-combining
-# paths: the Sequential-mode sequencer under many concurrent submitters
-# (a lost release strands requests and hangs the test), the
+# diff — and finally the serving engine's admission and decision lock:
+# the Sequential-mode turn order under many concurrent submitters (a
+# missed wake-up leaves a submitter waiting and hangs the test), the
 # serving-equals-simulation pin (TestSequentialMatchesRunOnline: four
 # concurrent Sequential submitters must reproduce storage.RunOnline's
 # event log, state log, result and metrics export), live mode under
-# concurrent submitters with the doctor attached, and drains racing
-# submitters and idle engines (TestDrainWithoutRequests among them).
+# concurrent submitters with the doctor attached, drains racing
+# submitters and idle engines (TestDrainWithoutRequests among them), and
+# batch POSTs decided in rounds of their own blocks, concurrently and
+# through HTTP (TestWSCRoundsServeAll, TestBatchRounds, TestHTTPBatch).
 race-hot:
 	$(GO) test -race -count 4 ./internal/experiments ./internal/cache
 	$(GO) test -race -count 2 -run 'TestSharded|TestCalendar|TestEngineMatchesHeapOracle|TestFreeRun|TestShardOf|TestFleet' ./internal/simkernel ./internal/storage
-	$(GO) test -race -count 4 -run 'TestSequential|TestLiveDoctorClean|TestDrain' ./internal/serve
+	$(GO) test -race -count 4 -run 'TestSequential|TestLiveDoctorClean|TestDrain|TestWSCRounds|TestBatchRounds|TestHTTPBatch' ./internal/serve
 
 # The benchmark's own tests: its statistics, golden files and checks.
 # -parallel 1 gives each workload test the CPUs to itself: the traced fleet

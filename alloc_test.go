@@ -133,10 +133,10 @@ func submitAllocs(t *testing.T, sequential bool) float64 {
 	return allocs
 }
 
-// TestLiveSubmitAllocatesNothing pins the live hot submit path: one
-// submitter, so every request is combined inline on its goroutine —
-// lookup, admission ring push, decision, dispatch and reply — and none of
-// it may allocate.
+// TestLiveSubmitAllocatesNothing pins the live hot submit path: every
+// request is decided on its submitter's goroutine under the engine lock —
+// lookup, admission, ID and arrival stamping, decision, dispatch and
+// reply — and none of it may allocate.
 func TestLiveSubmitAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	if allocs := submitAllocs(t, false); allocs != 0 {
@@ -145,8 +145,8 @@ func TestLiveSubmitAllocatesNothing(t *testing.T) {
 }
 
 // TestSequentialSubmitAllocatesNothing pins the Sequential-mode submit
-// path, where the sequencer parks and releases every request under its
-// lock before the decision round.
+// path, where each request waits under the engine lock for its ID to come
+// up, is decided, and wakes the waiting submitters.
 func TestSequentialSubmitAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	if allocs := submitAllocs(t, true); allocs != 0 {

@@ -13,8 +13,8 @@
 //
 //	tracelens doctor -disks N -blocks B -rf R -z Z -seed S LOG
 //
-// Requests enter one lock-free admission ring and are decided by flat
-// combining on one simulated storage system (see internal/serve).
+// Each request passes one admission bound and is decided under one engine
+// mutex on one simulated storage system (see internal/serve).
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: new requests get 503,
 // admitted ones are decided, outstanding disk work completes, and the

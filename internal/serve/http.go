@@ -223,8 +223,9 @@ func decisionJSON(d Decision) ScheduleResponse {
 
 // handleBatch is the compact endpoint: the body is whitespace-separated
 // block IDs; the response has one line per block, in order — "disk at_us"
-// on success or "! code" on rejection. Blocks are submitted concurrently so
-// one batch becomes one (or few) decision rounds.
+// on success or "! code" on rejection. The engine decides the batch in
+// rounds of its own blocks (Config.RoundMax), so in ModeWSC one batch is
+// one weighted-set cover per round.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -240,41 +241,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "empty batch")
 		return
 	}
-	blocks := make([]core.BlockID, len(fields))
+	reqs := make([]core.Request, len(fields))
 	for i, f := range fields {
 		b, err := strconv.ParseInt(f, 10, 64)
 		if err != nil || b < 0 {
 			writeBadRequest(w, "bad block "+f)
 			return
 		}
-		blocks[i] = core.BlockID(b)
-	}
-	type slot struct {
-		dec Decision
-		err error
-	}
-	out := make([]slot, len(blocks))
-	done := make(chan int, len(blocks))
-	for i, b := range blocks {
-		go func(i int, b core.BlockID) {
-			d, err := s.eng.Submit(core.Request{Block: b}, 0)
-			out[i] = slot{dec: d, err: err}
-			done <- i
-		}(i, b)
-	}
-	for range blocks {
-		<-done
+		reqs[i].Block = core.BlockID(b)
 	}
 	var sb strings.Builder
-	for _, sl := range out {
-		if sl.err != nil {
-			_, code := errStatus(sl.err)
+	for _, c := range s.eng.submitBatch(reqs) {
+		if c.err != nil {
+			_, code := errStatus(c.err)
 			sb.WriteString("! " + code + "\n")
 			continue
 		}
-		sb.WriteString(strconv.Itoa(int(sl.dec.Disk)))
+		sb.WriteString(strconv.Itoa(int(c.dec.Disk)))
 		sb.WriteByte(' ')
-		sb.WriteString(strconv.FormatInt(sl.dec.At.Microseconds(), 10))
+		sb.WriteString(strconv.FormatInt(c.dec.At.Microseconds(), 10))
 		sb.WriteByte('\n')
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -297,9 +282,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Refresh the esched_kernel_* families before rendering. The kernel
-	// counters are owned by the decision goroutine, so they are read through
-	// the serialized Snapshot path and reconciled into the (mutex-protected)
-	// collector here on the scrape goroutine.
+	// counters are owned by the engine lock, so they are read through
+	// Snapshot and reconciled into the (mutex-protected) collector here on
+	// the scrape goroutine.
 	if ks := s.eng.Snapshot().Kernel; ks != nil {
 		storage.ExportKernelMetrics(s.col, ks)
 	}

@@ -162,8 +162,8 @@ func TestHTTPBatch(t *testing.T) {
 func TestHTTPBackpressure429(t *testing.T) {
 	t.Parallel()
 	e, ts, _ := newTestServer(t, func(c *Config) { c.MaxInFlight = 1 })
-	// Hold the decision loop so the first request occupies the only slot.
-	go blockLoop(e, 150*time.Millisecond)
+	// Hold the engine lock so the first request occupies the only slot.
+	blockLoop(e, 150*time.Millisecond)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -193,8 +193,7 @@ func TestHTTPBackpressure429(t *testing.T) {
 func TestHTTPDeadline504(t *testing.T) {
 	t.Parallel()
 	e, ts, _ := newTestServer(t, nil)
-	go blockLoop(e, 100*time.Millisecond)
-	waitFor(t, func() bool { return true })
+	blockLoop(e, 100*time.Millisecond)
 	resp, body := postJSON(t, ts.URL+"/v1/schedule", `{"block": 1, "deadline_ms": 1}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

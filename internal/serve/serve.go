@@ -12,18 +12,18 @@
 // cover scheduler (internal/sched + internal/graph) instead of per-request
 // cost minimization.
 //
-// Admission is a lock-free MPSC ring; decisions are made by flat
-// combining: the submitting goroutine that wins the combining token drains
-// the ring and decides the round inline, so the hot submit path has no
-// cross-goroutine handoff and zero allocations. A serving run keeps every
-// batch-path guarantee: the event log (internal/obs) is replayable with
-// tracelens, the doctor monitors (internal/obs/monitor) can ride along
-// live, and the Prometheus metrics reconcile bit-exactly to the power
-// meters at drain. Admission is bounded (queue-full submissions fail fast
-// for HTTP 429 backpressure), each request carries a decision deadline,
-// and Drain performs a graceful shutdown: in-flight requests complete, new
-// ones are rejected, trailing spin-downs settle, and the final accounting
-// is returned.
+// Admission is one atomic bound; decisions are made under one engine
+// mutex that owns the storage system, the schedulers and the virtual
+// clock, so each Submit decides its own request on its own goroutine with
+// no handoff and zero allocations, and a batch POST is decided in rounds
+// of its own blocks. A serving run keeps every batch-path guarantee: the
+// event log (internal/obs) is replayable with tracelens, the doctor
+// monitors (internal/obs/monitor) can ride along live, and the Prometheus
+// metrics reconcile bit-exactly to the power meters at drain. Admission
+// is bounded (queue-full submissions fail fast for HTTP 429 backpressure),
+// each request carries a decision deadline, and Drain performs a graceful
+// shutdown: in-flight requests complete, new ones are rejected, trailing
+// spin-downs settle, and the final accounting is returned.
 //
 // See docs/SERVING.md for the architecture and the endpoint reference.
 package serve
@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,8 +98,8 @@ type Config struct {
 	// MaxInFlight bounds admitted-but-undecided requests; submissions over
 	// the bound fail with ErrQueueFull. Default 4096.
 	MaxInFlight int
-	// RoundMax caps how many queued requests one decision round drains.
-	// Default 512.
+	// RoundMax caps how many requests of one batch (POST
+	// /v1/schedule/batch) one decision round takes. Default 512.
 	RoundMax int
 	// Deadline is the default wall-clock bound on queueing before a
 	// decision; an expired request is dropped with ErrDeadline. 0 = none.
@@ -112,7 +111,7 @@ type Config struct {
 	// accounting, equal to storage.RunOnline's over the same trace. Rounds
 	// are per-request, so only ModeHeuristic is accepted, and wall-clock
 	// deadlines do not apply. When false (live mode), the engine stamps IDs
-	// and arrivals from the wall clock in admission order.
+	// and arrivals from the wall clock in decision order.
 	Sequential bool
 	// Tracer, Collector and Monitor attach the observability stack exactly
 	// as on a batch run (storage.WithTracer / WithCollector / WithMonitor).
@@ -167,7 +166,7 @@ type Totals struct {
 }
 
 // Snapshot is a consistent view of the serving system: per-disk power
-// state plus totals, taken with the combining token held.
+// state plus totals, taken under the engine lock.
 type Snapshot struct {
 	Totals Totals
 	Disks  []storage.DiskSnapshot
@@ -188,8 +187,9 @@ type serveMetrics struct {
 	roundSize                                         *obs.Histogram
 	decisionLatency                                   *obs.Histogram
 	// Request lifecycle spans: per-phase wall-clock latency from admission
-	// to the decision reply (queue: admitted, waiting for a round; decide:
-	// scheduling; dispatch: kernel advance + submit-to-disk + reply).
+	// to the decision reply (queue: admitted, waiting for the engine lock
+	// and, in Sequential mode, its turn; decide: scheduling; dispatch:
+	// kernel advance + submit-to-disk + reply).
 	spanQueue, spanDecide, spanDispatch *obs.Histogram
 }
 
@@ -242,19 +242,10 @@ type SlowSpan struct {
 // slowSpanCap bounds the exemplar ring.
 const slowSpanCap = 8
 
-// pending waiter states.
-const (
-	pWait   uint32 = iota // submitted, decision outstanding, waiter spinning
-	pParked               // waiter gave up spinning and will block on wake
-	pDone                 // decision published
-)
-
-// pending is one admitted request traveling from Submit to a decision
-// round. Instances are pooled: the submit hot path performs no allocation
-// in steady state. The decider publishes dec/err and flips state to pDone
-// (waking a parked waiter); the submitter spins briefly, parks if needed,
-// then reads the outcome and returns the record to the pool.
-type pending struct {
+// call is one admitted request on its way through a decision round: the
+// request, its deadline, its span timestamps and its outcome. Submit keeps
+// its call on its own stack; a batch holds one per admitted block.
+type call struct {
 	req      core.Request
 	deadline time.Time // zero = none
 	enqueued time.Time
@@ -264,91 +255,50 @@ type pending struct {
 	roundAt   time.Time
 	decidedAt time.Time
 
-	dec   Decision
-	err   error
-	state atomic.Uint32
-	wake  chan struct{} // cap 1, allocated once per pooled record
-}
-
-// publish hands the outcome to the waiter.
-func (p *pending) publish(dec Decision, err error) {
-	p.dec = dec
-	p.finish(err)
-}
-
-// finish wakes the waiter with whatever p.dec already holds; the success
-// path fills the decision in place and skips publish's extra copy.
-func (p *pending) finish(err error) {
-	p.err = err
-	if p.state.Swap(pDone) == pParked {
-		p.wake <- struct{}{}
-	}
-}
-
-// await blocks until the outcome is published: a short spin (the common
-// case — the submitter itself just combined its own request inline), then
-// a parked channel wait.
-func (p *pending) await() {
-	for i := 0; i < 64; i++ {
-		if p.state.Load() == pDone {
-			return
-		}
-		if i >= 8 {
-			runtime.Gosched()
-		}
-	}
-	if p.state.CompareAndSwap(pWait, pParked) {
-		<-p.wake
-	}
+	dec Decision
+	err error
 }
 
 // Engine is the serving decision engine. Create with New, feed with
 // Submit from any number of goroutines, stop with Drain.
 type Engine struct {
 	cfg   Config
-	ring  *ring
 	sm    *serveMetrics
-	pool  sync.Pool
 	stop  chan struct{}
 	ended chan struct{}
 
 	inflight  atomic.Int64
 	draining  atomic.Bool
 	decisions atomic.Uint64
-	liveID    atomic.Uint64
 
 	start time.Time // wall anchor for the virtual clock (live mode)
 
-	// tok is the flat-combining token: CAS 0→1 to own the fields below it
-	// (the storage system, its virtual clock and the schedulers).
-	tok     atomic.Uint32
+	// mu owns every field below it: the storage system, its virtual
+	// clock, the schedulers, the request-ID counter and the slow spans.
+	mu sync.Mutex
+	// turn is broadcast under mu when next advances or a drain begins:
+	// Sequential submitters wait on it for their ID to come up.
+	turn    sync.Cond
 	lv      *storage.Live
 	heur    sched.Heuristic
 	wsc     sched.WSC
 	scratch sched.CoverScratch
-	round   []*pending
 	batch   []core.Request
+	members []int // round index of each batch entry (WSC)
+	// next is the next request ID: stamped on live arrivals, awaited by
+	// Sequential ones.
+	next core.RequestID
 	// lastArrival clamps arrivals monotone: the virtual clock never
 	// rewinds, in either mode.
 	lastArrival time.Duration
-
-	// Sequential-mode sequencer: submissions park here until every lower ID
-	// has arrived, then release — under seqMu, so the ring receives them in
-	// ID order.
-	seqMu     sync.Mutex
-	seqNext   core.RequestID
-	seqParked map[core.RequestID]*pending
-
-	// slowMu guards the slow-span exemplar ring.
-	slowMu sync.Mutex
-	slow   []SlowSpan // slowest spans seen, descending by TotalUS
+	slow        []SlowSpan // slowest spans seen, descending by TotalUS
 
 	sloDumped atomic.Bool // the FlightSLO trigger fires once per run
 	qfDumped  atomic.Bool // latches the queue-full flight trigger
 
 	maintDone chan struct{} // maintenance goroutine exit (live mode)
 
-	// Set once Drain has completed.
+	// Set under mu once Drain has completed.
 	final    *Snapshot
 	report   *storage.Result
 	finalErr error
@@ -405,15 +355,13 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		lv:        lv,
-		ring:      newRing(cfg.MaxInFlight),
-		stop:      make(chan struct{}),
-		ended:     make(chan struct{}),
-		start:     time.Now(),
-		seqParked: map[core.RequestID]*pending{},
+		cfg:   cfg,
+		lv:    lv,
+		stop:  make(chan struct{}),
+		ended: make(chan struct{}),
+		start: time.Now(),
 	}
-	e.pool.New = func() any { return &pending{wake: make(chan struct{}, 1)} }
+	e.turn.L = &e.mu
 	e.heur = sched.Heuristic{Locations: cfg.Router.Lookup, Cost: cfg.Cost, Tracer: cfg.Tracer}
 	e.wsc = sched.WSC{Locations: cfg.Router.Lookup, Cost: cfg.Cost, Scratch: &e.scratch, Tracer: cfg.Tracer}
 	if cfg.Collector != nil {
@@ -421,7 +369,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Flight != nil {
 		// Dump telemetry rides the kernel's introspection counters. A dump is
-		// written under the combining token, which also owns the counters.
+		// written under the engine lock, which also owns the counters.
 		cfg.Flight.SetTelemetry(func() any { return lv.KernelStats() })
 	}
 	if !cfg.Sequential {
@@ -440,230 +388,264 @@ func (e *Engine) elapsed() time.Duration { return time.Since(e.start) }
 // req.Arrival the virtual arrival time. deadline zero uses the engine
 // default; a negative duration disables it for this request.
 //
-// The hot path allocates nothing: replica lookup is one atomic load, the
-// admission bound one atomic add, the pending record comes from a pool,
-// and the handoff is a lock-free ring push — after which the caller
-// either combines the round itself (inline decision) or spins/parks until
-// the current combiner publishes its outcome.
+// The hot path allocates nothing: replica lookup is one atomic load,
+// admission one compare-and-swap, and the caller decides its own request
+// under the engine lock, as a round of one.
 func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, error) {
-	locs := e.cfg.Router.Lookup(req.Block)
-	if len(locs) == 0 {
-		e.count(func(m *serveMetrics) { m.noReplica.Inc() })
-		return Decision{}, fmt.Errorf("%w %d", ErrNoReplica, req.Block)
+	if len(e.cfg.Router.Lookup(req.Block)) == 0 {
+		return Decision{}, e.noReplica(req.Block)
 	}
-	if n := e.inflight.Add(1); n > int64(e.cfg.MaxInFlight) {
-		e.inflight.Add(-1)
-		e.count(func(m *serveMetrics) { m.queueFull.Inc() })
+	if _, err := e.admit(1); err != nil {
+		return Decision{}, err
+	}
+	var round [1]call
+	c := &round[0]
+	c.req = req
+	c.enqueued, c.deadline = e.admitTime(deadline)
+	e.mu.Lock()
+	if e.cfg.Sequential {
+		if !e.awaitTurn(req.ID) {
+			e.mu.Unlock()
+			e.release(1)
+			e.count(func(m *serveMetrics) { m.draining.Inc() })
+			return Decision{}, ErrDraining
+		}
+		e.next++
+		e.decideRound(round[:], req.Arrival)
+		e.turn.Broadcast()
+	} else {
+		e.stamp(c)
+		e.decideRound(round[:], e.elapsed())
+	}
+	e.mu.Unlock()
+	e.release(1)
+	return c.dec, c.err
+}
+
+// submitBatch decides a batch in order, with the engine's default
+// deadline (POST /v1/schedule/batch). Blocks without replicas are rejected
+// first; the rest are admitted as far as the admission bound allows, so
+// the ErrQueueFull rejections are always the batch's trailing blocks. The
+// admitted blocks are decided in rounds of at most RoundMax, each under
+// one hold of the engine lock with one shared arrival instant: one
+// weighted-set cover per round in ModeWSC, the heuristic per request
+// otherwise. Sequential requests carry their own IDs and arrivals, so
+// they go through Submit one by one.
+func (e *Engine) submitBatch(reqs []core.Request) []call {
+	out := make([]call, len(reqs))
+	if e.cfg.Sequential {
+		for i, r := range reqs {
+			out[i].dec, out[i].err = e.Submit(r, 0)
+		}
+		return out
+	}
+	adm := make([]int, 0, len(reqs)) // indices of the blocks with replicas
+	for i, r := range reqs {
+		if len(e.cfg.Router.Lookup(r.Block)) == 0 {
+			out[i].err = e.noReplica(r.Block)
+			continue
+		}
+		adm = append(adm, i)
+	}
+	if len(adm) == 0 {
+		return out
+	}
+	k, err := e.admit(len(adm))
+	if err == nil {
+		err = ErrQueueFull
+	}
+	for _, i := range adm[k:] {
+		out[i].err = err
+	}
+	adm = adm[:k]
+	enqueued, expires := e.admitTime(0)
+	round := make([]call, 0, min(k, e.cfg.RoundMax))
+	for len(adm) > 0 {
+		n := min(len(adm), e.cfg.RoundMax)
+		round = round[:0]
+		for _, i := range adm[:n] {
+			round = append(round, call{req: reqs[i], enqueued: enqueued, deadline: expires})
+		}
+		e.mu.Lock()
+		for j := range round {
+			e.stamp(&round[j])
+		}
+		e.decideRound(round, e.elapsed())
+		e.mu.Unlock()
+		e.release(n)
+		for j, i := range adm[:n] {
+			out[i] = round[j]
+		}
+		adm = adm[n:]
+	}
+	return out
+}
+
+// admit reserves admission slots for up to n requests and returns how
+// many it granted; the requests past the bound count as queue-full. It
+// fails with ErrQueueFull when it grants none, and with ErrDraining, the
+// slots handed back, when a drain has begun.
+func (e *Engine) admit(n int) (int, error) {
+	var k int64
+	for {
+		cur := e.inflight.Load()
+		k = min(int64(n), int64(e.cfg.MaxInFlight)-cur)
+		if k <= 0 || e.inflight.CompareAndSwap(cur, cur+k) {
+			break
+		}
+	}
+	k = max(k, 0)
+	if full := int64(n) - k; full > 0 {
+		e.count(func(m *serveMetrics) { m.queueFull.Add(float64(full)) })
 		if e.cfg.Flight != nil && e.qfDumped.CompareAndSwap(false, true) {
 			// A queue-full spike is a flight trigger: freeze the window that
 			// led up to it. Cross-goroutine safe; the next observed event or
 			// sweep materialises the dump.
 			e.cfg.Flight.RequestDump("queue full")
 		}
-		return Decision{}, ErrQueueFull
+		if k == 0 {
+			return 0, ErrQueueFull
+		}
 	}
 	e.gaugeInflight()
-	// One ordered drain check, after the inflight reservation: a Drain that
-	// began before the reservation is seen here (rejected exactly once), and
-	// one that begins after it sees our reservation and keeps polling until
-	// we are answered.
+	// One ordered drain check, after the reservation: a Drain that began
+	// before it is seen here (rejected exactly once), and one that begins
+	// after it sees the reservation and waits until it is handed back.
 	if e.draining.Load() {
-		e.inflight.Add(-1)
-		e.gaugeInflight()
-		e.count(func(m *serveMetrics) { m.draining.Inc() })
-		return Decision{}, ErrDraining
+		e.release(int(k))
+		e.count(func(m *serveMetrics) { m.draining.Add(float64(k)) })
+		return 0, ErrDraining
 	}
+	return int(k), nil
+}
+
+// release hands back n admission slots.
+func (e *Engine) release(n int) {
+	e.inflight.Add(-int64(n))
+	e.gaugeInflight()
+}
+
+// admitTime returns the wall time a request admitted now carries and its
+// decision deadline (zero when none). The wall clock is read only when
+// something consumes it: the span metrics (collector attached) or a live
+// deadline. A bare engine submits without touching the clock at all.
+func (e *Engine) admitTime(deadline time.Duration) (enqueued, expires time.Time) {
 	if deadline == 0 {
 		deadline = e.cfg.Deadline
 	}
-	p := e.pool.Get().(*pending)
-	p.req = req
-	p.err = nil
-	p.deadline = time.Time{}
-	if e.sm != nil || (deadline > 0 && !e.cfg.Sequential) {
-		// The wall clock is only read when something consumes it — the span
-		// metrics (collector attached) or a deadline. A bare engine submits
-		// without touching the clock at all.
-		p.enqueued = time.Now()
-		if deadline > 0 && !e.cfg.Sequential {
-			p.deadline = p.enqueued.Add(deadline)
-		}
-	}
-	if e.cfg.Sequential {
-		e.submitSequential(p)
-	} else {
-		p.req.ID = core.RequestID(e.liveID.Add(1) - 1)
-		if p.req.LBA == 0 {
-			p.req.LBA = workload.BlockLBA(p.req.Block)
-		}
-		e.ring.push(p)
-		e.combineOn()
-	}
-	p.await()
-	dec, err := p.dec, p.err
-	p.state.Store(pWait)
-	e.pool.Put(p)
-	e.inflight.Add(-1)
-	e.gaugeInflight()
-	return dec, err
-}
-
-// submitSequential parks p until every lower request ID has been
-// submitted, then releases the maximal run of consecutive IDs to the ring.
-// Ring pushes happen under seqMu so the ring receives requests in ID
-// order; combining runs after the release, outside the lock.
-func (e *Engine) submitSequential(p *pending) {
-	e.seqMu.Lock()
-	e.seqParked[p.req.ID] = p
-	if p.req.ID != e.seqNext {
-		e.seqMu.Unlock()
+	live := deadline > 0 && !e.cfg.Sequential
+	if e.sm == nil && !live {
 		return
 	}
-	for {
-		q, ok := e.seqParked[e.seqNext]
-		if !ok {
-			break
-		}
-		delete(e.seqParked, e.seqNext)
-		e.seqNext++
-		e.ring.push(q)
+	enqueued = time.Now()
+	if live {
+		expires = enqueued.Add(deadline)
 	}
-	e.seqMu.Unlock()
-	e.combineOn()
+	return
 }
 
-// combineOn runs the flat-combining protocol: win the token and decide
-// rounds until the ring drains, or leave the work to the current holder —
-// whose release-recheck (token release, then emptiness test) pairs with
-// our pre-CAS ring push to guarantee the item is seen.
-func (e *Engine) combineOn() {
-	for {
-		if !e.tok.CompareAndSwap(0, 1) {
-			// Someone holds the token. Our push happened before the failed
-			// CAS, so the holder's post-release emptiness recheck sees it.
-			return
+// awaitTurn waits under mu until id is the next Sequential ID to decide.
+// It returns false once a drain has begun: a request still waiting then
+// has a predecessor that will never arrive.
+func (e *Engine) awaitTurn(id core.RequestID) bool {
+	for id != e.next {
+		if e.draining.Load() {
+			return false
 		}
-		e.combine()
-		e.tok.Store(0)
-		if e.ring.empty() {
-			return
-		}
-		// New work arrived between the drain and the release (or a producer
-		// is mid-publish); take the token back rather than strand it.
-		runtime.Gosched()
+		e.turn.Wait()
+	}
+	return true
+}
+
+// stamp gives a live request the next ID and, when the client sent none,
+// its block's LBA. Caller holds mu.
+func (e *Engine) stamp(c *call) {
+	c.req.ID = e.next
+	e.next++
+	if c.req.LBA == 0 {
+		c.req.LBA = workload.BlockLBA(c.req.Block)
 	}
 }
 
-// combine drains the ring in rounds of up to RoundMax. Caller holds the
-// token.
-func (e *Engine) combine() {
-	for {
-		round := e.round[:0]
-		for len(round) < e.cfg.RoundMax {
-			p := e.ring.pop()
-			if p == nil {
-				break
-			}
-			round = append(round, p)
-		}
-		e.round = round
-		if len(round) == 0 {
-			return
-		}
-		if e.sm != nil {
-			e.sm.rounds.Inc()
-			e.sm.roundSize.Observe(float64(len(round)))
-		}
-		e.decideRound(round)
+// decideRound decides one round under mu. Every member arrives at arr,
+// raised to the latest arrival decided so far (the virtual clock never
+// rewinds). A member past its deadline still arrives (it was admitted)
+// but is dropped instead of scheduled, keeping request conservation intact
+// in the event log. The rest are decided by one cover in ModeWSC when
+// more than one remains, and each by the heuristic otherwise.
+func (e *Engine) decideRound(round []call, arr time.Duration) {
+	if e.sm != nil {
+		e.sm.rounds.Inc()
+		e.sm.roundSize.Observe(float64(len(round)))
 	}
-}
-
-// clamp returns arr raised to the latest arrival decided so far, and
-// records it as the new latest.
-func (e *Engine) clamp(arr time.Duration) time.Duration {
 	if arr < e.lastArrival {
 		arr = e.lastArrival
 	}
 	e.lastArrival = arr
-	return arr
-}
-
-// decideRound decides one gathered round. Live mode stamps arrivals here;
-// sequential requests arrive pre-stamped in ID order and are decided one
-// by one with the heuristic (New rejects Sequential WSC), so round grouping
-// can never affect results.
-func (e *Engine) decideRound(round []*pending) {
-	if e.cfg.Sequential {
-		for _, p := range round {
-			p.req.Arrival = e.clamp(p.req.Arrival)
-			e.decideOne(p)
-		}
-		return
-	}
-	// One elapsed-clock read stamps the whole round (members share an
-	// arrival instant), and the wall clock is read lazily: only a request
-	// carrying a deadline, or the span metrics, need it.
-	arr := e.clamp(e.elapsed())
+	// The wall clock is read lazily: only a member carrying a deadline, or
+	// the span metrics, need it. The round timestamp closes every member's
+	// queue phase.
 	var now time.Time
 	if e.sm != nil {
 		now = time.Now()
 	}
-	// Expire deadlines first: an expired request still arrives (it was
-	// admitted) but is dropped instead of scheduled, keeping request
-	// conservation intact in the event log. The round timestamp closes
-	// every member's queue phase (read only with span metrics on).
-	live := round[:0]
-	for _, p := range round {
-		p.req.Arrival = arr
-		if !p.deadline.IsZero() {
+	left := 0
+	for i := range round {
+		c := &round[i]
+		c.req.Arrival = arr
+		if !c.deadline.IsZero() {
 			if now.IsZero() {
 				now = time.Now()
 			}
-			if now.After(p.deadline) {
+			if now.After(c.deadline) {
 				e.lv.Advance(arr)
-				e.lv.Arrive(p.req)
-				e.lv.Drop(p.req)
+				e.lv.Arrive(c.req)
+				e.lv.Drop(c.req)
 				e.count(func(m *serveMetrics) { m.deadline.Inc() })
-				p.publish(Decision{}, ErrDeadline)
+				c.err = ErrDeadline
 				continue
 			}
 		}
-		p.roundAt = now
-		live = append(live, p)
+		c.roundAt = now
+		left++
 	}
-	if len(live) == 0 {
+	if e.cfg.Mode == ModeWSC && left > 1 {
+		e.decideWSC(round)
 		return
 	}
-	if e.cfg.Mode == ModeWSC && len(live) > 1 {
-		e.decideWSC(live)
-		return
-	}
-	for _, p := range live {
-		e.decideOne(p)
+	for i := range round {
+		if c := &round[i]; c.err == nil {
+			e.decideOne(c)
+		}
 	}
 }
 
-// decideOne advances the clock to p's arrival, emits the arrival and
+// decideOne advances the clock to c's arrival, emits the arrival and
 // decides it with the per-request heuristic.
-func (e *Engine) decideOne(p *pending) {
-	e.lv.Advance(p.req.Arrival)
-	e.lv.Arrive(p.req)
-	d, dec := e.lv.Decide(&e.heur, p.req)
+func (e *Engine) decideOne(c *call) {
+	e.lv.Advance(c.req.Arrival)
+	e.lv.Arrive(c.req)
+	d, dec := e.lv.Decide(&e.heur, c.req)
 	if e.sm != nil {
-		p.decidedAt = time.Now()
+		c.decidedAt = time.Now()
 	}
-	e.answer(p, d, dec)
+	e.answer(c, d, dec)
 }
 
-// decideWSC decides one live round as a weighted-set-cover instance:
-// arrivals are emitted at their own timestamps, then the whole batch is
-// assigned at the round's decision time, as at a storage.RunBatch tick.
-func (e *Engine) decideWSC(live []*pending) {
-	e.batch = e.batch[:0]
-	for _, p := range live {
-		e.lv.Advance(p.req.Arrival)
-		e.lv.Arrive(p.req)
-		e.batch = append(e.batch, p.req)
+// decideWSC decides a round's unexpired members as one weighted-set-cover
+// instance: arrivals are emitted first, then the whole batch is assigned
+// at the round's decision time, as at a storage.RunBatch tick.
+func (e *Engine) decideWSC(round []call) {
+	e.batch, e.members = e.batch[:0], e.members[:0]
+	for i := range round {
+		c := &round[i]
+		if c.err != nil {
+			continue
+		}
+		e.lv.Advance(c.req.Arrival)
+		e.lv.Arrive(c.req)
+		e.batch = append(e.batch, c.req)
+		e.members = append(e.members, i)
 	}
 	// One cover decides the whole batch; every member's decide phase
 	// closes at the same instant.
@@ -673,31 +655,31 @@ func (e *Engine) decideWSC(live []*pending) {
 		if e.sm != nil && decided.IsZero() {
 			decided = time.Now()
 		}
-		live[i].decidedAt = decided
-		e.answer(live[i], d, dec)
+		c := &round[e.members[i]]
+		c.decidedAt = decided
+		e.answer(c, d, dec)
 		answered++
 	})
-	for _, p := range live[answered:] { // a failed cover poisoned the system
-		p.publish(Decision{}, e.lv.Err())
+	for _, i := range e.members[answered:] { // a failed cover poisoned the system
+		round[i].err = e.lv.Err()
 	}
 }
 
-// answer delivers one decision and replies to the waiter. The reply
+// answer delivers one decision and records its outcome in c. The reply
 // record reads the chosen disk before the request reaches it.
-func (e *Engine) answer(p *pending, d core.DiskID, dec obs.DecisionID) {
+func (e *Engine) answer(c *call, d core.DiskID, dec obs.DecisionID) {
 	if d == core.InvalidDisk {
 		// Replicas vanished between admission and decision (router update).
-		e.lv.Deliver(p.req, d, dec)
-		e.count(func(m *serveMetrics) { m.noReplica.Inc() })
-		p.publish(Decision{}, fmt.Errorf("%w %d", ErrNoReplica, p.req.Block))
+		e.lv.Deliver(c.req, d, dec)
+		c.err = e.noReplica(c.req.Block)
 		return
 	}
 	v := e.lv.View()
 	en := e.cfg.Cost.EnergyCost(v, d)
 	ld := v.Load(d)
-	p.dec = Decision{
-		Req:     p.req.ID,
-		Block:   p.req.Block,
+	c.dec = Decision{
+		Req:     c.req.ID,
+		Block:   c.req.Block,
 		Disk:    d,
 		State:   v.DiskState(d),
 		Load:    ld,
@@ -705,18 +687,23 @@ func (e *Engine) answer(p *pending, d core.DiskID, dec obs.DecisionID) {
 		EnergyJ: en,
 		At:      e.lv.Now(),
 	}
-	e.lv.Deliver(p.req, d, dec)
+	e.lv.Deliver(c.req, d, dec)
 	if err := e.lv.Err(); err != nil {
-		p.publish(Decision{}, err)
+		c.dec, c.err = Decision{}, err
 		return
 	}
 	n := e.decisions.Add(1)
 	if e.sm != nil {
 		e.sm.decided.Inc()
-		e.sm.decisionLatency.Observe(time.Since(p.enqueued).Seconds())
-		e.recordSpan(p, p.dec, n)
+		e.sm.decisionLatency.Observe(time.Since(c.enqueued).Seconds())
+		e.recordSpan(c, n)
 	}
-	p.finish(nil)
+}
+
+// noReplica counts and returns the rejection of a block without replicas.
+func (e *Engine) noReplica(b core.BlockID) error {
+	e.count(func(m *serveMetrics) { m.noReplica.Inc() })
+	return fmt.Errorf("%w %d", ErrNoReplica, b)
 }
 
 func (e *Engine) count(f func(*serveMetrics)) {
@@ -738,23 +725,20 @@ func (e *Engine) Decisions() uint64 { return e.decisions.Load() }
 func (e *Engine) Draining() bool { return e.draining.Load() }
 
 // recordSpan closes a decided request's lifecycle span: per-phase
-// histograms, the slow-exemplar ring, and the FlightSLO trigger. Runs on
-// the combining goroutine with p.roundAt/p.decidedAt already stamped.
-func (e *Engine) recordSpan(p *pending, dec Decision, decision uint64) {
+// histograms, the slow-exemplar ring, and the FlightSLO trigger. Runs
+// under mu with c.roundAt/c.decidedAt already stamped.
+func (e *Engine) recordSpan(c *call, decision uint64) {
 	done := time.Now()
-	queue := p.roundAt.Sub(p.enqueued)
-	decide := p.decidedAt.Sub(p.roundAt)
-	dispatch := done.Sub(p.decidedAt)
+	queue := c.roundAt.Sub(c.enqueued)
+	decide := c.decidedAt.Sub(c.roundAt)
+	dispatch := done.Sub(c.decidedAt)
 	e.sm.spanQueue.Observe(queue.Seconds())
 	e.sm.spanDecide.Observe(decide.Seconds())
 	e.sm.spanDispatch.Observe(dispatch.Seconds())
-	total := done.Sub(p.enqueued)
-	e.slowMu.Lock()
-	if len(e.slow) == slowSpanCap && total.Microseconds() <= e.slow[len(e.slow)-1].TotalUS {
-		// Fast path: not among the slowest seen.
-	} else {
+	total := done.Sub(c.enqueued)
+	if len(e.slow) < slowSpanCap || total.Microseconds() > e.slow[len(e.slow)-1].TotalUS {
 		s := SlowSpan{
-			Req: dec.Req, Block: dec.Block, Disk: dec.Disk, Decision: decision,
+			Req: c.dec.Req, Block: c.dec.Block, Disk: c.dec.Disk, Decision: decision,
 			QueueUS: queue.Microseconds(), DecideUS: decide.Microseconds(),
 			DispatchUS: dispatch.Microseconds(), TotalUS: total.Microseconds(),
 		}
@@ -765,7 +749,6 @@ func (e *Engine) recordSpan(p *pending, dec Decision, decision uint64) {
 		copy(e.slow[i+1:], e.slow[i:])
 		e.slow[i] = s
 	}
-	e.slowMu.Unlock()
 	if e.cfg.Flight != nil && e.cfg.FlightSLO > 0 && total > e.cfg.FlightSLO &&
 		e.sloDumped.CompareAndSwap(false, true) {
 		e.cfg.Flight.RequestDump("slo breach")
@@ -773,19 +756,16 @@ func (e *Engine) recordSpan(p *pending, dec Decision, decision uint64) {
 }
 
 // slowSpans returns a copy of the slow-request exemplars, slowest first.
+// Caller holds mu.
 func (e *Engine) slowSpans() []SlowSpan {
-	e.slowMu.Lock()
-	out := make([]SlowSpan, len(e.slow))
-	copy(out, e.slow)
-	e.slowMu.Unlock()
-	return out
+	return append([]SlowSpan(nil), e.slow...)
 }
 
 // maintain is the live-mode housekeeping loop: every tick it advances an
 // idle system's clock to wall time, firing completions, idle timeouts and
 // spin-downs during quiet periods so /state stays live and disks spin down
-// on schedule with no traffic. A busy system is skipped — its combiner
-// advances the clock with every round.
+// on schedule with no traffic. A busy engine is skipped: whoever holds
+// the lock advances the clock with every decision.
 func (e *Engine) maintain() {
 	defer close(e.maintDone)
 	t := time.NewTicker(25 * time.Millisecond)
@@ -796,63 +776,35 @@ func (e *Engine) maintain() {
 			return
 		case <-t.C:
 		}
-		e.tick()
-	}
-}
-
-// tick runs one maintenance pass.
-func (e *Engine) tick() {
-	if !e.tok.CompareAndSwap(0, 1) {
-		return
-	}
-	e.lv.Advance(e.elapsed())
-	e.release()
-}
-
-// release hands the combining token back and decides anything that
-// arrived while it was held for housekeeping.
-func (e *Engine) release() {
-	e.tok.Store(0)
-	if !e.ring.empty() {
-		e.combineOn()
+		if e.mu.TryLock() {
+			e.lv.Advance(e.elapsed())
+			e.mu.Unlock()
+		}
 	}
 }
 
 // FlushFlight materialises a pending flight-dump trigger. Triggers raised
 // while the engine is idle (an operator SIGQUIT with no traffic) have no
 // event flow to sweep them; this forces the sweep. No-op without a
-// recorder or pending trigger.
+// recorder or pending trigger, and after Drain.
 func (e *Engine) FlushFlight() {
-	if e.cfg.Flight == nil || !e.acquire() {
+	if e.cfg.Flight == nil {
 		return
 	}
-	e.cfg.Flight.MaybeDump()
-	e.release()
-}
-
-// acquire spin-waits for the combining token, giving up when the engine
-// has ended (the drain holds the token forever).
-func (e *Engine) acquire() bool {
-	for !e.tok.CompareAndSwap(0, 1) {
-		select {
-		case <-e.ended:
-			return false
-		default:
-			runtime.Gosched()
-		}
+	e.mu.Lock()
+	if e.final == nil {
+		e.cfg.Flight.MaybeDump()
 	}
-	return true
+	e.mu.Unlock()
 }
 
-// Snapshot returns a consistent view of the serving system, taken with the
-// combining token held. After Drain it returns the final snapshot.
+// Snapshot returns a consistent view of the serving system, taken under
+// the engine lock. After Drain it returns the final snapshot.
 func (e *Engine) Snapshot() Snapshot {
-	if !e.acquire() {
-		<-e.ended
-		if e.final != nil {
-			return *e.final
-		}
-		return Snapshot{}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.final != nil {
+		return *e.final
 	}
 	if !e.cfg.Sequential {
 		e.lv.Advance(e.elapsed())
@@ -867,6 +819,7 @@ func (e *Engine) Snapshot() Snapshot {
 			Draining:  e.draining.Load(),
 		},
 		Disks:  e.lv.Snapshot(),
+		Slow:   e.slowSpans(),
 		Kernel: e.lv.KernelStats(),
 	}
 	for _, d := range snap.Disks {
@@ -877,8 +830,6 @@ func (e *Engine) Snapshot() Snapshot {
 	if acc := e.cfg.Accounting; acc != nil {
 		snap.Totals.CarbonG, snap.Totals.CostUSD = acc.Snapshot()
 	}
-	e.release()
-	snap.Slow = e.slowSpans()
 	return snap
 }
 
@@ -896,32 +847,28 @@ func (e *Engine) Drain() (*storage.Result, error) {
 	return e.report, e.finalErr
 }
 
-// doDrain runs on the first Drain caller: stop maintenance, answer the
-// admitted backlog, seize the token, finish the storage system and
-// publish the final snapshot.
+// doDrain runs on the first Drain caller: stop maintenance, wait until
+// every admitted request is answered, then finish the storage system and
+// publish the final snapshot under the lock.
 func (e *Engine) doDrain() {
 	defer close(e.ended)
 	close(e.stop)
 	if e.maintDone != nil {
 		<-e.maintDone
 	}
-	// Answer the backlog. Every submitter that reserved inflight before the
-	// draining flag flipped either gets decided (its request reached a ring)
-	// or rejects itself on the post-reservation drain check; parked
-	// sequential requests are rejected (their predecessors will never
-	// arrive). Poll until the count settles.
-	for {
-		e.combineOn()
-		e.rejectParked()
-		if e.inflight.Load() == 0 {
-			break
-		}
+	// Wake the Sequential submitters: those still waiting for a
+	// predecessor that will never arrive return ErrDraining, without
+	// trace events (in virtual terms they never arrived).
+	e.mu.Lock()
+	e.turn.Broadcast()
+	e.mu.Unlock()
+	// Every submitter that reserved a slot before the draining flag
+	// flipped is decided or rejects itself; poll until all are answered.
+	for e.inflight.Load() != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	// Seize the token: from here no other goroutine can touch the system.
-	for !e.tok.CompareAndSwap(0, 1) {
-		runtime.Gosched()
-	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	name := "eschedd " + e.cfg.Mode.String()
 	res, err := e.lv.Finish(name)
 	e.report, e.finalErr = res, err
@@ -960,30 +907,4 @@ func (e *Engine) doDrain() {
 	snap.Slow = e.slowSpans()
 	snap.Kernel = e.lv.KernelStats()
 	e.final = &snap
-}
-
-// rejectParked rejects every sequencer resident during drain. The
-// requests were admitted but never arrived in virtual terms (their turn
-// never came), so they are rejected without trace events.
-func (e *Engine) rejectParked() {
-	e.seqMu.Lock()
-	if len(e.seqParked) == 0 {
-		e.seqMu.Unlock()
-		return
-	}
-	ids := make([]core.RequestID, 0, len(e.seqParked))
-	for id := range e.seqParked {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	parked := make([]*pending, len(ids))
-	for i, id := range ids {
-		parked[i] = e.seqParked[id]
-		delete(e.seqParked, id)
-	}
-	e.seqMu.Unlock()
-	for _, p := range parked {
-		e.count(func(m *serveMetrics) { m.draining.Inc() })
-		p.publish(Decision{}, ErrDraining)
-	}
 }

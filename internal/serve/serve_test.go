@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,45 +307,18 @@ func TestDrainingCountedOnce(t *testing.T) {
 	}
 }
 
-// TestRingOrder pins the admission ring's FIFO contract including a
-// wraparound lap.
-func TestRingOrder(t *testing.T) {
-	t.Parallel()
-	r := newRing(4) // capacity 4
-	ps := make([]*pending, 10)
-	for i := range ps {
-		ps[i] = &pending{}
-	}
-	if r.pop() != nil {
-		t.Fatal("pop on empty ring")
-	}
-	for lap := 0; lap < 2; lap++ {
-		for i := 0; i < 4; i++ {
-			r.push(ps[lap*4+i])
-		}
-		if r.empty() {
-			t.Fatal("ring empty after pushes")
-		}
-		for i := 0; i < 4; i++ {
-			if got := r.pop(); got != ps[lap*4+i] {
-				t.Fatalf("lap %d pop %d: wrong item", lap, i)
-			}
-		}
-		if !r.empty() {
-			t.Fatal("ring not empty after draining")
-		}
-	}
-}
-
 // TestWSCRoundsServeAll runs live (wall-clock) mode with WSC decision
-// rounds under concurrent submitters and checks full conservation, and
-// that every dispatch carries the ID of a decision event for the same
-// request and disk, as on storage.RunBatch's path.
+// rounds fed by concurrent batch submitters and checks the exact round
+// count, full conservation, and that every dispatch carries the ID of a
+// decision event for the same request and disk, as on storage.RunBatch's
+// path.
 func TestWSCRoundsServeAll(t *testing.T) {
 	t.Parallel()
+	const n, workers = 200, 8
 	cfg, p := testConfig(t, 8, 60, 2)
 	cfg.Mode = ModeWSC
-	cfg.MaxInFlight = 64
+	cfg.MaxInFlight = n // every batch is admitted whole
+	cfg.RoundMax = 10   // each worker's 25 blocks: rounds of 10, 10 and 5
 	mon := monitor.NewSuite(monitor.Config{
 		Power:     cfg.System.Power,
 		Mech:      cfg.System.Mech,
@@ -360,18 +335,18 @@ func TestWSCRoundsServeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold the decision loop so the first submissions gather into one
-	// multi-request round: a one-request round is decided by the heuristic.
-	blockLoop(e, 50*time.Millisecond)
-	const n = 200
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := g; i < n; i += 8 {
-				if _, err := e.Submit(core.Request{Block: core.BlockID(i % 60)}, 0); err != nil {
-					t.Error(err)
+			var reqs []core.Request
+			for i := g; i < n; i += workers {
+				reqs = append(reqs, core.Request{Block: core.BlockID(i % 60)})
+			}
+			for _, c := range e.submitBatch(reqs) {
+				if c.err != nil {
+					t.Error(c.err)
 					return
 				}
 			}
@@ -390,10 +365,103 @@ func TestWSCRoundsServeAll(t *testing.T) {
 		mon.WriteReport(&rep)
 		t.Fatalf("doctor violations:\n%s", rep.String())
 	}
-	if rounds := col.Counter("esched_serve_rounds_total", "Decision rounds executed.").Value(); rounds >= n {
-		t.Fatalf("%v rounds for %d requests: no WSC round", rounds, n)
+	if rounds := col.Counter("esched_serve_rounds_total", "Decision rounds executed.").Value(); rounds != 3*workers {
+		t.Fatalf("%v rounds for %d batches of 25 at RoundMax 10, want %d", rounds, workers, 3*workers)
 	}
-	evs, err := analyze.Read(&log)
+	checkDecisionIDs(t, &log)
+}
+
+// TestBatchRounds pins the round rule of the batch endpoint: a batch is
+// decided in rounds of at most RoundMax of its own blocks, each round at
+// one arrival instant, in either mode; and a batch larger than the
+// remaining admission slots is rejected on exactly its trailing lines.
+func TestBatchRounds(t *testing.T) {
+	t.Parallel()
+	for _, mode := range []Mode{ModeHeuristic, ModeWSC} {
+		var log bytes.Buffer
+		e, ts, col := newTestServer(t, func(c *Config) {
+			c.Mode, c.RoundMax = mode, 4
+			c.Tracer = obs.NewTracer(256)
+			c.Tracer.SetSink(&log, false)
+		})
+		resp, body := postJSON(t, ts.URL+"/v1/schedule/batch", "0 1 2 3 4 5 6 7 8 9")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: status %d: %s", mode, resp.StatusCode, body)
+		}
+		lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+		if len(lines) != 10 {
+			t.Fatalf("%v: %d lines, want 10: %q", mode, len(lines), body)
+		}
+		for i, ln := range lines {
+			f := strings.Fields(ln)
+			if len(f) != 2 || f[0] == "!" {
+				t.Fatalf("%v: line %d = %q, want \"disk at_us\"", mode, i, ln)
+			}
+			if first := strings.Fields(lines[i/4*4])[1]; f[1] != first {
+				t.Errorf("%v: line %d decided at %s µs, its round at %s µs", mode, i, f[1], first)
+			}
+		}
+		if _, err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		var m bytes.Buffer
+		col.WriteTo(&m)
+		for _, want := range []string{
+			"esched_serve_rounds_total 3",
+			`esched_serve_round_size_bucket{le="1"} 0`,
+			`esched_serve_round_size_bucket{le="2"} 1`,
+			`esched_serve_round_size_bucket{le="4"} 3`,
+			"esched_serve_round_size_sum 10",
+		} {
+			if !strings.Contains(m.String(), want+"\n") {
+				t.Errorf("%v: export lacks %q:\n%s", mode, want, grepLines(m.String(), "esched_serve_round"))
+			}
+		}
+		checkDecisionIDs(t, &log)
+	}
+
+	// Ten blocks with replicas (and one without) against eight slots: the
+	// unknown block is rejected without taking a slot, and the last two
+	// blocks are the ones refused.
+	e, ts, col := newTestServer(t, func(c *Config) { c.MaxInFlight, c.RoundMax = 8, 4 })
+	resp, body := postJSON(t, ts.URL+"/v1/schedule/batch", "0 1 99999 2 3 4 5 6 7 8 9")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+	if len(lines) != 11 {
+		t.Fatalf("%d lines, want 11: %q", len(lines), body)
+	}
+	for i, ln := range lines {
+		want := ""
+		switch {
+		case i == 2:
+			want = "! no_replica"
+		case i >= 9:
+			want = "! queue_full"
+		}
+		if want == "" && strings.HasPrefix(ln, "!") {
+			t.Errorf("line %d = %q, want a decision", i, ln)
+		} else if want != "" && ln != want {
+			t.Errorf("line %d = %q, want %q", i, ln, want)
+		}
+	}
+	if _, err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	full := col.Counter("esched_serve_requests_total", "Serving submissions by outcome.",
+		obs.Label{Key: "outcome", Value: "queue_full"})
+	if got := full.Value(); got != 2 {
+		t.Errorf("queue_full counter = %v, want 2", got)
+	}
+}
+
+// checkDecisionIDs reads a drained run's event log and checks that every
+// dispatch carries the ID of a decision event for the same request and
+// disk.
+func checkDecisionIDs(t *testing.T, log *bytes.Buffer) {
+	t.Helper()
+	evs, err := analyze.Read(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,21 +681,14 @@ func TestDrainWithoutRequests(t *testing.T) {
 	}
 }
 
-// blockLoop occupies the engine for d without deciding: it seizes the
-// combining token, so submissions queue in the ring until release.
+// blockLoop occupies the engine for d without deciding: it takes the
+// engine lock now and releases it after d, so submissions wait for it.
 func blockLoop(e *Engine, d time.Duration) {
-	acquired := make(chan struct{})
+	e.mu.Lock()
 	go func() {
-		for !e.tok.CompareAndSwap(0, 1) {
-			time.Sleep(time.Microsecond)
-		}
-		close(acquired)
 		time.Sleep(d)
-		// Combine anything that queued while the token was held, exactly as
-		// a real holder's release-recheck would.
-		e.release()
+		e.mu.Unlock()
 	}()
-	<-acquired
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -73,13 +75,30 @@ func TestLiveArrivalTieMatchesRunOnline(t *testing.T) {
 // TestLiveFinishWithoutArrivals pins the horizon rule on an empty stream:
 // the run still settles to the accounting horizon of an arrival at 0, so
 // the always-on baseline is positive and the normalized energy finite.
+// RunOnline and RunBatch on an empty trace must settle to the same Result.
 func TestLiveFinishWithoutArrivals(t *testing.T) {
 	t.Parallel()
 	cfg := smallConfig(3)
 	loc := func(core.BlockID) []core.DiskID { return []core.DiskID{0} }
-	res := runLive(t, cfg, loc, sched.Static{Locations: loc}, nil)
+	sc := sched.Static{Locations: loc}
+	res := runLive(t, cfg, loc, sc, nil)
 	want := cfg.Power.Breakeven() + cfg.Power.SpinUpTime + cfg.Power.SpinDownTime
 	if n := res.NormalizedEnergy(); res.Horizon != want || n <= 0 || math.IsInf(n, 0) || math.IsNaN(n) {
 		t.Fatalf("horizon %v (want %v), normalized energy %v", res.Horizon, want, n)
+	}
+	online, err := RunOnline(cfg, loc, sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := RunBatch(cfg, loc, sched.WSC{Locations: loc, Cost: sched.DefaultCost(cfg.Power)}, nil, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sim := range []*Result{online, batch} {
+		got := *sim
+		got.Scheduler = res.Scheduler
+		if !reflect.DeepEqual(&got, res) {
+			t.Errorf("%s on an empty trace: %+v, want the Live result %+v", sim.Scheduler, got, *res)
+		}
 	}
 }

@@ -603,6 +603,17 @@ func (s *system) lookupCache(o runOptions, r core.Request) bool {
 	return false
 }
 
+// lastArrival returns the latest arrival in reqs, 0 when there is none.
+// Runs finish at offline.HorizonAfter of it, as a Live system does, so an
+// empty trace still settles to a positive horizon.
+func lastArrival(reqs []core.Request) time.Duration {
+	var last time.Duration
+	for _, r := range reqs {
+		last = max(last, r.Arrival)
+	}
+	return last
+}
+
 // RunOnline simulates the online scheduling model (Section 2.2): every
 // request is assigned to a disk the moment it arrives.
 func RunOnline(cfg Config, loc sched.Locator, scheduler sched.Online, reqs []core.Request, opts ...RunOption) (*Result, error) {
@@ -636,7 +647,7 @@ func RunOnline(cfg Config, loc sched.Locator, scheduler sched.Online, reqs []cor
 		}
 		deliver(r)
 	})
-	return s.finish(scheduler.Name(), offline.Horizon(reqs, cfg.Power), len(reqs))
+	return s.finish(scheduler.Name(), offline.HorizonAfter(lastArrival(reqs), cfg.Power), len(reqs))
 }
 
 // RunBatch simulates the batch scheduling model (Section 2.2): arrivals
@@ -698,7 +709,7 @@ func RunBatch(cfg Config, loc sched.Locator, scheduler sched.Batch, reqs []core.
 		}
 		enqueue(r)
 	})
-	return s.finish(scheduler.Name(), offline.Horizon(reqs, cfg.Power), len(reqs))
+	return s.finish(scheduler.Name(), offline.HorizonAfter(lastArrival(reqs), cfg.Power), len(reqs))
 }
 
 // WithStateLog streams every disk power-state transition to w as CSV

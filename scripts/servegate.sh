@@ -12,10 +12,11 @@
 # daemon itself exits non-zero on a live doctor violation), or offline
 # doctor violation.
 #
-# The loadgen drives 8 connections of 16-block batches, so many submitters
-# contend for the engine at once: the gate exercises the admission ring
-# and flat combining under concurrency, and the offline doctor proves the
-# log the combined decisions wrote still satisfies every invariant.
+# The loadgen drives 8 connections of 16-block batches, so many batches
+# contend for the engine lock at once, each decided in rounds of its own
+# blocks: the gate exercises admission and the decision lock under
+# concurrency, and the offline doctor proves the log those rounds wrote
+# still satisfies every invariant.
 #
 # Usage: scripts/servegate.sh
 #   SERVE_DISKS / SERVE_BLOCKS / SERVE_REQUESTS / SERVE_SEED override the
