@@ -20,8 +20,9 @@ test:
 	$(GO) test ./...
 
 # Full pre-merge gate: vet plus the race detector over every package.
-# The parallel MWIS solve, the disk-sharded node scan of the MWIS
-# reduction, and the sim-kernel event plumbing all run under -race here.
+# The disk-sharded node scan of the MWIS reduction, the component-parallel
+# GWMIN the benchmark's replay uses, and the sim-kernel event plumbing all
+# run under -race here.
 check: vet
 	$(GO) test -race ./...
 

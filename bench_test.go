@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/diskmodel"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/offline"
@@ -155,32 +154,6 @@ func BenchmarkAblationQueueDiscipline(b *testing.B) {
 				mean = res.Response.Mean()
 			}
 			b.ReportMetric(float64(mean.Milliseconds()), "ms-mean-response")
-		})
-	}
-}
-
-// BenchmarkAblationGreedyMWISVariant compares the two greedy MWIS rules of
-// Sakai et al. on the offline reduction graph.
-func BenchmarkAblationGreedyMWISVariant(b *testing.B) {
-	reqs, plc, cfg := benchFixture(b, 3)
-	in, err := offline.Build(reqs, plc.Locations, cfg.Power, offline.BuildOptions{MaxSuccessors: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		algo func(*graph.Graph) ([]int, float64)
-	}{
-		{"gwmin", graph.GWMIN},
-		{"gwmin2", graph.GWMIN2},
-	} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			var weight float64
-			for i := 0; i < b.N; i++ {
-				_, weight = variant.algo(in.Graph)
-			}
-			b.ReportMetric(weight, "saving-joules")
 		})
 	}
 }

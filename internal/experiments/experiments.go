@@ -48,10 +48,10 @@ type Scale struct {
 	// Parallelism bounds concurrent simulation cells (0 = just over half
 	// the CPUs; see runParallel).
 	Parallelism int
-	// Workers bounds the goroutines inside the MWIS pipeline (sharded
-	// graph construction and the component-parallel solve), split across
-	// concurrently running cells by SolverWorkers. 0 or 1 means serial;
-	// results are bit-identical for every value.
+	// Workers bounds the goroutines that build the MWIS reduction (its
+	// per-disk successor scans), split across concurrently running cells
+	// by SolverWorkers. 0 or 1 means serial; results are bit-identical for
+	// every value.
 	Workers int
 	// Shards is ignored: every simulated cell runs on the serial kernel.
 	// It is excluded from the sweep-cache key.

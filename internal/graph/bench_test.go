@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -60,29 +59,5 @@ func BenchmarkGWMIN(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		GWMIN(g)
-	}
-}
-
-func BenchmarkHybridMWIS(b *testing.B) {
-	const n = 8192
-	g := buildBenchGraph(n, benchGraphEdges(n, 11), rand.New(rand.NewSource(13)))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		HybridMWIS(g, 18)
-	}
-}
-
-// BenchmarkParallelHybridMWIS is HybridMWIS with the component solves
-// spread over every CPU; compare against BenchmarkHybridMWIS for the
-// component-parallel speedup on this machine.
-func BenchmarkParallelHybridMWIS(b *testing.B) {
-	const n = 8192
-	g := buildBenchGraph(n, benchGraphEdges(n, 11), rand.New(rand.NewSource(13)))
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ParallelHybridMWIS(g, 18, workers)
 	}
 }

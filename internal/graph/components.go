@@ -128,28 +128,6 @@ func solveComponents(g *Graph, workers int, solve func(*Graph) ([]int, float64))
 	return is, total
 }
 
-// HybridMWIS solves maximum weighted independent set per connected
-// component: components with at most exactLimit vertices are solved
-// optimally by branch and bound, larger ones by the GWMIN greedy. On
-// bursty scheduling graphs most components are small, so the hybrid
-// recovers most of the exact optimum at near-greedy cost.
-func HybridMWIS(g *Graph, exactLimit int) ([]int, float64) {
-	return ParallelHybridMWIS(g, exactLimit, 1)
-}
-
-// ParallelHybridMWIS is HybridMWIS with components solved concurrently over
-// a pool of workers goroutines (1 = serial). Components are independent
-// subproblems and results merge in component order, so the selected set and
-// total weight are bit-identical for every worker count.
-func ParallelHybridMWIS(g *Graph, exactLimit, workers int) ([]int, float64) {
-	return solveComponents(g, workers, func(sub *Graph) ([]int, float64) {
-		if sub.N() <= exactLimit {
-			return ExactMWIS(sub)
-		}
-		return GWMIN(sub)
-	})
-}
-
 // ParallelGWMIN runs the GWMIN greedy per connected component over a pool
 // of workers goroutines (1 = plain GWMIN on the whole graph). The greedy's
 // choices in one component never affect ratios in another, so the selected

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -59,76 +58,6 @@ func TestComponentsPartitionProperty(t *testing.T) {
 		return total == g.N()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHybridMWISMatchesExactOnSmallComponents(t *testing.T) {
-	t.Parallel()
-	// Many small disconnected components: hybrid with a generous limit
-	// must equal the exact optimum.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// Build 3 disjoint random blobs of <= 6 vertices.
-		weights := make([]float64, 18)
-		for v := range weights {
-			weights[v] = rng.Float64() * 10
-		}
-		var edges [][2]int
-		for blob := 0; blob < 3; blob++ {
-			base := blob * 6
-			for i := 0; i < 6; i++ {
-				for j := i + 1; j < 6; j++ {
-					if rng.Float64() < 0.4 {
-						edges = append(edges, [2]int{base + i, base + j})
-					}
-				}
-			}
-		}
-		g := fromEdges(weights, edges)
-		hybridIS, hybridW := HybridMWIS(g, 10)
-		_, exactW := ExactMWIS(g)
-		if !g.IsIndependentSet(hybridIS) {
-			return false
-		}
-		return math.Abs(hybridW-exactW) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHybridMWISFallsBackToGreedyOnBigComponents(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(3))
-	g := randomGraph(rng, 40, 0.2) // likely one big component
-	is, w := HybridMWIS(g, 5)
-	if !g.IsIndependentSet(is) {
-		t.Fatal("hybrid returned dependent set")
-	}
-	if math.Abs(g.SetWeightSum(is)-w) > 1e-9 {
-		t.Errorf("weight mismatch: %v vs %v", g.SetWeightSum(is), w)
-	}
-	// Never worse than plain greedy on the whole graph.
-	_, gw := GWMIN(g)
-	if w < gw-1e-9 {
-		t.Errorf("hybrid %v below plain greedy %v", w, gw)
-	}
-}
-
-func TestHybridNeverBelowGreedyProperty(t *testing.T) {
-	t.Parallel()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 2+rng.Intn(24), 0.15)
-		is, w := HybridMWIS(g, 8)
-		if !g.IsIndependentSet(is) {
-			return false
-		}
-		_, gw := GWMIN(g)
-		return w >= gw-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
 	}
 }

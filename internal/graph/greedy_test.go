@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// heapGreedyOracle is the selection loop selectGreedy replaced, kept as
-// its reference: every vertex's entry goes into one lazy binary max-heap
-// ordered by (ratio desc, v asc) on the float ratios themselves, a dead
-// pop is dropped, and a stale pop is re-keyed and pushed back. selectGreedy
-// must select what it selects, in the same order.
+// heapGreedyOracle is the selection loop GWMINResidual's front and re-key
+// heap replaced, kept as their reference: every vertex's entry goes into
+// one lazy binary max-heap ordered by (ratio desc, v asc) on the float
+// ratios themselves, a dead pop is dropped, and a stale pop is re-keyed
+// and pushed back. GWMINResidual must select what it selects, in the same
+// order.
 func heapGreedyOracle(n int, alive []bool, key func(v int) (float64, int32), take func(v int)) []int {
 	h := make(oracleHeap, n)
 	for v := range h {
@@ -96,51 +97,29 @@ func (h *oracleHeap) push(it oracleItem) {
 	}
 }
 
-// greedyKeys returns GWMIN's (or, with second, GWMIN2's) key and take
-// functions over fresh alive and lost arrays, in the oracle's form: a key
-// is the ratio and a stamp that changes whenever the ratio may have, the
-// residual degree for GWMIN and the count of lost neighbors for GWMIN2.
-func greedyKeys(g *Graph, second bool) (alive []bool, key func(v int) (float64, int32), take func(v int)) {
+// oracleGreedy runs heapGreedyOracle with GWMIN's keys over fresh alive
+// and lost arrays: a key is the ratio and a stamp that changes whenever
+// the ratio may have, here the residual degree.
+func oracleGreedy(g *Graph) ([]int, float64) {
 	n := g.N()
-	alive = make([]bool, n)
+	alive := make([]bool, n)
 	for v := range alive {
 		alive[v] = true
 	}
 	lost := make([]int32, n)
-	key = func(v int) (float64, int32) {
+	key := func(v int) (float64, int32) {
 		d := g.Degree(v) - int(lost[v])
 		return g.weights[v] / float64(d+1), int32(d)
 	}
-	if second {
-		key = func(v int) (float64, int32) {
-			sum := g.weights[v]
-			for _, u := range g.Neighbors(v) {
-				if alive[u] {
-					sum += g.weights[u]
-				}
-			}
-			if sum == 0 {
-				return math.Inf(1), lost[v]
-			}
-			return g.weights[v] / sum, lost[v]
-		}
-	}
-	return alive, key, func(v int) { g.deleteClosed(v, alive, lost) }
-}
-
-// oracleGreedy runs heapGreedyOracle with GWMIN's or GWMIN2's keys.
-func oracleGreedy(second bool) func(*Graph) ([]int, float64) {
-	return func(g *Graph) ([]int, float64) {
-		alive, key, take := greedyKeys(g, second)
-		is := heapGreedyOracle(g.N(), alive, key, take)
-		return is, g.SetWeightSum(is)
-	}
+	is := heapGreedyOracle(n, alive, key, func(v int) { g.deleteClosed(v, alive, lost) })
+	return is, g.SetWeightSum(is)
 }
 
 // tieGraph is a seeded random graph built for ratio ties: integer weights
 // in [0, wmax], -0 among the zeros, and about a tenth of the vertices
-// isolated, so zero-weight isolated vertices give GWMIN2 +Inf ratios.
-// Edges join random pairs, avg per vertex on average.
+// isolated, so zero-weight isolated vertices keep their +0 and -0 ratios,
+// one value with two bit patterns, until they are selected. Edges join
+// random pairs, avg per vertex on average.
 func tieGraph(rng *rand.Rand, n, wmax, avg int) *Graph {
 	weights := make([]float64, n)
 	for v := range weights {
@@ -159,18 +138,17 @@ func tieGraph(rng *rand.Rand, n, wmax, avg int) *Graph {
 	return fromEdges(weights, edges)
 }
 
-// checkMatchesOracle fails unless GWMIN, GWMIN2 and ParallelGWMIN select
-// on g exactly what the heap oracle selects, order included.
+// checkMatchesOracle fails unless GWMIN and ParallelGWMIN select on g
+// exactly what the heap oracle selects, order included.
 func checkMatchesOracle(t *testing.T, g *Graph) {
 	t.Helper()
 	for _, c := range []struct {
 		name      string
 		got, want func(*Graph) ([]int, float64)
 	}{
-		{"GWMIN", GWMIN, oracleGreedy(false)},
-		{"GWMIN2", GWMIN2, oracleGreedy(true)},
+		{"GWMIN", GWMIN, oracleGreedy},
 		{"ParallelGWMIN", func(g *Graph) ([]int, float64) { return ParallelGWMIN(g, 3) },
-			func(g *Graph) ([]int, float64) { return solveComponents(g, 1, oracleGreedy(false)) }},
+			func(g *Graph) ([]int, float64) { return solveComponents(g, 1, oracleGreedy) }},
 	} {
 		got, gw := c.got(g)
 		want, ww := c.want(g)

@@ -190,7 +190,7 @@ func (g *Graph) SetWeightSum(vs []int) float64 {
 	return total
 }
 
-// ratioHeap is selectGreedy's re-key heap: a binary heap of the vertices
+// ratioHeap is GWMINResidual's re-key heap: a binary heap of the vertices
 // whose entries were keyed again after going stale, ordered by before on
 // their current keys. Hand-rolled rather than container/heap to avoid
 // interface dispatch on the greedy's hottest loop.
@@ -277,48 +277,6 @@ func GWMIN(g *Graph) ([]int, float64) {
 	return is, g.SetWeightSum(is)
 }
 
-// GWMINResidual runs GWMIN on a graph known only through its residual
-// degrees, for callers that can count a vertex's alive neighbors without
-// an adjacency list. weights has one entry per vertex; alive starts all
-// true. degree(v) returns the number of alive neighbors of the alive
-// vertex v, and take(v) deletes v and its alive neighbors, clearing their
-// alive flags. It returns the selected vertices in selection order, which
-// is GWMIN's on the same graph: the ratios come from the same integer
-// degrees fed to the same division.
-func GWMINResidual(weights []float64, alive []bool, degree func(v int) int, take func(v int)) []int {
-	return selectGreedy(len(weights), alive, func(v int) float64 {
-		return weights[v] / float64(degree(v)+1)
-	}, take)
-}
-
-// GWMIN2 is the second greedy from [22]: select the vertex maximizing
-// W(u) / Sum_{x in N[u]} W(x). It often beats GWMIN on weight-skewed graphs.
-//
-// The closed-neighborhood weight sum is recomputed per query (not maintained
-// by subtraction) so the floating-point ratios match a from-scratch
-// evaluation exactly, keeping results reproducible across refactors.
-func GWMIN2(g *Graph) ([]int, float64) {
-	n := g.N()
-	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
-	}
-	lost := make([]int32, n)
-	is := selectGreedy(n, alive, func(v int) float64 {
-		sum := g.weights[v]
-		for _, u := range g.Neighbors(v) {
-			if alive[u] {
-				sum += g.weights[u]
-			}
-		}
-		if sum == 0 {
-			return math.Inf(1) // zero-weight isolated vertex: free to take
-		}
-		return g.weights[v] / sum
-	}, func(v int) { g.deleteClosed(v, alive, lost) })
-	return is, g.SetWeightSum(is)
-}
-
 // deleteClosed deletes v and its alive neighbors, counting in lost each
 // neighbor an alive vertex loses.
 func (g *Graph) deleteClosed(v int, alive []bool, lost []int32) {
@@ -338,11 +296,15 @@ func (g *Graph) deleteClosed(v int, alive []bool, lost []int32) {
 	}
 }
 
-// selectGreedy is the selection loop every greedy here shares: repeatedly
-// select the alive vertex maximizing its ratio, add it to the independent
-// set, and take it with its closed neighborhood. ratio(v) is v's ratio in
-// the remaining graph; it must be non-decreasing under vertex deletions
-// (true for GWMIN and GWMIN2).
+// GWMINResidual runs GWMIN on a graph known only through its residual
+// degrees, for callers that can count a vertex's alive neighbors without
+// an adjacency list. weights has one entry per vertex; alive starts all
+// true. degree(v) returns the number of alive neighbors of the alive
+// vertex v, and take(v) deletes v and its alive neighbors, clearing their
+// alive flags. It returns the selected vertices in selection order, which
+// is GWMIN's on the same graph: the ratios come from the same integer
+// degrees fed to the same division. A ratio never falls as vertices are
+// deleted, which the selection loop relies on.
 //
 // Every vertex is keyed once and the keys are sorted into a front; a heap
 // holds only the vertices keyed again after their entries went stale.
@@ -358,10 +320,11 @@ func (g *Graph) deleteClosed(v int, alive []bool, lost []int32) {
 // Staleness is a changed ratio, not a changed neighborhood: an entry whose
 // neighborhood changed but whose ratio did not would be keyed again with
 // the same key, still first, and selected on the next step all the same.
-func selectGreedy(n int, alive []bool, ratio func(v int) float64, take func(v int)) []int {
-	keys := make([]uint64, n)
+func GWMINResidual(weights []float64, alive []bool, degree func(v int) int, take func(v int)) []int {
+	key := func(v int) uint64 { return descKey(weights[v] / float64(degree(v)+1)) }
+	keys := make([]uint64, len(weights))
 	for v := range keys {
-		keys[v] = descKey(ratio(v))
+		keys[v] = key(v)
 	}
 	front := sortByKey(keys)
 	h := ratioHeap{keys: keys}
@@ -382,7 +345,7 @@ func selectGreedy(n int, alive []bool, ratio func(v int) float64, take func(v in
 		default:
 			return is
 		}
-		if k := descKey(ratio(int(v))); k != keys[v] {
+		if k := key(int(v)); k != keys[v] {
 			keys[v] = k
 			h.push(v)
 			continue

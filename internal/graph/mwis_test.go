@@ -154,18 +154,6 @@ func TestGWMINIsIndependentAndReasonable(t *testing.T) {
 	}
 }
 
-func TestGWMIN2IsIndependent(t *testing.T) {
-	t.Parallel()
-	g := pathGraph([]float64{5, 6, 7, 8, 9, 10})
-	is, w := GWMIN2(g)
-	if !g.IsIndependentSet(is) {
-		t.Fatalf("GWMIN2 returned dependent set %v", is)
-	}
-	if w <= 0 {
-		t.Errorf("GWMIN2 weight = %v", w)
-	}
-}
-
 func TestGWMINStarGraph(t *testing.T) {
 	t.Parallel()
 	// Star: center weight 2, five leaves weight 1 each. Optimal = leaves (5);
@@ -206,23 +194,14 @@ func TestMWISProperty(t *testing.T) {
 		if !g.IsIndependentSet(exactIS) {
 			return false
 		}
-		for _, algo := range []func(*Graph) ([]int, float64){GWMIN, GWMIN2} {
-			is, w := algo(g)
-			if !g.IsIndependentSet(is) {
-				return false
-			}
-			if w > exactW+1e-9 {
-				return false
-			}
-			if math.Abs(g.SetWeightSum(is)-w) > 1e-9 {
-				return false
-			}
+		is, gw := GWMIN(g)
+		if !g.IsIndependentSet(is) || gw > exactW+1e-9 || math.Abs(g.SetWeightSum(is)-gw) > 1e-9 {
+			return false
 		}
 		bound := 0.0
 		for v := 0; v < n; v++ {
 			bound += g.Weight(v) / float64(g.Degree(v)+1)
 		}
-		_, gw := GWMIN(g)
 		return gw >= bound-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

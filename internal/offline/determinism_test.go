@@ -8,13 +8,13 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPipelineDeterministicAcrossWorkers pins the parallel pipeline's
-// contract: the sharded graph construction and the component-parallel MWIS
-// solve produce bit-identical schedules, energy, and spin-up counts for
-// every worker count. Integer degree maintenance, per-component greedy
-// independence, and component-indexed result merging make this exact, not
-// approximate — any floating-point reassociation or order dependence
-// sneaking into the pipeline fails this test.
+// TestPipelineDeterministicAcrossWorkers pins the offline pipeline's
+// contract: the sharded reduction, GWMIN on its request ranges and the
+// Improve local search produce bit-identical schedules, energy, and
+// spin-up counts for every worker count. Shard-ordered vertex merging and
+// integer degree maintenance make this exact, not approximate — any
+// floating-point reassociation or order dependence sneaking into the
+// pipeline fails this test.
 func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	plc, err := placement.Generate(placement.GenerateConfig{
@@ -35,9 +35,8 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) outcome {
 		sched, st, err := SolveRefined(reqs, plc.Locations, pcfg, BuildOptions{
-			MaxSuccessors:    4,
-			HybridExactLimit: 12,
-			Workers:          workers,
+			MaxSuccessors: 4,
+			Workers:       workers,
 		}, 2)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -116,7 +116,7 @@ func TestRangeGreedyMatchesGWMIN(t *testing.T) {
 
 // TestRangeGreedyMatchesGWMINOnFixtures runs the oracle on the allocation
 // guard's 6,000-request fixture, the Theorem 3 gadget and batch-style
-// instances whose requests all arrive at once, as MWISBatch builds them.
+// instances whose requests all arrive at once.
 func TestRangeGreedyMatchesGWMINOnFixtures(t *testing.T) {
 	t.Parallel()
 	pcfg := power.DefaultConfig()

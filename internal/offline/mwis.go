@@ -39,26 +39,10 @@ type BuildOptions struct {
 	// MaxNodes aborts construction when exceeded (0 = unlimited),
 	// guarding against quadratic blowup on pathological traces.
 	MaxNodes int
-	// HybridExactLimit, when positive, makes Solve build the conflict
-	// graph and solve its connected components with at most this many
-	// vertices exactly (branch and bound) and only the larger ones
-	// greedily. Bursty traces decompose into many small components, so
-	// modest limits recover most of the optimum at near-greedy cost. 0
-	// runs GWMIN on the reduction itself, with no graph built.
-	HybridExactLimit int
 	// Workers bounds the goroutines that generate vertices (the per-disk
-	// successor scans are independent) and, when HybridExactLimit > 0,
-	// that solve components. 0 or 1 means serial. Results are
+	// successor scans are independent). 0 or 1 means serial. Results are
 	// bit-identical for every worker count.
 	Workers int
-}
-
-// workerCount normalizes the Workers knob.
-func (o BuildOptions) workerCount() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 // reduce builds the reduction's vertices (Step 1: one for every non-zero
@@ -184,7 +168,7 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 		built.Add(int64(len(nodes)))
 		nodesByShard[si] = nodes
 	}
-	if workers := min(opts.workerCount(), len(shards)); workers <= 1 {
+	if workers := min(opts.Workers, len(shards)); workers <= 1 {
 		for si := range shards {
 			buildShard(si)
 			if exceeded.Load() {
@@ -439,8 +423,8 @@ func (rd *reduction) gwmin() []int {
 // (same i) and schedule-constraint violation (shared request, different
 // disk). The edges are yielded range by range, and the degrees graph.New
 // needs are the reduction's tallied ones, so no pair is walked twice.
-// Solve does not call it unless opts.HybridExactLimit > 0; it serves the
-// exact and hybrid solvers and callers that inspect the graph.
+// Solve never calls it; it serves the exact solver, the Figure 4
+// walkthrough and callers that inspect the graph.
 func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (*Instance, error) {
 	rd, err := reduce(reqs, locations, cfg, opts)
 	if err != nil {
@@ -537,28 +521,13 @@ func deriveSchedule(nodes []Node, reqs []core.Request, locations func(core.Block
 // Solve runs the full offline pipeline with the GWMIN greedy the paper uses
 // (Section 4.3): build the reduction, solve MWIS, derive the schedule.
 // GWMIN runs on the reduction's request ranges, so no conflict graph is
-// built; only opts.HybridExactLimit > 0 builds one, to split it into
-// components. The schedule and stats are bit-identical for every worker
-// count.
+// built. The schedule and stats are bit-identical for every worker count.
 func Solve(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (core.Schedule, Stats, error) {
-	var nodes []Node
-	var selected []int
-	if opts.HybridExactLimit > 0 {
-		in, err := Build(reqs, locations, cfg, opts)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		nodes = in.Nodes
-		selected, _ = graph.ParallelHybridMWIS(in.Graph, opts.HybridExactLimit, opts.workerCount())
-	} else {
-		rd, err := reduce(reqs, locations, cfg, opts)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		nodes = rd.nodes
-		selected = rd.gwmin()
+	rd, err := reduce(reqs, locations, cfg, opts)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	sched, err := deriveSchedule(nodes, reqs, locations, selected)
+	sched, err := deriveSchedule(rd.nodes, reqs, locations, rd.gwmin())
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -143,6 +143,59 @@ func TestBatchOptimalEqualsMinimumDiskCount(t *testing.T) {
 	if st.DisksUsed != 2 {
 		t.Errorf("disks used = %d, want 2", st.DisksUsed)
 	}
+
+	// Theorem 2 on random batches: the optimal schedule uses as many disks
+	// as a minimum set cover of the requests by the disks, and the greedy
+	// pipeline never uses fewer.
+	for _, pc := range []struct {
+		name string
+		cfg  power.Config
+	}{{"toy", power.ToyConfig()}, {"default", power.DefaultConfig()}} {
+		for seed := int64(0); seed < 400; seed++ {
+			reqs, locations, cover := randomBatch(rand.New(rand.NewSource(seed)))
+			chosen, _, err := graph.ExactCover(cover, 0)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", pc.name, seed, err)
+			}
+			_, exact, err := SolveExact(reqs, locations, pc.cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", pc.name, seed, err)
+			}
+			_, greedy, err := Solve(reqs, locations, pc.cfg, BuildOptions{})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", pc.name, seed, err)
+			}
+			if exact.DisksUsed != len(chosen) || greedy.DisksUsed < len(chosen) {
+				t.Errorf("%s seed %d: exact uses %d disks, greedy %d, minimum cover %d",
+					pc.name, seed, exact.DisksUsed, greedy.DisksUsed, len(chosen))
+			}
+		}
+	}
+}
+
+// randomBatch builds a concurrent batch: 2-5 disks, 1-6 blocks with random
+// replica sets and 1-7 requests, all arriving at 0, with its set cover
+// instance (one unit-weight set per disk, one element per request).
+func randomBatch(rng *rand.Rand) ([]core.Request, func(core.BlockID) []core.DiskID, graph.CoverInstance) {
+	numDisks := 2 + rng.Intn(4)
+	locs := make([][]core.DiskID, 1+rng.Intn(6))
+	for b := range locs {
+		for _, d := range rng.Perm(numDisks)[:1+rng.Intn(numDisks)] {
+			locs[b] = append(locs[b], core.DiskID(d))
+		}
+	}
+	reqs := make([]core.Request, 1+rng.Intn(7))
+	cover := graph.CoverInstance{NumElements: len(reqs), Sets: make([]graph.Set, numDisks)}
+	for i := range cover.Sets {
+		cover.Sets[i].Weight = 1
+	}
+	for i := range reqs {
+		reqs[i] = core.Request{ID: core.RequestID(i), Block: core.BlockID(rng.Intn(len(locs)))}
+		for _, d := range locs[reqs[i].Block] {
+			cover.Sets[d].Elements = append(cover.Sets[d].Elements, i)
+		}
+	}
+	return reqs, func(b core.BlockID) []core.DiskID { return locs[b] }, cover
 }
 
 // randomInstance builds a small random scheduling problem.
