@@ -2,8 +2,11 @@ package offline
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,13 +151,16 @@ func sortedNodes(nodes []Node) []Node {
 	return out
 }
 
-// TestReduceNodeOrder checks reduce's vertex order against a comparison
-// sort by (I, J, Disk), with request IDs shuffled out of arrival order,
-// over replication factors 1 to 5 and the exact and the capped reduction.
-// It also feeds orderNodes the same nodes shuffled across random shards,
-// which must come back in that order, none lost or repeated.
+// TestReduceNodeOrder checks reduce's vertex columns against Build's
+// nodes, entry by entry, and their order against a comparison sort by
+// (I, J, Disk), with request IDs shuffled out of arrival order, over
+// replication factors 1 to 5 and the exact and the capped reduction. It
+// also feeds orderNodes the same vertices shuffled across random shards,
+// several per disk, which must come back in that order, none lost or
+// repeated, with every shard's buffer released.
 func TestReduceNodeOrder(t *testing.T) {
 	t.Parallel()
+	const disks = 16
 	pcfg := power.DefaultConfig()
 	rng := rand.New(rand.NewSource(5))
 	reqs := reshape(workload.CelloLike(160, 120, 3), 20, 0)
@@ -163,34 +169,108 @@ func TestReduceNodeOrder(t *testing.T) {
 	}
 	for rf := 1; rf <= 5; rf++ {
 		plc, err := placement.Generate(placement.GenerateConfig{
-			NumDisks: 16, NumBlocks: 120, ReplicationFactor: rf, ZipfExponent: 1, Seed: int64(rf),
+			NumDisks: disks, NumBlocks: 120, ReplicationFactor: rf, ZipfExponent: 1, Seed: int64(rf),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, succ := range []int{0, 4} {
-			rd, err := reduce(reqs, plc.Locations, pcfg, BuildOptions{MaxSuccessors: succ})
+			opts := BuildOptions{MaxSuccessors: succ}
+			rd, err := reduce(reqs, plc.Locations, pcfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rd.nodes) == 0 {
+			in, err := Build(reqs, plc.Locations, pcfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(in.Nodes)
+			if n == 0 {
 				t.Fatalf("rf=%d succ=%d: no nodes: the fixture exercises nothing", rf, succ)
 			}
-			want := sortedNodes(rd.nodes)
-			if !slices.Equal(rd.nodes, want) {
+			if len(rd.i) != n || len(rd.j) != n || len(rd.disk) != n || len(rd.w) != n {
+				t.Fatalf("rf=%d succ=%d: columns of %d, %d, %d and %d entries, Build has %d nodes",
+					rf, succ, len(rd.i), len(rd.j), len(rd.disk), len(rd.w), n)
+			}
+			for v, nd := range in.Nodes {
+				if int(rd.i[v]) != int(nd.I) || int(rd.j[v]) != int(nd.J) || int(rd.disk[v]) != int(nd.Disk) || rd.w[v] != nd.Weight {
+					t.Fatalf("rf=%d succ=%d: vertex %d is (%d, %d, %d, %v) in the columns, Build says %+v",
+						rf, succ, v, rd.i[v], rd.j[v], rd.disk[v], rd.w[v], nd)
+				}
+			}
+			want := sortedNodes(in.Nodes)
+			if !slices.Equal(in.Nodes, want) {
 				t.Fatalf("rf=%d succ=%d: reduce's vertex order is not (I, J, Disk)", rf, succ)
 			}
 			shuffled := slices.Clone(want)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			var shards [][]Node
-			for len(shuffled) > 0 {
-				k := min(len(shuffled), 1+rng.Intn(50))
-				shards = append(shards, shuffled[:k])
-				shuffled = shuffled[k:]
+			perDisk := make([][]arc, disks)
+			for _, nd := range shuffled {
+				perDisk[nd.Disk] = append(perDisk[nd.Disk], arc{int32(nd.I), int32(nd.J), nd.Weight})
 			}
-			if got := orderNodes(shards, len(want)); !slices.Equal(got, want) {
+			var shards []diskArcs
+			for d, arcs := range perDisk {
+				for len(arcs) > 0 {
+					k := min(len(arcs), 1+rng.Intn(50))
+					shards = append(shards, diskArcs{int32(d), arcs[:k]})
+					arcs = arcs[k:]
+				}
+			}
+			rng.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
+			if got := orderNodes(shards, n); !slices.Equal(got.nodes(), want) {
 				t.Fatalf("rf=%d succ=%d: orderNodes on shuffled shards is not (I, J, Disk)", rf, succ)
 			}
+			for s, da := range shards {
+				if da.arcs != nil {
+					t.Fatalf("rf=%d succ=%d: orderNodes kept shard %d's buffer of %d arcs", rf, succ, s, len(da.arcs))
+				}
+			}
+		}
+	}
+}
+
+// TestReduceRejectsBadIDs checks that reduce, and so Build and Solve,
+// returns an error up front for request IDs that are not a permutation of
+// 0..n-1 and for disk IDs outside [0, MaxInt32], instead of panicking on
+// an index or wrapping a disk onto another in the int32 columns.
+func TestReduceRejectsBadIDs(t *testing.T) {
+	pcfg := power.DefaultConfig()
+	wide := core.DiskID(math.MaxInt32)
+	wide++
+	cases := []struct {
+		name string
+		ids  []core.RequestID
+		disk core.DiskID
+		want string
+	}{
+		{"id past n", []core.RequestID{0, 5}, 1, "permutation"},
+		{"negative id", []core.RequestID{-1, 1}, 1, "permutation"},
+		{"repeated id", []core.RequestID{1, 1}, 1, "permutation"},
+		{"negative disk", []core.RequestID{0, 1}, -1, "outside"},
+		{"disk past int32", []core.RequestID{0, 1}, wide, "outside"},
+		{"disk 1<<33", []core.RequestID{0, 1}, wide << 2, "outside"},
+	}
+	for _, tc := range cases {
+		var reqs []core.Request
+		for k, id := range tc.ids {
+			reqs = append(reqs, core.Request{ID: id, Block: core.BlockID(k), Arrival: time.Duration(k) * time.Second})
+		}
+		// Block 0 sits on disk 0, block 1 on disk 0 and tc.disk, so the two
+		// requests make a vertex on disk 0 when the IDs are valid.
+		locations := func(b core.BlockID) []core.DiskID {
+			if b == 0 {
+				return []core.DiskID{0}
+			}
+			return []core.DiskID{0, tc.disk}
+		}
+		if _, err := reduce(reqs, locations, pcfg, BuildOptions{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: reduce returned %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		if _, err := Build(reqs, locations, pcfg, BuildOptions{}); err == nil {
+			t.Errorf("%s: Build returned no error", tc.name)
+		}
+		if _, _, err := Solve(reqs, locations, pcfg, BuildOptions{}); err == nil {
+			t.Errorf("%s: Solve returned no error", tc.name)
 		}
 	}
 }
@@ -242,10 +322,11 @@ func FuzzBuildEdges(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(rd.nodes, sortedNodes(rd.nodes)) {
+		nodes := rd.nodes()
+		if !slices.Equal(nodes, sortedNodes(nodes)) {
 			t.Fatal("reduce's vertex order is not (I, J, Disk)")
 		}
-		adj, _ := conflictOracle(rd.nodes)
+		adj, _ := conflictOracle(nodes)
 		checkResidual(t, rd, adj)
 	})
 }
@@ -317,9 +398,10 @@ func BenchmarkBuild(b *testing.B) {
 // TestSolveAllocatesPerVertex bounds what the default Solve allocates per
 // vertex of the reduction. It runs GWMIN on the reduction's request ranges
 // and never builds the conflict graph, so nothing it holds grows with the
-// edges: about 160 bytes per vertex at both replication factors. A CSR
-// alone would cost 8 bytes per edge, 137 and 264 bytes per vertex on these
-// fixtures, and building one puts Solve near 300 and 425.
+// edges. The vertex table is int32 columns plus a weight column, 20 bytes
+// per vertex, and the whole pipeline allocates about 107 and 109 bytes per
+// vertex at the two replication factors. A CSR alone would cost 8 bytes per edge,
+// 137 and 264 bytes per vertex on these fixtures.
 func TestSolveAllocatesPerVertex(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -331,33 +413,42 @@ func TestSolveAllocatesPerVertex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := Solve(reqs, locations, pcfg, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		perVertex := float64(res.AllocedBytesPerOp()) / float64(in.Graph.N())
+		res := testing.Benchmark(func(b *testing.B) { benchSolve(b, reqs, locations, opts) })
+		perVertex := res.Extra["B/vertex"]
 		t.Logf("rf %d: %d vertices, %d edges, %d bytes, %.1f bytes/vertex", rf, in.Graph.N(), in.Graph.M(), res.AllocedBytesPerOp(), perVertex)
-		if perVertex > 200 {
-			t.Errorf("rf %d: Solve allocates %.1f bytes per vertex, want at most 200", rf, perVertex)
+		if perVertex > 110 {
+			t.Errorf("rf %d: Solve allocates %.1f bytes per vertex, want at most 110", rf, perVertex)
 		}
 	}
 }
 
-// BenchmarkSolve times the default greedy pipeline on the same fixture.
+// BenchmarkSolve times the default greedy pipeline on the same fixture and
+// reports its allocation per vertex of the reduction as B/vertex.
 func BenchmarkSolve(b *testing.B) {
-	pcfg := power.DefaultConfig()
 	for _, rf := range []int{2, 3, 5} {
 		reqs, locations, opts := buildFixture(b, rf)
-		b.Run(fmt.Sprintf("rf=%d", rf), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := Solve(reqs, locations, pcfg, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("rf=%d", rf), func(b *testing.B) { benchSolve(b, reqs, locations, opts) })
 	}
+}
+
+// benchSolve runs Solve b.N times and reports the bytes each run allocates
+// per vertex of the reduction as the B/vertex metric.
+func benchSolve(b *testing.B, reqs []core.Request, locations func(core.BlockID) []core.DiskID, opts BuildOptions) {
+	pcfg := power.DefaultConfig()
+	rd, err := reduce(reqs, locations, pcfg, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Solve(reqs, locations, pcfg, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(len(rd.w)), "B/vertex")
 }

@@ -48,7 +48,7 @@ func checkGreedy(t *testing.T, reqs []core.Request, locations func(core.BlockID)
 // number of alive neighbours in adj.
 func checkResidual(t *testing.T, rd *reduction, adj [][]int32) {
 	t.Helper()
-	n := len(rd.nodes)
+	n := len(rd.w)
 	alive := make([]bool, n)
 	for v := range alive {
 		alive[v] = true
@@ -71,7 +71,7 @@ func checkResidual(t *testing.T, rd *reduction, adj [][]int32) {
 			}
 		}
 		if got := rd.degree(v); got != want {
-			t.Fatalf("vertex %d %+v: residual degree %d, %d alive neighbours", v, rd.nodes[v], got, want)
+			t.Fatalf("vertex %d %+v: residual degree %d, %d alive neighbours", v, rd.node(v), got, want)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestRangeGreedyMatchesGWMIN(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						adj, _ := conflictOracle(rd.nodes)
+						adj, _ := conflictOracle(rd.nodes())
 						checkResidual(t, rd, adj)
 						checkGreedy(t, reqs, plc.Locations, pcfg, opts)
 					})

@@ -2,6 +2,7 @@ package offline
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,31 +46,58 @@ type BuildOptions struct {
 	Workers int
 }
 
+// maxVertices is the most vertices a reduction holds: off indexes the two
+// mentions of every vertex in int32.
+const maxVertices = math.MaxInt32 / 2
+
+// arc is a vertex as its disk's successor scan generates it; the disk is
+// the scan's own.
+type arc struct {
+	i, j int32
+	w    float64
+}
+
+// diskArcs is the vertices one disk's successor scan generated.
+type diskArcs struct {
+	disk int32
+	arcs []arc
+}
+
 // reduce builds the reduction's vertices (Step 1: one for every non-zero
 // X(i,j,k), Eqs. 3-4) and the request ranges and tallies its conflicts
-// (Step 2) follow from.
+// (Step 2) follow from. Request IDs must be a permutation of
+// 0..len(reqs)-1 and disk IDs lie in [0, MaxInt32], so that both fit the
+// reduction's int32 columns.
 //
 // Construction is allocation-lean and sharded: replica membership is
 // gathered into one sorted (disk, request) run instead of a map of slices,
 // and each disk's successor scan runs independently (concurrently when
-// opts.Workers > 1) into a pre-counted node slice. The result is
+// opts.Workers > 1) into a pre-counted arc slice. The result is
 // bit-identical to the serial construction for every worker count.
 func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg power.Config, opts BuildOptions) (*reduction, error) {
 	gm := newGapModel(cfg)
+	if len(reqs) > math.MaxInt32 {
+		return nil, fmt.Errorf("offline: %d requests, more than the %d the reduction indexes", len(reqs), math.MaxInt32)
+	}
 
 	// Step 0: one sorted run of (disk, request index) pairs replaces the
 	// per-disk map of request copies. Packing both into a uint64 keyed by
 	// disk groups the run by disk after a single sort. Capacity assumes the
 	// common 3-way replication; higher factors regrow geometrically.
 	pairs := make([]uint64, 0, 3*len(reqs))
+	seen := make([]bool, len(reqs))
 	for i, r := range reqs {
+		if r.ID < 0 || int(r.ID) >= len(reqs) || seen[r.ID] {
+			return nil, fmt.Errorf("offline: request %d at index %d: request IDs must be a permutation of 0..%d", r.ID, i, len(reqs)-1)
+		}
+		seen[r.ID] = true
 		locs := locations(r.Block)
 		if len(locs) == 0 {
 			return nil, fmt.Errorf("offline: request %d block %d has no locations", r.ID, r.Block)
 		}
 		for _, d := range locs {
-			if d < 0 {
-				return nil, fmt.Errorf("offline: request %d block %d on negative disk %d", r.ID, r.Block, d)
+			if d < 0 || d > math.MaxInt32 {
+				return nil, fmt.Errorf("offline: request %d block %d on disk %d, outside [0, %d]", r.ID, r.Block, d, math.MaxInt32)
 			}
 			pairs = append(pairs, uint64(d)<<32|uint64(uint32(i)))
 		}
@@ -97,13 +125,22 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 
 	// Step 1 per disk: sort the disk's requests by (arrival, id), then scan
 	// successors inside the replacement window. A cheap counting pass
-	// (window arithmetic only) pre-sizes the node slice exactly once.
-	nodesByShard := make([][]Node, len(shards))
-	var built atomic.Int64 // nodes completed by finished shards
+	// (window arithmetic only) pre-sizes the arc slice exactly once.
+	limit := maxVertices
+	if opts.MaxNodes > 0 {
+		limit = min(limit, opts.MaxNodes)
+	}
+	tooMany := func() error {
+		if limit == opts.MaxNodes {
+			return fmt.Errorf("offline: MWIS graph exceeds %d nodes", limit)
+		}
+		return fmt.Errorf("offline: MWIS reduction exceeds %d vertices, the most its int32 indexes hold", limit)
+	}
+	arcsByShard := make([]diskArcs, len(shards))
+	var built atomic.Int64 // arcs completed by finished shards
 	var exceeded atomic.Bool
 	buildShard := func(si int) {
 		sh := shards[si]
-		d := core.DiskID(pairs[sh.lo] >> 32)
 		run := pairs[sh.lo:sh.hi]
 		// Order the disk's requests by (arrival, id). The run arrives in
 		// request-index order, which for arrival-sorted traces is already
@@ -125,7 +162,7 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 			return 0
 		})
 		// Counting pass: pairs inside the window, capped per request at
-		// MaxSuccessors — an upper bound on accepted nodes.
+		// MaxSuccessors — an upper bound on accepted arcs.
 		upper := 0
 		for i := 0; i < len(run); i++ {
 			ti := reqs[uint32(run[i])].Arrival
@@ -141,7 +178,7 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 			}
 			upper += c
 		}
-		nodes := make([]Node, 0, upper)
+		arcs := make([]arc, 0, upper)
 		for i := 0; i < len(run); i++ {
 			ri := reqs[uint32(run[i])]
 			succ := 0
@@ -154,8 +191,8 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 				if w <= 0 {
 					continue
 				}
-				nodes = append(nodes, Node{I: ri.ID, J: rj.ID, Disk: d, Weight: w})
-				if opts.MaxNodes > 0 && built.Load()+int64(len(nodes)) > int64(opts.MaxNodes) {
+				arcs = append(arcs, arc{int32(ri.ID), int32(rj.ID), w})
+				if built.Load()+int64(len(arcs)) > int64(limit) {
 					exceeded.Store(true)
 					return
 				}
@@ -165,8 +202,8 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 				}
 			}
 		}
-		built.Add(int64(len(nodes)))
-		nodesByShard[si] = nodes
+		built.Add(int64(len(arcs)))
+		arcsByShard[si] = diskArcs{int32(pairs[sh.lo] >> 32), arcs}
 	}
 	if workers := min(opts.Workers, len(shards)); workers <= 1 {
 		for si := range shards {
@@ -194,36 +231,66 @@ func reduce(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg
 		wg.Wait()
 	}
 	if exceeded.Load() {
-		return nil, fmt.Errorf("offline: MWIS graph exceeds %d nodes", opts.MaxNodes)
+		return nil, tooMany()
 	}
 	total := 0
-	for _, ns := range nodesByShard {
-		total += len(ns)
+	for _, da := range arcsByShard {
+		total += len(da.arcs)
 	}
-	if opts.MaxNodes > 0 && total > opts.MaxNodes {
-		return nil, fmt.Errorf("offline: MWIS graph exceeds %d nodes", opts.MaxNodes)
+	if total > limit {
+		return nil, tooMany()
 	}
-	return newReduction(orderNodes(nodesByShard, total)), nil
+	return newReduction(orderNodes(arcsByShard, total)), nil
 }
 
-// orderNodes merges the shards' nodes into the deterministic vertex order
-// (I, J, Disk), whatever the shard or worker schedule; the triple is
-// unique per node, so the order is total. A counting scatter by I buckets
-// the nodes, then each bucket is ordered by (J, Disk). A bucket holds a
+// columns is the reduction's vertex table, one int32 or float64 column per
+// field: vertex v is X(i[v], j[v], disk[v]) and saves w[v] joules. It costs
+// 20 bytes per vertex where a []Node costs 32.
+type columns struct {
+	i, j, disk []int32
+	w          []float64
+}
+
+// node returns vertex v as a Node.
+func (c columns) node(v int) Node {
+	return Node{I: core.RequestID(c.i[v]), J: core.RequestID(c.j[v]), Disk: core.DiskID(c.disk[v]), Weight: c.w[v]}
+}
+
+// nodes expands the columns into the []Node Build returns.
+func (c columns) nodes() []Node {
+	nodes := make([]Node, len(c.w))
+	for v := range nodes {
+		nodes[v] = c.node(v)
+	}
+	return nodes
+}
+
+// bucketVertex is a vertex of one i bucket while orderNodes sorts the
+// bucket.
+type bucketVertex struct {
+	j, disk int32
+	w       float64
+}
+
+// orderNodes merges the shards' arcs into the vertex columns in the
+// deterministic order (i, j, disk), whatever the shard or worker schedule;
+// the triple is unique per vertex, so the order is total. A counting
+// scatter by i buckets the arcs, releasing each shard's buffer once it is
+// scattered, then each bucket is ordered by (j, disk). A bucket holds a
 // request's successors on its disks, so it is short; the comparison sort
 // also covers the long buckets of an uncapped reduction and request IDs
 // out of arrival order.
-func orderNodes(nodesByShard [][]Node, total int) []Node {
+func orderNodes(shards []diskArcs, total int) columns {
 	nreq := 0
-	for _, ns := range nodesByShard {
-		for _, nd := range ns {
-			nreq = max(nreq, int(nd.I)+1)
+	for _, da := range shards {
+		for _, a := range da.arcs {
+			nreq = max(nreq, int(a.i)+1)
 		}
 	}
 	end := make([]int32, nreq) // bucket starts, then, after the scatter, ends
-	for _, ns := range nodesByShard {
-		for _, nd := range ns {
-			end[nd.I]++
+	for _, da := range shards {
+		for _, a := range da.arcs {
+			end[a.i]++
 		}
 	}
 	var sum int32
@@ -231,27 +298,41 @@ func orderNodes(nodesByShard [][]Node, total int) []Node {
 		end[i] = sum
 		sum += c
 	}
-	nodes := make([]Node, total)
-	for _, ns := range nodesByShard {
-		for _, nd := range ns {
-			nodes[end[nd.I]] = nd
-			end[nd.I]++
+	c := columns{i: make([]int32, total), j: make([]int32, total), disk: make([]int32, total), w: make([]float64, total)}
+	for s := range shards {
+		d := shards[s].disk
+		for _, a := range shards[s].arcs {
+			v := end[a.i]
+			c.i[v], c.j[v], c.disk[v], c.w[v] = a.i, a.j, d, a.w
+			end[a.i]++
 		}
+		shards[s].arcs = nil
 	}
+	var bucket []bucketVertex
 	lo := int32(0)
 	for _, hi := range end {
-		slices.SortFunc(nodes[lo:hi], cmpJDisk)
+		if hi-lo > 1 {
+			bucket = bucket[:0]
+			for v := lo; v < hi; v++ {
+				bucket = append(bucket, bucketVertex{c.j[v], c.disk[v], c.w[v]})
+			}
+			slices.SortFunc(bucket, cmpJDisk)
+			for k, s := range bucket {
+				v := lo + int32(k)
+				c.j[v], c.disk[v], c.w[v] = s.j, s.disk, s.w
+			}
+		}
 		lo = hi
 	}
-	return nodes
+	return c
 }
 
-// cmpJDisk orders the nodes of one I bucket by (J, Disk).
-func cmpJDisk(a, b Node) int {
-	if a.J != b.J {
-		return int(a.J) - int(b.J)
+// cmpJDisk orders the vertices of one i bucket by (j, disk).
+func cmpJDisk(a, b bucketVertex) int {
+	if a.j != b.j {
+		return int(a.j) - int(b.j)
 	}
-	return int(a.Disk) - int(b.Disk)
+	return int(a.disk) - int(b.disk)
 }
 
 // reduction is the MWIS reduction of Section 3.1.2 before any edge is
@@ -267,59 +348,61 @@ func cmpJDisk(a, b Node) int {
 // on two disks; they meet again in i's range and are an edge from there
 // only, so every edge belongs to exactly one range (see conflicts).
 type reduction struct {
-	nodes []Node
-	off   []int32   // request r's range is ms[off[r]:off[r+1]]
-	ms    []mention // the two mentions of every vertex, grouped by request
-	vs    []vtally  // per vertex: where its tallies are kept
-	req   []tally   // per request: alive vertices leaving and entering it
-	slot  []tally   // per (request, disk) slot: the same, on that disk only
-	pair  []int32   // alive vertices of the (i, j) run headed by the index
+	columns
+	off  []int32   // request r's range is ms[off[r]:off[r+1]]
+	ms   []mention // the two mentions of every vertex, grouped by request
+	vs   []vtally  // per vertex: where its slot and run tallies are kept
+	req  []tally   // per request: alive vertices leaving and entering it
+	slot []tally   // per (request, disk) slot: the same, on that disk only
+	pair []int32   // alive vertices of the (i, j) run headed by the index
 }
 
 // mention is a vertex as its range sees it: its predecessor and its disk.
 type mention struct{ v, i, disk int32 }
 
-// vtally locates a vertex's five tallies: its requests i and j, its
-// (i, disk) and (j, disk) slots, and the head of its (i, j) run.
-type vtally struct{ i, j, si, sj, p int32 }
+// vtally locates three of a vertex's five tallies: its (i, disk) and
+// (j, disk) slots and the head of its (i, j) run. The other two are its
+// requests i and j, in the columns.
+type vtally struct{ si, sj, p int32 }
 
 // tally counts alive vertices leaving (i == r) and entering (j == r) a
 // request r.
 type tally struct{ leave, enter int32 }
 
-// newReduction indexes nodes, sorted by (I, J, Disk), under the requests
-// they mention and tallies them all alive.
-func newReduction(nodes []Node) *reduction {
-	n := len(nodes)
-	rd := &reduction{nodes: nodes, ms: make([]mention, 2*n), vs: make([]vtally, n), pair: make([]int32, n)}
+// newReduction indexes the vertex columns, sorted by (i, j, disk), under
+// the requests they mention and tallies them all alive.
+func newReduction(c columns) *reduction {
+	n := len(c.w)
+	rd := &reduction{columns: c, ms: make([]mention, 2*n), vs: make([]vtally, n), pair: make([]int32, n)}
 	// The ranges: a counting sort of the mentions by request. Scattering in
 	// vertex order leaves every range ascending.
 	nreq, disks := 0, 0
-	for _, nd := range nodes {
-		nreq = max(nreq, int(nd.I)+1, int(nd.J)+1)
-		disks = max(disks, int(nd.Disk)+1)
+	for v := range n {
+		nreq = max(nreq, int(c.i[v])+1, int(c.j[v])+1)
+		disks = max(disks, int(c.disk[v])+1)
 	}
 	rd.off = make([]int32, nreq+1)
-	for _, nd := range nodes {
-		rd.off[nd.I+1]++
-		rd.off[nd.J+1]++
+	for v := range n {
+		rd.off[c.i[v]+1]++
+		rd.off[c.j[v]+1]++
 	}
 	for r := range nreq {
 		rd.off[r+1] += rd.off[r]
 	}
 	next := slices.Clone(rd.off[:nreq])
-	for v, nd := range nodes {
-		m := mention{int32(v), int32(nd.I), int32(nd.Disk)}
-		rd.ms[next[nd.I]] = m
-		next[nd.I]++
-		rd.ms[next[nd.J]] = m
-		next[nd.J]++
+	for v := range n {
+		i, j := c.i[v], c.j[v]
+		m := mention{int32(v), i, c.disk[v]}
+		rd.ms[next[i]] = m
+		next[i]++
+		rd.ms[next[j]] = m
+		next[j]++
 		// Vertices sort by (i, j, disk), so an (i, j) run is contiguous.
 		p := int32(v)
-		if v > 0 && nodes[v-1].I == nd.I && nodes[v-1].J == nd.J {
+		if v > 0 && c.i[v-1] == i && c.j[v-1] == j {
 			p = rd.vs[v-1].p
 		}
-		rd.vs[v] = vtally{i: int32(nd.I), j: int32(nd.J), p: p}
+		rd.vs[v].p = p
 	}
 	// One slot per disk a range holds, numbered range by range.
 	slotOf := make([]int32, disks)
@@ -345,7 +428,7 @@ func newReduction(nodes []Node) *reduction {
 		}
 	}
 	rd.req, rd.slot = make([]tally, nreq), make([]tally, slots)
-	for v := range nodes {
+	for v := range n {
 		rd.count(v, 1)
 	}
 	return rd
@@ -358,8 +441,8 @@ func (rd *reduction) mentions(r int32) []mention { return rd.ms[rd.off[r]:rd.off
 // alive, -1 when it is deleted.
 func (rd *reduction) count(v int, by int32) {
 	x := rd.vs[v]
-	rd.req[x.i].leave += by
-	rd.req[x.j].enter += by
+	rd.req[rd.i[v]].leave += by
+	rd.req[rd.j[v]].enter += by
 	rd.slot[x.si].leave += by
 	rd.slot[x.sj].enter += by
 	rd.pair[x.p] += by
@@ -374,7 +457,7 @@ func (rd *reduction) count(v int, by int32) {
 // in i's range.
 func (rd *reduction) degree(v int) int32 {
 	x := rd.vs[v]
-	ri, rj, si, sj := rd.req[x.i], rd.req[x.j], rd.slot[x.si], rd.slot[x.sj]
+	ri, rj, si, sj := rd.req[rd.i[v]], rd.req[rd.j[v]], rd.slot[x.si], rd.slot[x.sj]
 	return ri.leave - 1 + ri.enter - si.enter +
 		rj.leave - sj.leave + rj.enter - sj.enter - (rd.pair[x.p] - 1)
 }
@@ -392,21 +475,20 @@ func conflicts(r int32, a, b mention) bool {
 // decrementing five tallies. The selection, order included, is
 // graph.GWMIN's on Build's graph.
 func (rd *reduction) gwmin() []int {
-	n := len(rd.nodes)
-	weights, alive := make([]float64, n), make([]bool, n)
-	for v, nd := range rd.nodes {
-		weights[v], alive[v] = nd.Weight, true
+	alive := make([]bool, len(rd.w))
+	for v := range alive {
+		alive[v] = true
 	}
 	del := func(v int) {
 		alive[v] = false
 		rd.count(v, -1)
 	}
-	return graph.GWMINResidual(weights, alive,
+	return graph.GWMINResidual(rd.w, alive,
 		func(v int) int { return int(rd.degree(v)) },
 		func(v int) {
-			x := rd.vs[v]
-			self := mention{int32(v), x.i, int32(rd.nodes[v].Disk)}
-			for _, r := range [2]int32{x.i, x.j} {
+			i, j := rd.i[v], rd.j[v]
+			self := mention{int32(v), i, rd.disk[v]}
+			for _, r := range [2]int32{i, j} {
 				for _, m := range rd.mentions(r) {
 					if alive[m.v] && m.v != self.v && conflicts(r, self, m) {
 						del(int(m.v))
@@ -430,11 +512,11 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 	if err != nil {
 		return nil, err
 	}
-	weights, deg := make([]float64, len(rd.nodes)), make([]int32, len(rd.nodes))
-	for v, nd := range rd.nodes {
-		weights[v], deg[v] = nd.Weight, rd.degree(v)
+	deg := make([]int32, len(rd.w))
+	for v := range deg {
+		deg[v] = rd.degree(v)
 	}
-	g := graph.New(weights, deg, func(yield func(u, v int)) {
+	g := graph.New(rd.w, deg, func(yield func(u, v int)) {
 		for r := range int32(len(rd.off) - 1) {
 			ms := rd.mentions(r)
 			for a, mu := range ms {
@@ -446,7 +528,7 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 			}
 		}
 	})
-	return &Instance{Graph: g, Nodes: rd.nodes}, nil
+	return &Instance{Graph: g, Nodes: rd.nodes()}, nil
 }
 
 // DeriveSchedule is Step 4 of the algorithm: requests appearing in selected
@@ -454,10 +536,12 @@ func Build(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 // save energy anywhere and are placed on a replica already in use when
 // possible, else their original location.
 func (in *Instance) DeriveSchedule(reqs []core.Request, locations func(core.BlockID) []core.DiskID, selected []int) (core.Schedule, error) {
-	return deriveSchedule(in.Nodes, reqs, locations, selected)
+	return deriveSchedule(len(in.Nodes), func(v int) Node { return in.Nodes[v] }, reqs, locations, selected)
 }
 
-func deriveSchedule(nodes []Node, reqs []core.Request, locations func(core.BlockID) []core.DiskID, selected []int) (core.Schedule, error) {
+// deriveSchedule is DeriveSchedule over n vertices, node(v) returning
+// vertex v.
+func deriveSchedule(n int, node func(v int) Node, reqs []core.Request, locations func(core.BlockID) []core.DiskID, selected []int) (core.Schedule, error) {
 	sched := make(core.Schedule, len(reqs))
 	for i := range sched {
 		sched[i] = core.InvalidDisk
@@ -470,14 +554,14 @@ func deriveSchedule(nodes []Node, reqs []core.Request, locations func(core.Block
 		return nil
 	}
 	for _, v := range selected {
-		if v < 0 || v >= len(nodes) {
+		if v < 0 || v >= n {
 			return nil, fmt.Errorf("offline: selected vertex %d out of range", v)
 		}
-		n := nodes[v]
-		if err := assign(n.I, n.Disk); err != nil {
+		nd := node(v)
+		if err := assign(nd.I, nd.Disk); err != nil {
 			return nil, err
 		}
-		if err := assign(n.J, n.Disk); err != nil {
+		if err := assign(nd.J, nd.Disk); err != nil {
 			return nil, err
 		}
 	}
@@ -527,7 +611,7 @@ func Solve(reqs []core.Request, locations func(core.BlockID) []core.DiskID, cfg 
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	sched, err := deriveSchedule(rd.nodes, reqs, locations, rd.gwmin())
+	sched, err := deriveSchedule(len(rd.w), rd.node, reqs, locations, rd.gwmin())
 	if err != nil {
 		return nil, Stats{}, err
 	}
