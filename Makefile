@@ -129,9 +129,11 @@ bench-all:
 # flight-snapshot reader, eschedd's two HTTP schedule decoders, the MWIS
 # reduction (its conflict edges and residual degrees, checked against a
 # brute-force oracle, its range greedy, checked against graph.GWMIN on the
-# built graph, and its vertex order, checked against a comparison sort)
-# and the greedy selection loop, whose sorted front and re-key heap must
-# select what a lazy binary heap selects on tie-heavy random graphs.
+# built graph, and its vertex order, checked against a comparison sort),
+# the local search, whose dirty-request passes must make the moves of a
+# search that evaluates every request every pass, and the greedy selection
+# loop, whose sorted front and re-key heap must select what a lazy binary
+# heap selects on tie-heavy random graphs.
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzReadSPC -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadCelloText -fuzztime 10s
@@ -141,6 +143,7 @@ fuzz:
 	$(GO) test ./internal/serve -fuzz FuzzScheduleJSON -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzScheduleBatch -fuzztime 10s
 	$(GO) test ./internal/offline -fuzz FuzzBuildEdges -fuzztime 10s
+	$(GO) test ./internal/offline -fuzz FuzzImprove -fuzztime 10s
 	$(GO) test ./internal/graph -fuzz FuzzSelectGreedy -fuzztime 10s
 
 # Fast (small-scale) regeneration of every paper figure.

@@ -34,7 +34,7 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestUntracedRunAllocs pins an untraced online run on the fixture at
-// exactly 145 allocations: with no tracer, doctor, accountant or flight
+// exactly 144 allocations: with no tracer, doctor, accountant or flight
 // recorder attached, the observability hooks must cost nothing.
 func TestUntracedRunAllocs(t *testing.T) {
 	skipUnderRace(t)
@@ -45,15 +45,15 @@ func TestUntracedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 145 {
-		t.Errorf("untraced run: %.0f allocs, want 145", allocs)
+	if allocs != 144 {
+		t.Errorf("untraced run: %.0f allocs, want 144", allocs)
 	}
 }
 
 // TestFlightRecorderAllocs prices the flight recorder in allocations: on a
 // run streaming binary events, attaching it with storage.WithFlight adds a
 // constant 4 per run and none per event, so the delta is the same on the
-// whole fixture (10,734 vs 10,730) and on its first half.
+// whole fixture (10,733 vs 10,729) and on its first half.
 func TestFlightRecorderAllocs(t *testing.T) {
 	skipUnderRace(t)
 	reqs, plc, cfg := benchFixture(t, 3)
@@ -77,8 +77,8 @@ func TestFlightRecorderAllocs(t *testing.T) {
 		if on-base != 4 {
 			t.Errorf("%d requests: recorder adds %.0f allocs (%.0f vs %.0f), want 4", n, on-base, on, base)
 		}
-		if n == len(reqs) && base != 10730 {
-			t.Errorf("traced run: %.0f allocs, want 10730", base)
+		if n == len(reqs) && base != 10729 {
+			t.Errorf("traced run: %.0f allocs, want 10729", base)
 		}
 	}
 	if rec.Dumps() != 0 {

@@ -114,6 +114,55 @@ func TestFigure10ReusesSweepCells(t *testing.T) {
 	}
 }
 
+// TestSweepsShareLayoutPlacements pins the placement sharing across
+// entries: the Cello and Financial sweeps of one scale place their blocks
+// alike, so a cold Cello sweep, Financial sweep and Figure 10 build the
+// five z=1 placements once between them and Figure 10's other 20 once
+// each, 25 in all, not 30. The two sweeps run concurrently, so under
+// -race they also race on the shared placements, and each must match a
+// sweep on a cache of its own. Not parallel: it reads the package-wide
+// counter.
+func TestSweepsShareLayoutPlacements(t *testing.T) {
+	s := cacheScale(9108)
+	s.ZipfSteps = FullScale().ZipfSteps
+	points := len(s.ZipfSteps) * len(ReplicationFactors())
+	traces := []Trace{Cello, Financial}
+	var fresh [2]*ReplicationSweep
+	for i, tr := range traces {
+		var err error
+		if fresh[i], err = sweepReplicationFresh(s, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewSweepCache()
+	before := placementBuilds.Load()
+	var shared [2]*ReplicationSweep
+	var wg sync.WaitGroup
+	for i, tr := range traces {
+		wg.Add(1)
+		go func(i int, tr Trace) {
+			defer wg.Done()
+			var err error
+			if shared[i], err = c.Sweep(s, tr); err != nil {
+				t.Error(err)
+			}
+		}(i, tr)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if _, err := c.figure10(s, Cello); err != nil {
+		t.Fatal(err)
+	}
+	if n := placementBuilds.Load() - before; n != int64(points) {
+		t.Errorf("cold Cello sweep, Financial sweep and Figure 10 built %d placements, want %d", n, points)
+	}
+	for i := range traces {
+		assertSweepEqual(t, fresh[i], shared[i])
+	}
+}
+
 // TestFigure11ReusesSweepInputs pins Figure 11's sharing: it runs its own
 // cells, but on the sweep entry's request stream and rf=3 placement, so
 // cold it builds that one placement and after a sweep none, and its table
@@ -197,13 +246,41 @@ func TestFigure12ConcurrentDiskHit(t *testing.T) {
 	if err := reader.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	renderFigure12Concurrently(t, reader, s)
+	if st := reader.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+		t.Fatalf("reader stats = %+v, want a pure disk hit", st)
+	}
+}
+
+// TestFigure12ConcurrentMemoryHit renders Figure 12 from two goroutines
+// off the cells a sweep left in memory: the samples are in completion
+// order, as the simulation recorded them, and both goroutines query the
+// same ones, so under -race any write a rank query makes to them is
+// reported.
+func TestFigure12ConcurrentMemoryHit(t *testing.T) {
+	t.Parallel()
+	s := cacheScale(9109)
+	c := NewSweepCache()
+	if _, err := c.Sweep(s, Cello); err != nil {
+		t.Fatal(err)
+	}
+	renderFigure12Concurrently(t, c, s)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want one miss then two memory hits", st)
+	}
+}
+
+// renderFigure12Concurrently renders Figure 12 from c in two goroutines
+// at once and requires the tables to match.
+func renderFigure12Concurrently(t *testing.T, c *SweepCache, s Scale) {
+	t.Helper()
 	var tables [2]string
 	var wg sync.WaitGroup
 	for g := range tables {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tbl, err := reader.figure12(s, Cello)
+			tbl, err := c.figure12(s, Cello)
 			if err != nil {
 				t.Error(err)
 				return
@@ -217,9 +294,6 @@ func TestFigure12ConcurrentDiskHit(t *testing.T) {
 	}
 	if tables[0] != tables[1] {
 		t.Fatalf("concurrent renders differ:\n%s\n%s", tables[0], tables[1])
-	}
-	if st := reader.Stats(); st.DiskHits != 1 || st.Misses != 0 {
-		t.Fatalf("reader stats = %+v, want a pure disk hit", st)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 type SweepCache struct {
 	mu      sync.Mutex
 	entries map[string]*sweepEntry
+	layouts map[layoutKey]zipf1Placements
 	dir     string
 
 	hits     atomic.Uint64 // lookups served from memory
@@ -62,8 +63,12 @@ type sweepEntry struct {
 	cells []*cellSlot // nil until a lookup claims the cell
 
 	reqs func() []core.Request
-	plcs map[int]func() (*placement.Placement, error) // Zipf(1), by rf
+	plcs zipf1Placements
 }
+
+// zipf1Placements builds each replication factor's Zipf(1) placement of
+// one layout once, on first use.
+type zipf1Placements map[int]func() (*placement.Placement, error)
 
 // cellSlot is one cell's single-flight slot: run and err are set before
 // done is closed.
@@ -73,23 +78,40 @@ type cellSlot struct {
 	err  error
 }
 
-// newSweepEntry returns an empty grid whose inputs derive from s, which
-// the key fixes in every field they read.
-func newSweepEntry(s Scale, tr Trace) *sweepEntry {
-	e := &sweepEntry{
+// newEntry returns an empty grid whose inputs derive from s, which the
+// key fixes in every field they read. Its z=1 placements are the cache's
+// for s's layout, shared with every entry of the same layout (the Cello
+// and Financial sweeps of one scale place their blocks alike). c.mu must
+// be held.
+func (c *SweepCache) newEntry(s Scale, tr Trace) *sweepEntry {
+	lk := layoutKey{s.NumDisks, s.NumBlocks, s.Seed}
+	plcs, ok := c.layouts[lk]
+	if !ok {
+		plcs = make(zipf1Placements, len(ReplicationFactors()))
+		for _, rf := range ReplicationFactors() {
+			plcs[rf] = sync.OnceValues(func() (*placement.Placement, error) { return makePlacement(s, rf, 1) })
+		}
+		c.layouts[lk] = plcs
+	}
+	return &sweepEntry{
 		cells: make([]*cellSlot, len(ReplicationFactors())*len(Algorithms())),
 		reqs:  sync.OnceValue(func() []core.Request { return tr.Requests(s) }),
-		plcs:  map[int]func() (*placement.Placement, error){},
+		plcs:  plcs,
 	}
-	for _, rf := range ReplicationFactors() {
-		e.plcs[rf] = sync.OnceValues(func() (*placement.Placement, error) { return makePlacement(s, rf, 1) })
-	}
-	return e
+}
+
+// layoutKey holds every Scale field makePlacement reads.
+type layoutKey struct {
+	numDisks, numBlocks int
+	seed                int64
 }
 
 // NewSweepCache returns an empty cache with no on-disk tier.
 func NewSweepCache() *SweepCache {
-	return &SweepCache{entries: make(map[string]*sweepEntry)}
+	return &SweepCache{
+		entries: make(map[string]*sweepEntry),
+		layouts: make(map[layoutKey]zipf1Placements),
+	}
 }
 
 // defaultSweepCache is the process-wide tier shared by SweepReplication and
@@ -223,17 +245,19 @@ func (c *SweepCache) lookup(s Scale, tr Trace, name string, want []int) (*sweepE
 
 // entry returns (s, tr)'s entry, created empty on first use, with its key
 // and the disk tier's directory. A doctored scale gets a fresh entry that
-// no other call shares.
+// no other call shares; only its placements are the cache's.
 func (c *SweepCache) entry(s Scale, tr Trace) (e *sweepEntry, key, dir string) {
-	if s.Doctor {
-		return newSweepEntry(s, tr), "", ""
+	if !s.Doctor {
+		key = sweepKey(s, tr, sched.DefaultCost(storage.DefaultConfig().Power))
 	}
-	key = sweepKey(s, tr, sched.DefaultCost(storage.DefaultConfig().Power))
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if s.Doctor {
+		return c.newEntry(s, tr), "", ""
+	}
 	e, ok := c.entries[key]
 	if !ok {
-		e = newSweepEntry(s, tr)
+		e = c.newEntry(s, tr)
 		c.entries[key] = e
 	}
 	return e, key, c.dir

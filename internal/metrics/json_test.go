@@ -18,7 +18,7 @@ func TestResponseTimesJSONRoundTrip(t *testing.T) {
 	} {
 		r.Add(d)
 	}
-	_ = r.Percentile(90) // force sorted state; it must not leak into the encoding
+	_ = r.Percentile(90) // a query must not change the encoding
 
 	raw, err := json.Marshal(&r)
 	if err != nil {
@@ -65,28 +65,35 @@ func TestResponseTimesUnmarshalResetsState(t *testing.T) {
 	}
 }
 
-// TestResponseTimesSortedQueriesAreReadOnly pins that queries never write
-// to samples already in order: a restored value and a value that only saw
-// ordered Adds answer Percentile and CCDF without touching their state, so
+// TestResponseTimesQueriesAreReadOnly pins that no query writes to the
+// samples: an unordered value, a value restored from JSON and an empty one
+// answer Percentile and CCDF with their samples left byte-identical, so
 // cached results can be shared across goroutines.
-func TestResponseTimesSortedQueriesAreReadOnly(t *testing.T) {
+func TestResponseTimesQueriesAreReadOnly(t *testing.T) {
 	var restored ResponseTimes
-	if err := json.Unmarshal([]byte(`[1,2,2,5]`), &restored); err != nil {
+	if err := json.Unmarshal([]byte(`[5,2,9,2,1,7,3,3,8,0,4,6,2,5,9,1,7,3,6,4]`), &restored); err != nil {
 		t.Fatal(err)
 	}
-	if !restored.sorted {
-		t.Fatal("restoring ordered samples did not mark them sorted")
-	}
 	var added, empty ResponseTimes
-	for _, d := range []time.Duration{1, 2, 2, 5} {
-		added.Add(d)
+	for i := 0; i < 500; i++ {
+		added.Add(time.Duration((i * 7919) % 97))
 	}
-	thresholds := []time.Duration{0, 2, 5}
-	for name, r := range map[string]*ResponseTimes{"added": &added, "empty": &empty} {
+	thresholds := []time.Duration{0, 2, 5, 50}
+	for name, r := range map[string]*ResponseTimes{"added": &added, "restored": &restored, "empty": &empty} {
+		before, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		_ = r.CCDF(thresholds)
-		_ = r.Percentile(50)
-		if r.sorted {
-			t.Errorf("%s: a query wrote the sorted flag of already-sorted samples", name)
+		for _, p := range []float64{1, 50, 90, 99, 100} {
+			_ = r.Percentile(p)
+		}
+		after, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(before) != string(after) {
+			t.Errorf("%s: queries rewrote the samples:\n%s\n%s", name, before, after)
 		}
 	}
 }

@@ -8,16 +8,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
 )
 
 // ResponseTimes accumulates request response-time samples. The zero value
-// is ready to use.
+// is ready to use. Queries never write to the samples, so a value no
+// longer being added to is safe to query from several goroutines at once.
 type ResponseTimes struct {
 	samples []time.Duration
-	sorted  bool
 }
 
 // Add records one sample.
@@ -26,7 +27,6 @@ func (r *ResponseTimes) Add(d time.Duration) {
 		panic(fmt.Sprintf("metrics: negative response time %s", d))
 	}
 	r.samples = append(r.samples, d)
-	r.sorted = false
 }
 
 // Grow preallocates capacity for n additional samples, so a run that knows
@@ -51,24 +51,18 @@ func (r *ResponseTimes) Append(o *ResponseTimes) {
 		return
 	}
 	r.samples = append(r.samples, o.samples...)
-	r.sorted = false
 }
 
 // MarshalJSON encodes the samples (in insertion order, nanoseconds) so
-// cached results round-trip bit-exactly; the sorted flag is derived state
-// and is not persisted.
+// cached results round-trip bit-exactly.
 func (r ResponseTimes) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.samples)
 }
 
-// UnmarshalJSON restores samples written by MarshalJSON. The sorted flag
-// is derived from the restored order, so a value persisted after a
-// Percentile or CCDF query comes back read-only under every query.
+// UnmarshalJSON restores samples written by MarshalJSON.
 func (r *ResponseTimes) UnmarshalJSON(b []byte) error {
 	r.samples = nil
-	err := json.Unmarshal(b, &r.samples)
-	r.sorted = slices.IsSorted(r.samples)
-	return err
+	return json.Unmarshal(b, &r.samples)
 }
 
 // Mean returns the average sample, or zero when empty.
@@ -94,20 +88,9 @@ func (r *ResponseTimes) Max() time.Duration {
 	return m
 }
 
-// sort orders the samples for the rank queries. It writes only when the
-// samples are out of order, so a value whose samples are already sorted
-// (after any earlier query, or restored from JSON written after one) is
-// read-only and safe to query from several goroutines at once.
-func (r *ResponseTimes) sort() {
-	if r.sorted || slices.IsSorted(r.samples) {
-		return
-	}
-	slices.Sort(r.samples)
-	r.sorted = true
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100) using the
-// nearest-rank method, or zero when empty.
+// nearest-rank method, or zero when empty. It selects the rank in O(n) on a
+// scratch copy of the samples.
 func (r *ResponseTimes) Percentile(p float64) time.Duration {
 	if p <= 0 || p > 100 || math.IsNaN(p) {
 		panic(fmt.Sprintf("metrics: percentile %v outside (0,100]", p))
@@ -115,27 +98,67 @@ func (r *ResponseTimes) Percentile(p float64) time.Duration {
 	if len(r.samples) == 0 {
 		return 0
 	}
-	r.sort()
 	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))
 	if rank < 1 {
 		rank = 1
 	}
-	return r.samples[rank-1]
+	return nth(slices.Clone(r.samples), rank-1)
+}
+
+// nth returns the k-th smallest (0-based) of s, reordering s. Each round
+// splits s three ways around a median-of-three pivot, so runs of equal
+// samples cost one round; past a depth budget it sorts what is left, which
+// bounds the worst case at O(n log n).
+func nth(s []time.Duration, k int) time.Duration {
+	for budget := 2 * bits.Len(uint(len(s))); len(s) > 16 && budget > 0; budget-- {
+		a, b, c := s[0], s[len(s)/2], s[len(s)-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// s[:lt] < pivot, s[lt:i] == pivot, s[gt:] > pivot.
+		lt, i, gt := 0, 0, len(s)
+		for i < gt {
+			switch v := s[i]; {
+			case v < pivot:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				s[i], s[gt] = s[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			s = s[:lt]
+		case k >= gt:
+			s, k = s[gt:], k-gt
+		default:
+			return pivot
+		}
+	}
+	slices.Sort(s)
+	return s[k]
 }
 
 // CCDF returns P[response time > x] for each threshold, reproducing the
-// paper's inverse cumulative distribution plots (Figure 12).
+// paper's inverse cumulative distribution plots (Figure 12). It sorts a
+// copy of the samples when they are not already in order.
 func (r *ResponseTimes) CCDF(thresholds []time.Duration) []float64 {
-	r.sort()
 	out := make([]float64, len(thresholds))
-	n := float64(len(r.samples))
-	if n == 0 {
+	s := r.samples
+	if len(s) == 0 {
 		return out
 	}
+	if !slices.IsSorted(s) {
+		s = slices.Clone(s)
+		slices.Sort(s)
+	}
+	n := float64(len(s))
 	for i, x := range thresholds {
 		// Index of first sample > x.
-		idx := sort.Search(len(r.samples), func(k int) bool { return r.samples[k] > x })
-		out[i] = float64(len(r.samples)-idx) / n
+		idx := sort.Search(len(s), func(k int) bool { return s[k] > x })
+		out[i] = float64(len(s)-idx) / n
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -75,5 +78,48 @@ func TestPercentileZeroDurationSamples(t *testing.T) {
 	}
 	if got := r.Percentile(100); got != time.Second {
 		t.Errorf("Percentile(100) = %v, want 1s", got)
+	}
+}
+
+// TestPercentileMatchesSortedNearestRank checks the selection against the
+// sort-based nearest rank on random sample sets with many duplicates, in
+// random, ascending, descending and organ-pipe order (the layouts that
+// defeat a naive pivot), small enough to be sorted outright and large
+// enough to take the selection's partitioning rounds.
+func TestPercentileMatchesSortedNearestRank(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(20000)
+		}
+		distinct := 1 + rng.Intn(n)
+		samples := make([]time.Duration, n)
+		for i := range samples {
+			samples[i] = time.Duration(rng.Intn(distinct))
+		}
+		switch trial % 5 {
+		case 1:
+			slices.Sort(samples)
+		case 2:
+			slices.Sort(samples)
+			slices.Reverse(samples)
+		case 3:
+			slices.Sort(samples)
+			slices.Reverse(samples[n/2:])
+		}
+		var r ResponseTimes
+		for _, d := range samples {
+			r.Add(d)
+		}
+		sorted := slices.Clone(samples)
+		slices.Sort(sorted)
+		for _, p := range []float64{1, 50, 90, 99, 100} {
+			rank := max(1, int(math.Ceil(p/100*float64(n))))
+			if got, want := r.Percentile(p), sorted[rank-1]; got != want {
+				t.Fatalf("trial %d (n=%d, %d distinct): Percentile(%v) = %v, want %v", trial, n, distinct, p, got, want)
+			}
+		}
 	}
 }

@@ -11,11 +11,20 @@ import (
 )
 
 // Improve refines a feasible offline schedule by local search: each pass
-// visits every request and moves it to the replica location that most
-// reduces total analytic energy, until a pass makes no progress or
+// visits the requests in order and moves each to the replica location that
+// most reduces total analytic energy, until a pass makes no progress or
 // maxPasses is reached. Energy deltas are evaluated incrementally from the
 // per-disk timelines (a move only disturbs the gaps adjacent to the moved
-// request), so a pass costs O(N * replicationFactor * log N).
+// request), so one evaluation costs O(replicationFactor * log N).
+//
+// The first pass evaluates every request. A request's evaluation reads
+// only its neighbours on its own disk's timeline and its insertion
+// neighbours on each replica disk, so a later pass evaluates only the
+// requests whose inputs a move changed since their last evaluation (the
+// dirty ones); the rest would make no move again. A pass costs
+// O(dirty * replicationFactor * log N), and the moves, their count and the
+// pass the search stops at equal those of a search that evaluates every
+// request in every pass.
 //
 // The paper notes (Section 5.1) that "more sophisticated set cover and
 // independent set algorithms" could push its greedy results further; this
@@ -27,16 +36,24 @@ func Improve(reqs []core.Request, sched core.Schedule, cfg power.Config, locatio
 	}
 	out := sched.Clone()
 	tl := newTimelines(reqs, out, cfg)
+	hs := newHolders(reqs, out, locations)
+	dirty := make([]bool, len(reqs))
+	for k := range dirty {
+		dirty[k] = true
+	}
 	moves := 0
 	for pass := 0; pass < maxPasses; pass++ {
 		improvedThisPass := false
-		for _, r := range reqs {
+		for k, r := range reqs {
+			if !dirty[k] {
+				continue
+			}
+			dirty[k] = false
 			cur := out[r.ID]
-			locs := locations(r.Block)
 			best := cur
 			bestDelta := 0.0
 			removal := tl.removalDelta(cur, r) // the same for every candidate
-			for _, d := range locs {
+			for _, d := range locations(r.Block) {
 				if d == cur {
 					continue
 				}
@@ -46,8 +63,13 @@ func Improve(reqs []core.Request, sched core.Schedule, cfg power.Config, locatio
 				}
 			}
 			if best != cur {
-				tl.remove(cur, r)
-				tl.insert(best, r)
+				// The mover's old neighbours on cur now sit at i-1 and i,
+				// its new ones on best at j-1 and j+1.
+				i := tl.remove(cur, r)
+				hs.markBetween(reqs, cur, tl.disk(cur), i-1, i, dirty)
+				j := tl.insert(best, r)
+				hs.markBetween(reqs, best, tl.disk(best), j-1, j+1, dirty)
+				dirty[k] = true
 				out[r.ID] = best
 				moves++
 				improvedThisPass = true
@@ -58,6 +80,77 @@ func Improve(reqs []core.Request, sched core.Schedule, cfg power.Config, locatio
 		}
 	}
 	return out, moves, nil
+}
+
+// holders lists, per disk, the indices into reqs of the requests that can
+// sit on that disk (a replica disk or the request's starting disk), in
+// timeline (time, id) order, as one flat array sliced by disk.
+type holders struct {
+	start []int32 // disk d's requests are idx[start[d]:start[d+1]]
+	idx   []int32
+}
+
+func newHolders(reqs []core.Request, sched core.Schedule, locations func(core.BlockID) []core.DiskID) holders {
+	order := make([]int32, len(reqs))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	if !slices.IsSortedFunc(reqs, cmpReq) {
+		slices.SortFunc(order, func(a, b int32) int { return cmpReq(reqs[a], reqs[b]) })
+	}
+	// Each request's disks: its replica disks, then its starting disk when
+	// that is not one of them.
+	each := func(r core.Request, visit func(core.DiskID)) {
+		locs := locations(r.Block)
+		for _, d := range locs {
+			visit(d)
+		}
+		if d := sched[r.ID]; !slices.Contains(locs, d) {
+			visit(d)
+		}
+	}
+	var counts []int32
+	for _, r := range reqs {
+		each(r, func(d core.DiskID) {
+			for int(d) >= len(counts) {
+				counts = append(counts, 0)
+			}
+			counts[d]++
+		})
+	}
+	hs := holders{start: make([]int32, len(counts)+1)}
+	for d, c := range counts {
+		hs.start[d+1] = hs.start[d] + c
+	}
+	hs.idx = make([]int32, hs.start[len(counts)])
+	next := slices.Clone(hs.start[:len(counts)])
+	for _, k := range order {
+		each(reqs[k], func(d core.DiskID) {
+			hs.idx[next[d]] = k
+			next[d]++
+		})
+	}
+	return hs
+}
+
+// markBetween marks dirty every request that can sit on disk d and lies
+// between rs[lo] and rs[hi] in timeline order, both ends included, where
+// rs is d's timeline; lo < 0 or hi >= len(rs) leaves that end open. After a
+// request leaves d from between rs[lo] and rs[hi], or joins it there,
+// these are exactly the requests whose neighbours on d (their own, or
+// their insertion neighbours) changed.
+func (hs holders) markBetween(reqs []core.Request, d core.DiskID, rs []core.Request, lo, hi int, dirty []bool) {
+	list := hs.idx[hs.start[d]:hs.start[d+1]]
+	from, to := 0, len(list)
+	if lo >= 0 {
+		from = sort.Search(len(list), func(p int) bool { return !lessReq(reqs[list[p]], rs[lo]) })
+	}
+	if hi < len(rs) {
+		to = sort.Search(len(list), func(p int) bool { return lessReq(rs[hi], reqs[list[p]]) })
+	}
+	for _, k := range list[from:to] {
+		dirty[k] = true
+	}
 }
 
 // timelines maintains per-disk request timelines sorted by (time, id) with
@@ -102,8 +195,8 @@ func newTimelines(reqs []core.Request, sched core.Schedule, cfg power.Config) *t
 	return tl
 }
 
-// disk returns disk d's timeline, growing the table when a local-search
-// move targets a previously unused replica disk.
+// disk returns disk d's timeline, nil for a disk past the table (one no
+// request has been on yet). Only insert grows the table.
 func (tl *timelines) disk(d core.DiskID) []core.Request {
 	if int(d) >= len(tl.byD) {
 		return nil
@@ -177,13 +270,16 @@ func (tl *timelines) insertionDelta(d core.DiskID, r core.Request) float64 {
 	}
 }
 
-func (tl *timelines) remove(d core.DiskID, r core.Request) {
+// remove takes r off disk d's timeline and returns the index it held.
+func (tl *timelines) remove(d core.DiskID, r core.Request) int {
 	rs := tl.byD[d]
 	i := tl.pos(d, r)
 	tl.byD[d] = append(rs[:i], rs[i+1:]...)
+	return i
 }
 
-func (tl *timelines) insert(d core.DiskID, r core.Request) {
+// insert puts r on disk d's timeline and returns its index there.
+func (tl *timelines) insert(d core.DiskID, r core.Request) int {
 	for int(d) >= len(tl.byD) {
 		tl.byD = append(tl.byD, nil)
 	}
@@ -193,6 +289,7 @@ func (tl *timelines) insert(d core.DiskID, r core.Request) {
 	copy(rs[i+1:], rs[i:])
 	rs[i] = r
 	tl.byD[d] = rs
+	return i
 }
 
 // SolveRefined runs the greedy MWIS pipeline followed by local-search

@@ -35,15 +35,15 @@ func New(numDisks int, locs [][]core.DiskID) (*Placement, error) {
 		if len(ds) == 0 {
 			return nil, fmt.Errorf("placement: block %d has no locations", b)
 		}
-		seen := make(map[core.DiskID]struct{}, len(ds))
-		for _, d := range ds {
+		for k, d := range ds {
 			if d < 0 || int(d) >= numDisks {
 				return nil, fmt.Errorf("placement: block %d on invalid disk %d", b, d)
 			}
-			if _, dup := seen[d]; dup {
+			// A block lists a handful of replicas: scanning its own prefix
+			// beats building a set per block.
+			if slices.Contains(ds[:k], d) {
 				return nil, fmt.Errorf("placement: block %d lists disk %d twice", b, d)
 			}
-			seen[d] = struct{}{}
 		}
 	}
 	return &Placement{numDisks: numDisks, locs: locs}, nil

@@ -27,6 +27,7 @@ func TestNewValidation(t *testing.T) {
 		{"disk out of range", 2, [][]core.DiskID{{5}}, false},
 		{"negative disk", 2, [][]core.DiskID{{-1}}, false},
 		{"duplicate replica", 3, [][]core.DiskID{{1, 1}}, false},
+		{"non-adjacent duplicate", 4, [][]core.DiskID{{0}, {3, 1, 3}}, false},
 	}
 	for _, tc := range tests {
 		tc := tc

@@ -40,7 +40,8 @@ func BenchmarkSchedulePerEvent(b *testing.B) {
 }
 
 // BenchmarkSchedulePreloaded is the same workload through Preload: one
-// sorted run merged lazily with the heap.
+// run, read in place from the arrival-ordered trace, merged lazily with
+// the queue.
 func BenchmarkSchedulePreloaded(b *testing.B) {
 	reqs := benchArrivals(10000)
 	b.ResetTimer()

@@ -2,11 +2,16 @@ package simkernel
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
+
+// raceEnabled is set by race_test.go: the race detector instruments
+// allocations, so exact allocation counts are checked only without it.
+var raceEnabled bool
 
 func preloadReqs(arrivals ...time.Duration) []core.Request {
 	reqs := make([]core.Request, len(arrivals))
@@ -152,5 +157,83 @@ func TestPreloadInterleavesWithRunUntil(t *testing.T) {
 	e.Run()
 	if fired != 3 {
 		t.Fatalf("fired %d preloaded events total, want 3", fired)
+	}
+}
+
+// TestPreloadUnorderedCopiesAndMatchesAtLoop pins the out-of-order path:
+// the run sorts a copy, so the caller's slice is left as it was, and its
+// deliveries (ties at one instant included) interleave with events queued
+// before and after it in the order an At call per request gives.
+func TestPreloadUnorderedCopiesAndMatchesAtLoop(t *testing.T) {
+	t.Parallel()
+	arrivals := []time.Duration{
+		3 * time.Second, time.Second, 2 * time.Second, time.Second,
+		3 * time.Second, 2 * time.Second, 2 * time.Second, 0,
+	}
+	trace := func(preload bool) ([]string, []core.Request) {
+		var e Engine
+		var got []string
+		heap := func(at time.Duration) {
+			e.At(at, func(now time.Duration) { got = append(got, "heap@"+now.String()) })
+		}
+		for _, at := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
+			heap(at)
+		}
+		reqs := preloadReqs(arrivals...)
+		record := func(r core.Request, now time.Duration) {
+			got = append(got, fmt.Sprintf("req%d@%s", r.ID, now))
+		}
+		if preload {
+			e.Preload(reqs, record)
+		} else {
+			for _, r := range reqs {
+				e.At(r.Arrival, func(now time.Duration) { record(r, now) })
+			}
+		}
+		heap(2 * time.Second)
+		e.Run()
+		return got, reqs
+	}
+	want, _ := trace(false)
+	got, reqs := trace(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Preload delivered\n%v\nwant the At loop's\n%v", got, want)
+	}
+	if fresh := preloadReqs(arrivals...); fmt.Sprint(reqs) != fmt.Sprint(fresh) {
+		t.Fatalf("Preload rewrote the caller's slice: %v, want %v", reqs, fresh)
+	}
+}
+
+// TestPreloadOrderedAllocatesNothingPerRequest pins the in-order path: the
+// run reads the caller's slice in place, so preloading and delivering
+// 4,096 requests allocates under a byte a request more than preloading and
+// delivering one (a copy would cost 4,096 request records).
+//
+// Not parallel: runtime.MemStats counts the whole process's allocations.
+func TestPreloadOrderedAllocatesNothingPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const runs = 20
+	bytesPerRun := func(n int) uint64 {
+		arrivals := make([]time.Duration, n)
+		for i := range arrivals {
+			arrivals[i] = time.Duration(i/3) * time.Millisecond // ties included
+		}
+		reqs := preloadReqs(arrivals...)
+		deliver := func(core.Request, time.Duration) {}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			var e Engine
+			e.Preload(reqs, deliver)
+			e.Run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	const n = 4096
+	if one, many := bytesPerRun(1), bytesPerRun(n); many > one+n {
+		t.Errorf("an ordered run of %d requests allocates %d B, one request %d B", n, many, one)
 	}
 }

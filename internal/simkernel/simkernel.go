@@ -9,6 +9,7 @@
 package simkernel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -58,24 +59,18 @@ const (
 	inSlot = -4
 )
 
-// preloadEvent is one entry of a preloaded arrival run: a request delivery
-// at a fixed time, carrying the sequence number it would have received from
-// an equivalent At call.
-type preloadEvent struct {
-	at  time.Duration
-	seq uint64
-	req core.Request
-}
-
-// preloadRun is a sorted batch of request deliveries installed by Preload.
-// Runs live outside the queue and are merged lazily: the dispatcher compares
-// each run's head against the queue's minimum, so a run of n arrivals costs
-// one slice and zero queue operations instead of n eventItem allocations
+// preloadRun is a batch of request deliveries installed by Preload, in
+// arrival order: delivery i fires at reqs[i].Arrival with sequence number
+// base+i, the one an At call per request would have given it. Runs live
+// outside the queue and are merged lazily: the dispatcher compares each
+// run's head against the queue's minimum, so a run of n arrivals costs no
+// allocation and zero queue operations instead of n eventItem allocations
 // and n pushes.
 type preloadRun struct {
-	events []preloadEvent
-	fn     func(core.Request, time.Duration)
-	next   int
+	reqs []core.Request
+	base uint64
+	fn   func(core.Request, time.Duration)
+	next int
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
@@ -158,7 +153,7 @@ func (e *Engine) Pending() int {
 		n++
 	}
 	for i := range e.runs {
-		n += len(e.runs[i].events) - e.runs[i].next
+		n += len(e.runs[i].reqs) - e.runs[i].next
 	}
 	return n
 }
@@ -204,10 +199,11 @@ func (e *Engine) After(d time.Duration, fn Event) Handle {
 // fn(request, now) as each fires. It is equivalent to an At call per
 // request — preloaded deliveries interleave with queued events in exactly
 // the (time, scheduling-order) sequence those At calls would produce — but
-// stores the batch as one sorted run merged lazily with the queue, costing
-// one allocation instead of a queue push per request. Arrivals before the
-// current virtual time panic like At; preloaded deliveries cannot be
-// cancelled.
+// stores the batch as one run merged lazily with the queue. A run in
+// arrival order reads reqs in place, so the caller must not modify reqs
+// until the run has delivered it; a run out of order is copied once and
+// stably sorted by arrival. Arrivals before the current virtual time panic
+// like At; preloaded deliveries cannot be cancelled.
 func (e *Engine) Preload(reqs []core.Request, fn func(core.Request, time.Duration)) {
 	if fn == nil {
 		panic("simkernel: Preload with nil fn")
@@ -215,38 +211,24 @@ func (e *Engine) Preload(reqs []core.Request, fn func(core.Request, time.Duratio
 	if len(reqs) == 0 {
 		return
 	}
-	events := make([]preloadEvent, len(reqs))
-	base := e.seq
-	e.seq += uint64(len(reqs))
+	ordered := true
 	for i, r := range reqs {
 		if r.Arrival < e.now {
 			panic(fmt.Errorf("%w: at=%s now=%s", ErrPast, r.Arrival, e.now))
 		}
-		events[i] = preloadEvent{at: r.Arrival, seq: base + uint64(i), req: r}
-	}
-	// Traces are normally arrival-ordered already; the sort (by the same
-	// (time, seq) order the dispatcher uses, a strict total order since seq
-	// is unique) only pays when they are not.
-	if !slices.IsSortedFunc(events, cmpPreload) {
-		slices.SortFunc(events, cmpPreload)
-	}
-	e.runs = append(e.runs, preloadRun{events: events, fn: fn})
-}
-
-func cmpPreload(a, b preloadEvent) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
+		if i > 0 && r.Arrival < reqs[i-1].Arrival {
+			ordered = false
 		}
-		return 1
 	}
-	switch {
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
+	// Traces are normally arrival-ordered already. Otherwise the stable
+	// sort keeps requests with equal arrivals in input order, the order
+	// their At calls' sequence numbers would give them.
+	if !ordered {
+		reqs = slices.Clone(reqs)
+		slices.SortStableFunc(reqs, func(a, b core.Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	}
-	return 0
+	e.runs = append(e.runs, preloadRun{reqs: reqs, base: e.seq, fn: fn})
+	e.seq += uint64(len(reqs))
 }
 
 // Cancel prevents the handled event from firing. Cancelling an already-fired
@@ -304,9 +286,9 @@ func (e *Engine) firstRun(it *eventItem) int {
 	}
 	for i := range e.runs {
 		r := &e.runs[i]
-		ev := &r.events[r.next]
-		if !have || ev.at < at || (ev.at == at && ev.seq < seq) {
-			src, at, seq, have = i, ev.at, ev.seq, true
+		evAt, evSeq := r.reqs[r.next].Arrival, r.base+uint64(r.next)
+		if !have || evAt < at || (evAt == at && evSeq < seq) {
+			src, at, seq, have = i, evAt, evSeq, true
 		}
 	}
 	return src
@@ -319,10 +301,10 @@ func (e *Engine) Step() bool {
 	if len(e.runs) > 0 {
 		if src := e.firstRun(it); src >= 0 {
 			r := &e.runs[src]
-			ev := &r.events[r.next]
+			req := r.reqs[r.next]
 			r.next++
-			fn, at, req := r.fn, ev.at, ev.req
-			if r.next == len(r.events) {
+			fn, at := r.fn, req.Arrival
+			if r.next == len(r.reqs) {
 				e.runs = slices.Delete(e.runs, src, src+1)
 			}
 			e.now = at
@@ -396,7 +378,7 @@ func (e *Engine) peek() (time.Duration, bool) {
 	it := e.head()
 	if src := e.firstRun(it); src >= 0 {
 		r := &e.runs[src]
-		return r.events[r.next].at, true
+		return r.reqs[r.next].Arrival, true
 	}
 	if it == nil {
 		return 0, false
