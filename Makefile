@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race-hot ci bench bench-test bench-all replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary examples cover clean
+.PHONY: all build test vet check race-hot ci bench bench-test bench-all replay-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary examples cover clean
 
 all: build vet test
 
@@ -27,20 +27,21 @@ check: vet
 	$(GO) test -race ./...
 
 # CI gate: build, vet, the tests (once plain, so the exact allocation pins
-# in alloc_test.go run, and once race-detected), the benchmark's own tests
-# (bench/ is a separate module that `go test ./...` does not reach), the
-# log-replay consistency gate (a seeded cell's event log must replay to a
-# byte-identical metrics export and a bit-exact energy attribution, and be
-# doctor-clean in both log encodings), the doctor gate (the
-# paper-fidelity scorecard), the serving gate (a live eschedd run under
-# load must drain clean and doctor-clean), the carbon gate (live
+# in alloc_test.go run and TestPaperClaims checks the paper-claims table on
+# doctored full-scale sweeps — both skip under -race — and once
+# race-detected), the benchmark's own tests (bench/ is a separate module
+# that `go test ./...` does not reach), the log-replay consistency gate (a
+# seeded cell's event log must replay to a byte-identical metrics export
+# and a bit-exact energy attribution, and be doctor-clean in both log
+# encodings), the serving gate (a live eschedd run under load must drain
+# clean and doctor-clean), the carbon gate (live
 # gCO2e/$ totals byte-identical to their tracelens replay under flat,
 # diurnal and custom JSON grids, batch and serving paths), the flight
 # gate (an SLO breach on a live eschedd run must freeze a replayable
 # flight dump that decodes with tracelens last/shards and replays
 # doctor-clean), and the documentation gate (vet + package doc comments
 # everywhere).
-ci: build test check race-hot bench-test replay-gate doctor-gate serve-gate carbon-gate flight-gate doc-check
+ci: build test check race-hot bench-test replay-gate serve-gate carbon-gate flight-gate doc-check
 
 # Focused race pass over the packages with deliberate concurrency around
 # shared state: the sweep cache's single-flight map in internal/experiments
@@ -81,12 +82,6 @@ bench-test:
 # scripts/replaygate.sh and docs/OBSERVABILITY.md).
 replay-gate:
 	scripts/replaygate.sh
-
-# Paper-fidelity gate: `tracelens doctor fidelity` must score the
-# regenerated seeded sweep inside the committed golden envelope (see
-# scripts/doctorgate.sh and docs/OBSERVABILITY.md).
-doctor-gate:
-	scripts/doctorgate.sh
 
 # Serving-path gate: boot a real eschedd daemon with -events and live
 # -doctor, drive a loadgen burst, probe /healthz and /metrics, drain with

@@ -42,11 +42,11 @@
 //	    conservation, 2CPM threshold compliance, latency sanity — plus
 //	    replica validity when the placement parameters are given) and
 //	    exits non-zero on any violation.
-//	tracelens doctor fidelity [-envelopes FILE] [-write FILE]
-//	    Paper-fidelity scorecard: regenerates the seeded small-scale
-//	    replication sweep under live invariant monitoring and scores
-//	    every cell against the committed golden envelope. -write
-//	    regenerates the envelope after an intentional change.
+//	tracelens doctor fidelity
+//	    Paper-claims check: regenerates the Cello and Financial1
+//	    replication sweeps at the paper's scale under live invariant
+//	    monitoring, prints the paper-claims table and exits non-zero
+//	    when a claim's verdict differs from its declared status.
 //	tracelens shards STATS.json
 //	    Per-shard kernel telemetry report over a KernelStats snapshot
 //	    (figures -fleet -kernelstats FILE, or a flight dump's
@@ -584,7 +584,7 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens doctor [flags] LOG  (or: tracelens doctor fidelity [flags])")
+		return usagef("usage: tracelens doctor [flags] LOG  (or: tracelens doctor fidelity)")
 	}
 
 	cfg := storage.DefaultConfig()
@@ -638,49 +638,29 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 	return nil
 }
 
-// cmdDoctorFidelity scores the regenerated seeded sweep against the
-// committed golden envelope (or writes a fresh envelope with -write). Every
-// simulated cell also runs under live invariant monitoring, so a pass
-// certifies both the numbers and the invariants.
+// cmdDoctorFidelity evaluates the paper-claims table at the paper's scale.
+// Every simulated cell also runs under live invariant monitoring, so a pass
+// certifies both the claims and the invariants.
 func cmdDoctorFidelity(args []string, stderr io.Writer) error {
 	fs := newFlagSet("tracelens doctor fidelity", stderr)
-	var (
-		envPath = fs.String("envelopes", "", "score against this envelope file instead of the embedded golden one")
-		write   = fs.String("write", "", "regenerate the envelope and write it to this file instead of scoring")
-	)
 	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return usagef("usage: tracelens doctor fidelity [-envelopes FILE] [-write FILE]")
+		return usagef("usage: tracelens doctor fidelity")
 	}
-	scale := experiments.FidelityScale()
+	scale := experiments.FullScale()
 	scale.Doctor = true
-	if *write != "" {
-		env, err := experiments.GenerateEnvelopes(scale)
-		if err != nil {
-			return err
-		}
-		if err := env.Write(*write); err != nil {
-			return err
-		}
-		fmt.Printf("fidelity: envelope written to %s (%d figures, %s/%d disks/%d reqs/seed %d)\n",
-			*write, len(env.Figures), env.Trace, env.Disks, env.Requests, env.Seed)
-		return nil
-	}
-	env, err := experiments.LoadEnvelopes(*envPath)
+	tbl, off, err := experiments.Claims(scale)
 	if err != nil {
 		return err
 	}
-	sc, err := experiments.ScoreFidelity(scale, env)
-	if err != nil {
-		return err
+	fmt.Print(tbl.Render())
+	for _, o := range off {
+		fmt.Printf("claim %s\n", o)
 	}
-	if _, err := sc.WriteReport(os.Stdout); err != nil {
-		return err
-	}
-	if !sc.Passed() {
-		return fmt.Errorf("fidelity scorecard failed")
+	if len(off) > 0 {
+		return fmt.Errorf("%d paper claims differ from their declared status", len(off))
 	}
 	return nil
 }

@@ -36,6 +36,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"diff arity", []string{"diff", "only-one"}, 2, "usage: tracelens diff"},
 		{"doctor bad policy", []string{"doctor", "-policy", "warp", "log"}, 2, `unknown policy "warp"`},
 		{"doctor fidelity arity", []string{"doctor", "fidelity", "stray"}, 2, "usage: tracelens doctor fidelity"},
+		{"doctor fidelity has no -write", []string{"doctor", "fidelity", "-write", "x"}, 2, "flag provided but not defined: -write"},
+		{"doctor fidelity has no -envelopes", []string{"doctor", "fidelity", "-envelopes", "x"}, 2, "flag provided but not defined: -envelopes"},
 		{"shards arity", []string{"shards"}, 2, "usage: tracelens shards"},
 		{"last arity", []string{"last", "a", "b"}, 2, "usage: tracelens last"},
 		{"shards missing file", []string{"shards", "/no/such/stats.json"}, 1, "no/such/stats.json"},

@@ -203,7 +203,8 @@ type Run struct {
 	SpinDowns  int
 	// Mean and P90 response times; zero for the offline MWIS model, which
 	// by assumption has no spin-up delay (Section 2.2) and is therefore
-	// omitted from the paper's response-time plots.
+	// omitted from the paper's response-time plots. Only replication-sweep
+	// cells carry P90: Figure 13 reads it, Figures 10 and 11 do not.
 	Mean time.Duration
 	P90  time.Duration
 	// Response holds the full sample set for CCDF plots (nil for MWIS).
@@ -310,7 +311,6 @@ func cell(s Scale, reqs []core.Request, plc *placement.Placement, algo string, c
 		SpinUps:    res.SpinUps,
 		SpinDowns:  res.SpinDowns,
 		Mean:       res.Response.Mean(),
-		P90:        res.Response.Percentile(90),
 		Response:   &res.Response,
 		PerDisk:    res.PerDisk,
 	}, nil

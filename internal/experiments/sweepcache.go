@@ -345,6 +345,9 @@ func (e *sweepEntry) simulate(s Scale, i int) (Run, error) {
 	if err != nil {
 		return Run{}, fmt.Errorf("rf=%d %s: %w", rf, algo, err)
 	}
+	if run.Response != nil {
+		run.P90 = run.Response.Percentile(90)
+	}
 	return run, nil
 }
 

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a rendered experiment result: a titled grid of strings that
-// prints as an aligned text table (Render) or tab-separated values (TSV).
+// prints as an aligned text table (Render), tab-separated values (TSV) or
+// GitHub Markdown (Markdown).
 type Table struct {
 	Title  string
 	Header []string
@@ -18,14 +20,15 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // Render returns the table as aligned monospace text.
 func (t *Table) Render() string {
+	// Widths count runes, as fmt's padding does.
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -64,5 +67,21 @@ func (t *Table) TSV() string {
 		b.WriteString(strings.Join(row, "\t"))
 		b.WriteByte('\n')
 	}
+	return b.String()
+}
+
+// Markdown returns the table as GitHub Markdown, its title as a level-3
+// heading.
+func (t *Table) Markdown() string {
+	var b strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&b, "### %s\n\n", t.Title)
+	}
+	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
+	b.WriteString("|" + strings.Repeat(" --- |", len(t.Header)) + "\n")
+	for _, row := range t.Rows {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+	}
+	b.WriteString("\n")
 	return b.String()
 }

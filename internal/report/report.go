@@ -1,7 +1,6 @@
 // Package report renders experiment results as a single Markdown document:
-// the replication sweeps for both traces, the headline comparisons against
-// the paper's claims, and (optionally) the extension experiments. cmd/
-// figures -summary drives it.
+// the paper-claims table, the replication sweeps for both traces, and
+// (optionally) the extension experiments. cmd/figures -summary drives it.
 package report
 
 import (
@@ -42,17 +41,21 @@ func Generate(opts Options) (string, error) {
 	fmt.Fprintf(&b, "Setup: %d disks, %d requests over %d blocks, 2CPM power management.\n\n",
 		opts.Scale.NumDisks, opts.Scale.NumRequests, opts.Scale.NumBlocks)
 
+	claims, _, err := experiments.Claims(opts.Scale)
+	if err != nil {
+		return truncated(&b, err), err
+	}
+	b.WriteString(claims.Markdown())
 	for _, tr := range []experiments.Trace{experiments.Cello, experiments.Financial} {
 		sweep, err := experiments.SweepReplication(opts.Scale, tr)
 		if err != nil {
 			return truncated(&b, err), err
 		}
 		fmt.Fprintf(&b, "## %s trace\n\n", tr)
-		writeHeadline(&b, sweep)
 		for _, tbl := range []*experiments.Table{
 			sweep.Figure6(), sweep.Figure7(), sweep.Figure8(),
 		} {
-			writeMarkdownTable(&b, tbl)
+			b.WriteString(tbl.Markdown())
 		}
 	}
 
@@ -67,12 +70,12 @@ func Generate(opts Options) (string, error) {
 		if err != nil {
 			return truncated(&b, err), err
 		}
-		writeMarkdownTable(&b, ct)
+		b.WriteString(ct.Markdown())
 		wt, err := experiments.WhatIfTable(opts.Scale, experiments.Cello, opts.Grid, cost)
 		if err != nil {
 			return truncated(&b, err), err
 		}
-		writeMarkdownTable(&b, wt)
+		b.WriteString(wt.Markdown())
 	}
 
 	if opts.Extensions {
@@ -82,7 +85,7 @@ func Generate(opts Options) (string, error) {
 		}
 		b.WriteString("## Extensions\n\n")
 		for _, tbl := range tables {
-			writeMarkdownTable(&b, tbl)
+			b.WriteString(tbl.Markdown())
 		}
 	}
 	return b.String(), nil
@@ -92,37 +95,4 @@ func Generate(opts Options) (string, error) {
 func truncated(b *strings.Builder, err error) string {
 	fmt.Fprintf(b, "> **Report truncated**: %v\n", err)
 	return b.String()
-}
-
-// writeHeadline summarizes the sweep against the paper's three claims.
-func writeHeadline(b *strings.Builder, sw *experiments.ReplicationSweep) {
-	rfMax := sw.RFs[len(sw.RFs)-1]
-	static, _ := sw.Get(rfMax, experiments.AlgoStatic)
-	wsc, _ := sw.Get(rfMax, experiments.AlgoWSC)
-	heur, _ := sw.Get(rfMax, experiments.AlgoHeuristic)
-
-	fmt.Fprintf(b, "At replication factor %d the energy-aware WSC scheduler uses %.1f%% of the always-on energy (static: %.1f%%), ",
-		rfMax, 100*wsc.NormEnergy, 100*static.NormEnergy)
-	fmt.Fprintf(b, "performs %.0f%% of static's spin operations, ",
-		100*float64(wsc.SpinUps+wsc.SpinDowns)/float64(static.SpinUps+static.SpinDowns))
-	if heur.Mean < static.Mean {
-		fmt.Fprintf(b, "and the online heuristic improves mean response time from %s to %s.\n\n",
-			static.Mean.Round(time.Millisecond), heur.Mean.Round(time.Millisecond))
-	} else {
-		fmt.Fprintf(b, "with the online heuristic's mean response at %s (static: %s).\n\n",
-			heur.Mean.Round(time.Millisecond), static.Mean.Round(time.Millisecond))
-	}
-}
-
-// writeMarkdownTable renders an experiments.Table as GitHub Markdown.
-func writeMarkdownTable(b *strings.Builder, t *experiments.Table) {
-	if t.Title != "" {
-		fmt.Fprintf(b, "### %s\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat(" --- |", len(t.Header)) + "\n")
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	b.WriteString("\n")
 }

@@ -24,6 +24,7 @@ func TestGenerateBasicReport(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# Energy-aware scheduling",
+		"### Paper claims",
 		"## cello trace",
 		"## financial1 trace",
 		"Figure 6",
@@ -62,19 +63,5 @@ func TestGenerateWithExtensionsAndStamp(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
-	}
-}
-
-func TestMarkdownTableShape(t *testing.T) {
-	t.Parallel()
-	var b strings.Builder
-	writeMarkdownTable(&b, &experiments.Table{
-		Title:  "T",
-		Header: []string{"a", "b"},
-		Rows:   [][]string{{"1", "2"}},
-	})
-	want := "### T\n\n| a | b |\n| --- | --- |\n| 1 | 2 |\n\n"
-	if b.String() != want {
-		t.Errorf("markdown table =\n%q\nwant\n%q", b.String(), want)
 	}
 }
