@@ -126,9 +126,11 @@ bench-all:
 # brute-force oracle, its range greedy, checked against graph.GWMIN on the
 # built graph, and its vertex order, checked against a comparison sort),
 # the local search, whose dirty-request passes must make the moves of a
-# search that evaluates every request every pass, and the greedy selection
+# search that evaluates every request every pass, the greedy selection
 # loop, whose sorted front and re-key heap must select what a lazy binary
-# heap selects on tie-heavy random graphs.
+# heap selects on tie-heavy random graphs, and the Zipf sampler, whose
+# guide-table window must return the rank a search over the whole CDF
+# returns.
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzReadSPC -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzReadCelloText -fuzztime 10s
@@ -140,16 +142,20 @@ fuzz:
 	$(GO) test ./internal/offline -fuzz FuzzBuildEdges -fuzztime 10s
 	$(GO) test ./internal/offline -fuzz FuzzImprove -fuzztime 10s
 	$(GO) test ./internal/graph -fuzz FuzzSelectGreedy -fuzztime 10s
+	$(GO) test ./internal/placement -fuzz FuzzZipfSample -fuzztime 10s
 
-# Fast (small-scale) regeneration of every paper figure.
+# Regenerates every paper figure (fig2-fig17) into results/ at the paper's
+# full 180-disk / 70k-request scale, the scale results/ holds (~7 s on 2
+# CPUs).
 figures:
-	$(GO) run ./cmd/figures -out results
+	$(GO) run ./cmd/figures -scale full -out results
 
-# The paper's full 180-disk / 70k-request setup, including the extension
-# experiments (takes a few minutes).
+# The same, plus the extension experiments' fig-ext*.txt (~17 s on 2 CPUs).
 figures-full:
 	$(GO) run ./cmd/figures -scale full -ext -out results
 
+# The Markdown summary. It carries no timestamp, so two runs are
+# byte-identical.
 summary:
 	$(GO) run ./cmd/figures -scale full -ext -fig none -summary results/summary.md
 

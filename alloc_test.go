@@ -153,3 +153,24 @@ func TestSequentialSubmitAllocatesNothing(t *testing.T) {
 		t.Errorf("Sequential Submit: %.0f allocs/op, want 0", allocs)
 	}
 }
+
+// TestNewRouterAllocs pins the serving router's set-up at exactly one
+// allocation: it reads the placement's replica table in place, so building
+// it never copies the per-block lists, whatever the block count.
+func TestNewRouterAllocs(t *testing.T) {
+	skipUnderRace(t)
+	plc, err := placement.Generate(placement.GenerateConfig{
+		NumDisks: 180, NumBlocks: 30000, ReplicationFactor: 3, ZipfExponent: 1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *serve.Router
+	allocs := testing.AllocsPerRun(100, func() { r = serve.NewRouter(plc, 0) })
+	if allocs != 1 {
+		t.Errorf("NewRouter allocates %v times, want exactly 1", allocs)
+	}
+	if r.NumBlocks() != 30000 {
+		t.Errorf("NumBlocks = %d, want 30000", r.NumBlocks())
+	}
+}

@@ -304,7 +304,6 @@ func run() error {
 		md, err := report.Generate(report.Options{
 			Scale:      scale,
 			Extensions: *ext,
-			Generated:  time.Now().UTC(),
 			Grid:       gridProfile,
 			Cost:       costModel,
 		})

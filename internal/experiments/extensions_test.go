@@ -123,6 +123,26 @@ func TestExtensionPredictiveRuns(t *testing.T) {
 	}
 }
 
+// TestExtensionDPMDeterministic: two ExtensionDPM calls in one process
+// must print the same table. Go randomizes map iteration on every range, so
+// gathering the gaps from a map keyed by disk reorders the EWMA's history
+// from call to call and fails here. Full scale, because 180 disks' worth of
+// reordered history is what moves the printed energies.
+func TestExtensionDPMDeterministic(t *testing.T) {
+	t.Parallel()
+	var out [2]string
+	for i := range out {
+		tbl, err := ExtensionDPM(FullScale(), Cello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tbl.Render()
+	}
+	if out[0] != out[1] {
+		t.Fatalf("ExtensionDPM differs between calls:\n%s\n%s", out[0], out[1])
+	}
+}
+
 func TestExtensionDPMOrdering(t *testing.T) {
 	t.Parallel()
 	tbl, err := ExtensionDPM(tinyScale(), Cello)

@@ -20,9 +20,15 @@ import (
 // Placement is an immutable block -> replica-locations map over a fixed
 // disk population. Index 0 of each location list is the block's original
 // location; the rest are replicas.
+//
+// The lists are stored once, in compressed-row form: block b's replicas
+// are disks[off[b]:off[b+1]]. A lookup reads two offsets and the row, with
+// no per-block slice header to chase, and the serving router reads this
+// table in place.
 type Placement struct {
 	numDisks int
-	locs     [][]core.DiskID
+	off      []int32 // len NumBlocks+1; off[0] = 0
+	disks    []core.DiskID
 }
 
 // New builds a placement from explicit locations (used by the paper's
@@ -31,6 +37,7 @@ func New(numDisks int, locs [][]core.DiskID) (*Placement, error) {
 	if numDisks <= 0 {
 		return nil, fmt.Errorf("placement: need at least one disk, got %d", numDisks)
 	}
+	n := 0
 	for b, ds := range locs {
 		if len(ds) == 0 {
 			return nil, fmt.Errorf("placement: block %d has no locations", b)
@@ -45,23 +52,35 @@ func New(numDisks int, locs [][]core.DiskID) (*Placement, error) {
 				return nil, fmt.Errorf("placement: block %d lists disk %d twice", b, d)
 			}
 		}
+		n += len(ds)
 	}
-	return &Placement{numDisks: numDisks, locs: locs}, nil
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("placement: %d replicas exceed the table's int32 offsets", n)
+	}
+	p := &Placement{numDisks: numDisks, off: make([]int32, 1, len(locs)+1), disks: make([]core.DiskID, 0, n)}
+	for _, ds := range locs {
+		p.disks = append(p.disks, ds...)
+		p.off = append(p.off, int32(len(p.disks)))
+	}
+	return p, nil
 }
 
 // NumDisks returns the disk population size K.
 func (p *Placement) NumDisks() int { return p.numDisks }
 
 // NumBlocks returns the number of placed blocks M.
-func (p *Placement) NumBlocks() int { return len(p.locs) }
+func (p *Placement) NumBlocks() int { return len(p.off) - 1 }
 
 // Locations returns the replica locations of a block (original first). The
-// caller must not modify the returned slice. Unknown blocks return nil.
+// caller must not modify the returned slice; its capacity ends at the
+// block's last replica, so an append copies instead of overwriting the
+// next block. Unknown blocks return nil. Safe for concurrent callers.
 func (p *Placement) Locations(b core.BlockID) []core.DiskID {
-	if b < 0 || int(b) >= len(p.locs) {
+	if uint64(b) >= uint64(len(p.off)-1) {
 		return nil
 	}
-	return p.locs[b]
+	lo, hi := p.off[b], p.off[b+1]
+	return p.disks[lo:hi:hi]
 }
 
 // Original returns the block's original (first) location.
@@ -99,6 +118,9 @@ func Generate(cfg GenerateConfig) (*Placement, error) {
 			cfg.ReplicationFactor, cfg.NumDisks)
 	case cfg.ZipfExponent < 0 || math.IsNaN(cfg.ZipfExponent):
 		return nil, fmt.Errorf("placement: ZipfExponent = %v", cfg.ZipfExponent)
+	case cfg.NumBlocks > math.MaxInt32/cfg.ReplicationFactor:
+		return nil, fmt.Errorf("placement: %d blocks × %d replicas exceed the table's int32 offsets",
+			cfg.NumBlocks, cfg.ReplicationFactor)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -106,13 +128,16 @@ func Generate(cfg GenerateConfig) (*Placement, error) {
 	rankToDisk := rng.Perm(cfg.NumDisks)
 	zipf := NewZipf(cfg.NumDisks, cfg.ZipfExponent)
 
-	// Every block's list is a slice of one flat array, each capped at its
-	// own rf entries.
+	// Each row is written straight into the table. Its disks are in range
+	// and distinct by construction, so New's validation pass is not needed.
 	rf := cfg.ReplicationFactor
-	flat := make([]core.DiskID, cfg.NumBlocks*rf)
-	locs := make([][]core.DiskID, cfg.NumBlocks)
-	for b := range locs {
-		ds := flat[b*rf : b*rf : (b+1)*rf]
+	p := &Placement{
+		numDisks: cfg.NumDisks,
+		off:      make([]int32, cfg.NumBlocks+1),
+		disks:    make([]core.DiskID, cfg.NumBlocks*rf),
+	}
+	for b := 0; b < cfg.NumBlocks; b++ {
+		ds := p.disks[b*rf : b*rf : (b+1)*rf]
 		ds = append(ds, core.DiskID(rankToDisk[zipf.Sample(rng)]))
 		for len(ds) < rf {
 			d := core.DiskID(rng.Intn(cfg.NumDisks))
@@ -120,17 +145,17 @@ func Generate(cfg GenerateConfig) (*Placement, error) {
 				ds = append(ds, d)
 			}
 		}
-		locs[b] = ds
+		p.off[b+1] = int32((b + 1) * rf)
 	}
-	return New(cfg.NumDisks, locs)
+	return p, nil
 }
 
 // LoadSkew returns, per disk, the number of blocks whose original location
 // is that disk — a direct view of the Zipf skew used in Figures 9 and 10.
 func (p *Placement) LoadSkew() []int {
 	counts := make([]int, p.numDisks)
-	for _, ls := range p.locs {
-		counts[ls[0]]++
+	for _, lo := range p.off[:len(p.off)-1] {
+		counts[p.disks[lo]]++
 	}
 	return counts
 }
@@ -138,8 +163,14 @@ func (p *Placement) LoadSkew() []int {
 // Zipf samples ranks 0..n-1 with P(r) proportional to 1/(r+1)^z. Unlike
 // math/rand's Zipf it supports any exponent z >= 0 (the paper sweeps
 // z in [0,1], Appendix A.1) via an inverse-CDF table.
+//
+// A guide table narrows each draw's search: a draw u falls in bucket
+// k = bucket(u), and guide[k]..guide[k+1] bound every rank whose CDF
+// interval meets that bucket, so Sample binary-searches only that window
+// and returns exactly the rank a search over the whole table would.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int32 // len n+1: guide[k] is the first rank r with bucket(cdf[r]) >= k
 }
 
 // NewZipf builds a sampler over n ranks with exponent z.
@@ -149,6 +180,9 @@ func NewZipf(n int, z float64) *Zipf {
 	}
 	if z < 0 || math.IsNaN(z) {
 		panic(fmt.Sprintf("placement: Zipf exponent %v", z))
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("placement: Zipf over %d ranks exceeds the int32 guide", n))
 	}
 	cdf := make([]float64, n)
 	total := 0.0
@@ -160,13 +194,39 @@ func NewZipf(n int, z float64) *Zipf {
 		cdf[r] /= total
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf}
+	zp := &Zipf{cdf: cdf, guide: make([]int32, n+1)}
+	// bucket is monotone in u, so the first rank reaching each bucket
+	// comes out of one pass; bucket(1) = n-1, so every k < n is set here.
+	k := 0
+	for r, c := range cdf {
+		for ; k <= zp.bucket(c); k++ {
+			zp.guide[k] = int32(r)
+		}
+	}
+	zp.guide[n] = int32(n - 1)
+	return zp
 }
 
-// Sample draws a rank using the provided source.
-func (zp *Zipf) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	lo, hi := 0, len(zp.cdf)-1
+// bucket maps a CDF value to its guide slot, clamped to [0, n-1]. Sample
+// and NewZipf must compute it the same way: the guide's bounds hold for
+// this function, rounding included, not for the exact product u*n.
+func (zp *Zipf) bucket(u float64) int {
+	return min(int(u*float64(len(zp.cdf))), len(zp.cdf)-1)
+}
+
+// Sample draws a rank using the provided source. It consumes exactly one
+// rng.Float64.
+func (zp *Zipf) Sample(rng *rand.Rand) int { return zp.rank(rng.Float64()) }
+
+// rank returns the first rank r with cdf[r] >= u, for u in [0, 1).
+//
+// Why the window holds the answer r: u <= cdf[r], so bucket(cdf[r]) >=
+// bucket(u) = k and r >= guide[k]; and, for r > 0, cdf[r-1] < u, so
+// bucket(cdf[r-1]) <= k and r-1 < guide[k+1] (or guide[k+1] = n-1 when no
+// rank reaches bucket k+1).
+func (zp *Zipf) rank(u float64) int {
+	k := zp.bucket(u)
+	lo, hi := int(zp.guide[k]), int(zp.guide[k+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if zp.cdf[mid] < u {

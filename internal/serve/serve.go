@@ -7,10 +7,10 @@
 // (internal/sched) against live per-disk power state, and dispatches each
 // request into the same disk/power/discrete-event machinery the batch
 // runners use (one storage.Live over internal/diskmodel, internal/power,
-// internal/simkernel). Replica lookup is a striped lock-free Router over
-// internal/placement; batched decision rounds can reuse the weighted-set-
-// cover scheduler (internal/sched + internal/graph) instead of per-request
-// cost minimization.
+// internal/simkernel). Replica lookup is a Router that reads
+// internal/placement's immutable replica table in place; batched decision
+// rounds can reuse the weighted-set-cover scheduler (internal/sched +
+// internal/graph) instead of per-request cost minimization.
 //
 // Admission is one atomic bound; decisions are made under one engine
 // mutex that owns the storage system, the schedulers and the virtual
@@ -388,9 +388,9 @@ func (e *Engine) elapsed() time.Duration { return time.Since(e.start) }
 // req.Arrival the virtual arrival time. deadline zero uses the engine
 // default; a negative duration disables it for this request.
 //
-// The hot path allocates nothing: replica lookup is one atomic load,
-// admission one compare-and-swap, and the caller decides its own request
-// under the engine lock, as a round of one.
+// The hot path allocates nothing: replica lookup reads one row of the
+// placement's table, admission is one compare-and-swap, and the caller
+// decides its own request under the engine lock, as a round of one.
 func (e *Engine) Submit(req core.Request, deadline time.Duration) (Decision, error) {
 	if len(e.cfg.Router.Lookup(req.Block)) == 0 {
 		return Decision{}, e.noReplica(req.Block)
@@ -669,7 +669,9 @@ func (e *Engine) decideWSC(round []call) {
 // record reads the chosen disk before the request reaches it.
 func (e *Engine) answer(c *call, d core.DiskID, dec obs.DecisionID) {
 	if d == core.InvalidDisk {
-		// Replicas vanished between admission and decision (router update).
+		// No replica to decide on. Submit rejects blocks without replicas
+		// and the placement never changes, so only a scheduler that
+		// returns InvalidDisk lands here; the request is dropped, not run.
 		e.lv.Deliver(c.req, d, dec)
 		c.err = e.noReplica(c.req.Block)
 		return
