@@ -8,6 +8,7 @@ all: build vet test
 
 build:
 	$(GO) build ./...
+	$(GO) -C bench build -o /dev/null ./...
 
 # go vet, then gofmt: any file gofmt would rewrite fails the target, and
 # with it all, check and ci.

@@ -9,25 +9,26 @@
 //	figures -fleet -shards 500  # the fleet benchmark over 500 kernel engines
 //
 // The standard profiling flags -cpuprofile, -memprofile, -trace and -pprof
-// are available for profiling full-scale regenerations, and -telemetry
-// ADDR serves live per-cell sweep progress over HTTP while a regeneration
-// runs (see docs/OBSERVABILITY.md), and -doctor runs every simulated cell
-// under live invariant monitoring, failing the regeneration on any
-// violation; -flight DIR additionally arms a per-cell flight recorder, so
-// a violation leaves a replayable dump of the cell's recent events under
-// DIR (inspect with `tracelens last`). A failing run still writes the
-// partial -summary accumulated
-// before the error and logs where it went. Within a run, Figures 9, 12
-// and 17 reuse the replication sweep's rf=3 cells instead of simulating
-// them again; -cache DIR persists complete replication sweeps on disk,
-// content-addressed by every input, so unchanged repeat runs skip those
-// cells entirely (doctored runs always simulate fresh).
+// are available for profiling full-scale regenerations, and -doctor runs
+// every simulated cell under live invariant monitoring, failing the
+// regeneration on any violation; -flight DIR additionally arms a per-cell
+// flight recorder, so a violation leaves a replayable dump of the cell's
+// recent events under DIR (inspect with `tracelens last`). A failing run
+// still writes the partial -summary accumulated before the error and logs
+// where it went. Within a run, Figures 9, 10, 12 and 17 reuse the
+// replication sweep's cells instead of simulating them again (doctored
+// runs always simulate fresh).
+//
+// Exit codes: 0 for success or -h, 1 for a failed run, 2 for a usage
+// error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,57 +42,73 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// usageError marks a command-line mistake; run maps it to exit code 2. An
+// empty message means the flag set has already printed the diagnostics.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run is the command's entry point; see the package comment for its exit
+// codes.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := figures(args, stdout, stderr)
+	var ue usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		if ue != "" {
+			fmt.Fprintln(stderr, "figures:", ue.Error())
+		}
+		return 2
+	default:
+		fmt.Fprintln(stderr, "figures:", err)
+		return 1
 	}
 }
 
-func run() error {
+func figures(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scaleName = flag.String("scale", "small", "small | full")
-		figList   = flag.String("fig", "all", "comma-separated figure numbers (2-17) or 'all'")
-		ext       = flag.Bool("ext", false, "also run the extension experiments (off-loading, caching, rack-aware placement, prediction, DPM policies, queue disciplines)")
-		tsv       = flag.Bool("tsv", false, "emit tab-separated values instead of aligned tables")
-		summary   = flag.String("summary", "", "write a Markdown summary report to this file (runs both trace sweeps)")
-		outDir    = flag.String("out", "", "write each figure to DIR/figNN.{txt,tsv} instead of stdout")
-		telemetry = flag.String("telemetry", "", `serve live sweep telemetry on this address (e.g. "localhost:8090": /healthz, /metrics, /progress)`)
-		doctor    = flag.Bool("doctor", false, "run live invariant monitors over every simulated cell; non-zero exit on any violation (doctored cells always bypass the sweep cache)")
-		cacheDir  = flag.String("cache", "", "persist replication sweeps in this directory, keyed by a content hash of every input; repeat runs with unchanged inputs reuse them for Figures 6-9 and 12-17")
-		fleet     = flag.Bool("fleet", false, "run the 100k-disk fleet throughput benchmark (sharded kernel, hundreds of millions of events) instead of figures")
-		shards    = flag.Int("shards", 0, "with -fleet: kernel engines over the fleet's racks (0 = one per rack, 1 = one engine for every rack)")
-		kstats    = flag.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`)")
-		flightDir = flag.String("flight", "", "with -doctor: arm a flight recorder on every monitored cell; a doctor violation freezes the cell's recent events into a replayable dump under this directory (inspect with `tracelens last`)")
-		grid      = flag.String("grid", "", "also emit carbon & what-if tables under this grid profile: flat | diurnal | coal | profile.json")
-		costName  = flag.String("cost", "default", "cost model for -grid: default | model.json")
+		scaleName = fs.String("scale", "small", "small | full")
+		figList   = fs.String("fig", "all", "comma-separated figure numbers (2-17) or 'all'")
+		ext       = fs.Bool("ext", false, "also run the extension experiments (off-loading, caching, rack-aware placement, prediction, DPM policies, queue disciplines)")
+		tsv       = fs.Bool("tsv", false, "emit tab-separated values instead of aligned tables")
+		summary   = fs.String("summary", "", "write a Markdown summary report to this file (runs both trace sweeps)")
+		outDir    = fs.String("out", "", "write each figure to DIR/figNN.{txt,tsv} instead of stdout")
+		doctor    = fs.Bool("doctor", false, "run live invariant monitors over every simulated cell; non-zero exit on any violation (doctored cells always bypass the sweep cache)")
+		fleet     = fs.Bool("fleet", false, "run the 100k-disk fleet throughput benchmark (sharded kernel, hundreds of millions of events) instead of figures")
+		shards    = fs.Int("shards", 0, "with -fleet: kernel engines over the fleet's racks (0 = one per rack, 1 = one engine for every rack)")
+		kstats    = fs.String("kernelstats", "", "with -fleet: arm per-shard kernel timing and write the telemetry snapshot to this JSON file (inspect with `tracelens shards FILE`)")
+		flightDir = fs.String("flight", "", "with -doctor: arm a flight recorder on every monitored cell; a doctor violation freezes the cell's recent events into a replayable dump under this directory (inspect with `tracelens last`)")
+		grid      = fs.String("grid", "", "also emit carbon & what-if tables under this grid profile: flat | diurnal | coal | profile.json")
+		costName  = fs.String("cost", "default", "cost model for -grid: default | model.json")
 	)
 	var prof obs.Profiles
-	prof.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "figures: profiles:", err)
+	prof.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
 		}
-	}()
+		return usageError("")
+	}
 
 	if *fleet {
 		if *flightDir != "" {
-			return fmt.Errorf("-flight applies to figure regenerations, not -fleet (fleet runs are untraced)")
+			return usageError("-flight applies to figure regenerations, not -fleet (fleet runs are untraced)")
 		}
-		return runFleet(*shards, *kstats)
+	} else {
+		if *kstats != "" {
+			return usageError("-kernelstats applies to the -fleet benchmark only")
+		}
+		if *shards != 0 {
+			return usageError("-shards applies to the -fleet benchmark only (figure cells each run on one kernel engine)")
+		}
 	}
-	if *kstats != "" {
-		return fmt.Errorf("-kernelstats applies to the -fleet benchmark only")
-	}
-	if *shards != 0 {
-		return fmt.Errorf("-shards applies to the -fleet benchmark only (figure cells each run on one kernel engine)")
-	}
-
 	var scale experiments.Scale
 	switch *scaleName {
 	case "small":
@@ -99,34 +116,27 @@ func run() error {
 	case "full":
 		scale = experiments.FullScale()
 	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+		return usageError(fmt.Sprintf("unknown scale %q", *scaleName))
 	}
 	scale.Doctor = *doctor
 	if *flightDir != "" {
 		if !*doctor {
-			return fmt.Errorf("-flight requires -doctor: without the monitors no trigger can fire")
+			return usageError("-flight requires -doctor: without the monitors no trigger can fire")
 		}
 		scale.FlightDir = *flightDir
 	}
 
-	if *cacheDir != "" {
-		if err := experiments.DefaultSweepCache().SetDir(*cacheDir); err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		defer func() {
-			fmt.Fprintf(os.Stderr, "figures: sweep cache %s\n", experiments.DefaultSweepCache().Stats())
-		}()
+	stopProf, err := prof.Start()
+	if err != nil {
+		return err
 	}
-
-	if *telemetry != "" {
-		mon := experiments.NewMonitor()
-		addr, shutdown, err := mon.Serve(*telemetry)
-		if err != nil {
-			return fmt.Errorf("telemetry: %w", err)
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(stderr, "figures: profiles:", err)
 		}
-		defer shutdown()
-		scale.Monitor = mon
-		fmt.Fprintf(os.Stderr, "figures: telemetry on http://%s (/healthz /metrics /progress)\n", addr)
+	}()
+	if *fleet {
+		return runFleet(*shards, *kstats, stdout, stderr)
 	}
 
 	want := map[string]bool{}
@@ -149,10 +159,10 @@ func run() error {
 			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Fprintf(stdout, "wrote %s\n", path)
 			return nil
 		}
-		fmt.Println(content)
+		fmt.Fprintln(stdout, content)
 		return nil
 	}
 
@@ -312,7 +322,7 @@ func run() error {
 			// sweeps are not discarded with the failure.
 			if md != "" {
 				if werr := os.WriteFile(*summary, []byte(md), 0o644); werr == nil {
-					fmt.Fprintf(os.Stderr, "figures: partial summary flushed to %s\n", *summary)
+					fmt.Fprintf(stderr, "figures: partial summary flushed to %s\n", *summary)
 				}
 			}
 			return err
@@ -320,7 +330,7 @@ func run() error {
 		if err := os.WriteFile(*summary, []byte(md), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *summary)
+		fmt.Fprintf(stdout, "wrote %s\n", *summary)
 	}
 
 	if *ext {
@@ -335,7 +345,7 @@ func run() error {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "done in %s\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(stderr, "done in %s\n", time.Since(start).Round(time.Second))
 	return nil
 }
 
@@ -343,7 +353,7 @@ func run() error {
 // racks at fleet event density (~315 million kernel events). One shard per
 // rack keeps each engine's calendar queue and disk stripe
 // cache-resident, and the GC stays off for the run (FleetConfig.RelaxGC).
-func runFleet(shards int, kstats string) error {
+func runFleet(shards int, kstats string, stdout, stderr io.Writer) error {
 	cfg := storage.DefaultFleetConfig()
 	cfg.NumDisks = 100_000
 	cfg.NumRacks = 1_000
@@ -357,7 +367,7 @@ func runFleet(shards int, kstats string) error {
 	if shards == 0 {
 		cfg.Shards = cfg.NumRacks
 	}
-	fmt.Fprintf(os.Stderr, "figures: fleet %d disks / %d racks / %d shards, %d requests\n",
+	fmt.Fprintf(stderr, "figures: fleet %d disks / %d racks / %d shards, %d requests\n",
 		cfg.NumDisks, cfg.NumRacks, cfg.Shards, cfg.NumDisks*cfg.RequestsPerDisk)
 	res, err := storage.RunFleet(cfg)
 	if err != nil {
@@ -380,7 +390,7 @@ func runFleet(shards int, kstats string) error {
 	t.AddRow("mean response", res.MeanResponse.Round(time.Microsecond).String())
 	t.AddRow("p50 / p90 / p99", fmt.Sprintf("%s / %s / %s",
 		res.P50.Round(time.Microsecond), res.P90.Round(time.Microsecond), res.P99.Round(time.Microsecond)))
-	fmt.Println(t.Render())
+	fmt.Fprintln(stdout, t.Render())
 	if kstats != "" {
 		data, err := json.MarshalIndent(res.Kernel, "", "  ")
 		if err != nil {
@@ -389,7 +399,7 @@ func runFleet(shards int, kstats string) error {
 		if err := os.WriteFile(kstats, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "figures: kernel telemetry written to %s (tracelens shards %s)\n", kstats, kstats)
+		fmt.Fprintf(stderr, "figures: kernel telemetry written to %s (tracelens shards %s)\n", kstats, kstats)
 	}
 	return nil
 }

@@ -23,10 +23,12 @@ import (
 // GapPolicy decides, for each idle gap, how long to wait before spinning
 // down. Policies may adapt using previously observed gaps.
 type GapPolicy interface {
-	// Threshold returns the idleness threshold to use for the next gap,
-	// given the gaps observed so far. A negative duration means "never
-	// spin down" for this gap.
-	Threshold(history []time.Duration) time.Duration
+	// Start begins one gap sequence. It returns the idleness threshold for
+	// the first gap and next, which is given each gap once it has passed
+	// and returns the threshold for the gap after it, so a policy sees
+	// only the gaps before the one it decides. A negative duration means
+	// "never spin down" for that gap.
+	Start() (first time.Duration, next func(observed time.Duration) time.Duration)
 	// Name identifies the policy in reports.
 	Name() string
 }
@@ -67,11 +69,13 @@ func OptimalThreshold(cfg power.Config) time.Duration {
 	return time.Duration(cfg.UpDownEnergy() / denom * float64(time.Second))
 }
 
-// PolicyCost evaluates a policy over a gap sequence.
+// PolicyCost evaluates a policy over a gap sequence in one pass.
 func PolicyCost(cfg power.Config, gaps []time.Duration, p GapPolicy) float64 {
 	total := 0.0
-	for i, g := range gaps {
-		total += GapCost(cfg, g, p.Threshold(gaps[:i]))
+	tau, next := p.Start()
+	for _, g := range gaps {
+		total += GapCost(cfg, g, tau)
+		tau = next(g)
 	}
 	return total
 }
@@ -105,8 +109,8 @@ type Fixed struct {
 	Tau time.Duration
 }
 
-// Threshold implements GapPolicy.
-func (f Fixed) Threshold([]time.Duration) time.Duration { return f.Tau }
+// Start implements GapPolicy.
+func (f Fixed) Start() (time.Duration, func(time.Duration) time.Duration) { return constant(f.Tau) }
 
 // Name implements GapPolicy.
 func (f Fixed) Name() string { return fmt.Sprintf("fixed(%s)", f.Tau) }
@@ -114,8 +118,8 @@ func (f Fixed) Name() string { return fmt.Sprintf("fixed(%s)", f.Tau) }
 // NeverSpinDown keeps the disk idle through every gap (always-on).
 type NeverSpinDown struct{}
 
-// Threshold implements GapPolicy.
-func (NeverSpinDown) Threshold([]time.Duration) time.Duration { return -1 }
+// Start implements GapPolicy.
+func (NeverSpinDown) Start() (time.Duration, func(time.Duration) time.Duration) { return constant(-1) }
 
 // Name implements GapPolicy.
 func (NeverSpinDown) Name() string { return "never" }
@@ -123,11 +127,16 @@ func (NeverSpinDown) Name() string { return "never" }
 // Immediate spins down the instant the disk goes idle (aggressive).
 type Immediate struct{}
 
-// Threshold implements GapPolicy.
-func (Immediate) Threshold([]time.Duration) time.Duration { return 0 }
+// Start implements GapPolicy.
+func (Immediate) Start() (time.Duration, func(time.Duration) time.Duration) { return constant(0) }
 
 // Name implements GapPolicy.
 func (Immediate) Name() string { return "immediate" }
+
+// constant starts a sequence whose every gap gets threshold tau.
+func constant(tau time.Duration) (time.Duration, func(time.Duration) time.Duration) {
+	return tau, func(time.Duration) time.Duration { return tau }
+}
 
 // EWMAPredictive adapts the threshold from an exponentially weighted
 // moving average of past gaps (the "prediction technique" the paper's
@@ -141,22 +150,26 @@ type EWMAPredictive struct {
 	Breakeven time.Duration
 }
 
-// Threshold implements GapPolicy.
-func (p EWMAPredictive) Threshold(history []time.Duration) time.Duration {
+// Start implements GapPolicy. The average starts at the first observed
+// gap and folds in each later one as it passes, so a sequence of n gaps
+// costs O(n).
+func (p EWMAPredictive) Start() (time.Duration, func(time.Duration) time.Duration) {
 	if p.Alpha <= 0 || p.Alpha > 1 {
 		panic(fmt.Sprintf("dpm: EWMA alpha %v outside (0,1]", p.Alpha))
 	}
-	if len(history) == 0 {
+	var pred float64
+	seen := false
+	return p.Breakeven, func(g time.Duration) time.Duration {
+		if seen {
+			pred = p.Alpha*float64(g) + (1-p.Alpha)*pred
+		} else {
+			pred, seen = float64(g), true
+		}
+		if time.Duration(pred) > p.Breakeven {
+			return 0 // expect a long gap: sleep immediately
+		}
 		return p.Breakeven
 	}
-	pred := float64(history[0])
-	for _, g := range history[1:] {
-		pred = p.Alpha*float64(g) + (1-p.Alpha)*pred
-	}
-	if time.Duration(pred) > p.Breakeven {
-		return 0 // expect a long gap: sleep immediately
-	}
-	return p.Breakeven
 }
 
 // Name implements GapPolicy.

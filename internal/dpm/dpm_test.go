@@ -178,7 +178,70 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	EWMAPredictive{Alpha: 0}.Threshold([]time.Duration{time.Second})
+	EWMAPredictive{Alpha: 0}.Start()
+}
+
+// quadraticEWMACost is the EWMA policy's cost as a per-gap refold of the
+// whole history: the threshold for gap i recomputes the average over
+// gaps[:i] from scratch. It is the reference the one-pass PolicyCost must
+// match bit for bit.
+func quadraticEWMACost(cfg power.Config, gaps []time.Duration, p EWMAPredictive) float64 {
+	total := 0.0
+	for i, g := range gaps {
+		tau := p.Breakeven
+		if i > 0 {
+			pred := float64(gaps[0])
+			for _, h := range gaps[1:i] {
+				pred = p.Alpha*float64(h) + (1-p.Alpha)*pred
+			}
+			if time.Duration(pred) > p.Breakeven {
+				tau = 0
+			}
+		}
+		total += GapCost(cfg, g, tau)
+	}
+	return total
+}
+
+func TestEWMAPolicyCostMatchesQuadraticFold(t *testing.T) {
+	t.Parallel()
+	cfg := power.DefaultConfig()
+	tau := OptimalThreshold(cfg)
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		gaps := make([]time.Duration, rng.Intn(300))
+		for i := range gaps {
+			// Mostly around the breakeven threshold, so the prediction
+			// crosses it often, with occasional very long gaps.
+			gaps[i] = time.Duration(rng.Int63n(int64(3 * tau)))
+			if rng.Intn(20) == 0 {
+				gaps[i] = time.Duration(rng.Int63n(int64(time.Hour)))
+			}
+		}
+		p := EWMAPredictive{Alpha: []float64{0.1, 0.3, 0.5, 0.9, 1}[trial%5], Breakeven: tau}
+		got, want := PolicyCost(cfg, gaps, p), quadraticEWMACost(cfg, gaps, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (%d gaps, alpha %v): one-pass cost %v != refold %v", trial, len(gaps), p.Alpha, got, want)
+		}
+	}
+}
+
+// TestEWMAPolicyCostIsLinear pins the one-pass evaluation: 100k gaps, on
+// which the per-gap refold makes 5e9 multiply-adds, cost well under a
+// second.
+func TestEWMAPolicyCostIsLinear(t *testing.T) {
+	t.Parallel()
+	cfg := power.DefaultConfig()
+	rng := rand.New(rand.NewSource(8))
+	gaps := make([]time.Duration, 100_000)
+	for i := range gaps {
+		gaps[i] = time.Duration(rng.Int63n(int64(time.Minute)))
+	}
+	start := time.Now()
+	PolicyCost(cfg, gaps, EWMAPredictive{Alpha: 0.5, Breakeven: OptimalThreshold(cfg)})
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Fatalf("100k gaps took %s", took)
+	}
 }
 
 func TestCompetitiveRatioEdgeCases(t *testing.T) {

@@ -24,11 +24,10 @@ func countCells(t *testing.T, f func(Scale, Trace) (*Table, error), s Scale) (st
 
 // TestFiguresSimulateEachSweepCellOnce pins the cell-granular sharing:
 // Figure 9 and Figure 12 simulate only their own rf=3 cells when cold and
-// nothing after a sweep, and render the same bytes cold, after a sweep and
-// from a disk hit. Not parallel: it reads the package-wide cell counter.
+// nothing after a sweep, and render the same bytes cold and after a sweep.
+// Not parallel: it reads the package-wide cell counter.
 func TestFiguresSimulateEachSweepCellOnce(t *testing.T) {
 	s := cacheScale(9101)
-	dir := t.TempDir()
 
 	fig9, n := countCells(t, NewSweepCache().figure9, s)
 	if n != int64(len(Algorithms())) {
@@ -40,9 +39,6 @@ func TestFiguresSimulateEachSweepCellOnce(t *testing.T) {
 	}
 
 	swept := NewSweepCache()
-	if err := swept.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
 	before := simulatedCells.Load()
 	if _, err := swept.Sweep(s, Cello); err != nil {
 		t.Fatal(err)
@@ -62,23 +58,6 @@ func TestFiguresSimulateEachSweepCellOnce(t *testing.T) {
 	}
 	if n := placementBuilds.Load() - before; n != 0 {
 		t.Errorf("figures after a sweep built %d placements, want 0", n)
-	}
-
-	loaded := NewSweepCache()
-	if err := loaded.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	for name, f := range map[string]func(Scale, Trace) (*Table, error){"9": loaded.figure9, "12": loaded.figure12} {
-		got, n := countCells(t, f, s)
-		if n != 0 {
-			t.Errorf("Figure %s from a disk hit simulated %d cells, want 0", name, n)
-		}
-		if want := map[string]string{"9": fig9, "12": fig12}[name]; got != want {
-			t.Errorf("Figure %s from a disk hit differs from cold:\n%s\nwant:\n%s", name, got, want)
-		}
-	}
-	if st := loaded.Stats(); st.DiskHits != 1 || st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("disk-tier stats = %+v, want one disk hit then one memory hit", st)
 	}
 }
 
@@ -228,30 +207,6 @@ func TestConcurrentLookupsShareCells(t *testing.T) {
 	assertSweepEqual(t, fresh, sw)
 }
 
-// TestFigure12ConcurrentDiskHit renders Figure 12 from two goroutines off
-// one disk-tier hit. Both read the same loaded response samples, so under
-// -race any write a CCDF query makes to them is reported.
-func TestFigure12ConcurrentDiskHit(t *testing.T) {
-	t.Parallel()
-	s := cacheScale(9102)
-	dir := t.TempDir()
-	writer := NewSweepCache()
-	if err := writer.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writer.Sweep(s, Cello); err != nil {
-		t.Fatal(err)
-	}
-	reader := NewSweepCache()
-	if err := reader.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	renderFigure12Concurrently(t, reader, s)
-	if st := reader.Stats(); st.DiskHits != 1 || st.Misses != 0 {
-		t.Fatalf("reader stats = %+v, want a pure disk hit", st)
-	}
-}
-
 // TestFigure12ConcurrentMemoryHit renders Figure 12 from two goroutines
 // off the cells a sweep left in memory: the samples are in completion
 // order, as the simulation recorded them, and both goroutines query the
@@ -265,7 +220,7 @@ func TestFigure12ConcurrentMemoryHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderFigure12Concurrently(t, c, s)
-	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 || st.DiskHits != 0 {
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("stats = %+v, want one miss then two memory hits", st)
 	}
 }

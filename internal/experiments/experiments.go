@@ -58,10 +58,6 @@ type Scale struct {
 	//
 	// Deprecated: kept only so existing callers compile; it has no effect.
 	Shards int
-	// Monitor, when non-nil, receives live per-cell progress from the
-	// parallel sweeps (see Monitor.Serve for the HTTP endpoint). Telemetry
-	// never influences results; a nil monitor costs one branch per cell.
-	Monitor *Monitor
 	// Doctor attaches a runtime-verification suite (internal/obs/monitor)
 	// to every simulated cell: power-machine legality, energy and request
 	// conservation, replica validity, threshold compliance and latency

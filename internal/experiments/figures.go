@@ -133,7 +133,7 @@ func (sw *ReplicationSweep) Figure13() *Table {
 func Figure9(s Scale, tr Trace) (*Table, error) { return defaultSweepCache.figure9(s, tr) }
 
 func (c *SweepCache) figure9(s Scale, tr Trace) (*Table, error) {
-	_, runs, err := c.lookup(s, tr, "figure9", gridCells(3, Algorithms()...))
+	_, runs, err := c.lookup(s, tr, gridCells(3, Algorithms()...))
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func (c *SweepCache) figure10(s Scale, tr Trace) (*Table, error) {
 	}
 	energies := make([][]float64, len(points))
 	if len(want) > 0 {
-		_, runs, err := c.lookup(s, tr, "figure10-zipf1", want)
+		_, runs, err := c.lookup(s, tr, want)
 		if err != nil {
 			return nil, err
 		}
@@ -229,24 +229,23 @@ func (c *SweepCache) figure10(s Scale, tr Trace) (*Table, error) {
 	}
 	reqs := tr.Requests(s)
 	cost := sched.DefaultCost(storage.DefaultConfig().Power)
-	err := runParallel(len(own), s.Parallelism,
-		s.Monitor.Track("figure10:"+tr.String(), len(own)), func(j int) error {
-			i := own[j]
-			p := points[i]
-			plc, err := makePlacement(s, p.rf, p.z)
+	err := runParallel(len(own), s.Parallelism, func(j int) error {
+		i := own[j]
+		p := points[i]
+		plc, err := makePlacement(s, p.rf, p.z)
+		if err != nil {
+			return err
+		}
+		energies[i] = make([]float64, len(algos))
+		for a, algo := range algos {
+			run, err := cell(s, reqs, plc, algo, cost)
 			if err != nil {
-				return err
+				return fmt.Errorf("z=%.2f rf=%d %s: %w", p.z, p.rf, algo, err)
 			}
-			energies[i] = make([]float64, len(algos))
-			for a, algo := range algos {
-				run, err := cell(s, reqs, plc, algo, cost)
-				if err != nil {
-					return fmt.Errorf("z=%.2f rf=%d %s: %w", p.z, p.rf, algo, err)
-				}
-				energies[i][a] = run.NormEnergy
-			}
-			return nil
-		})
+			energies[i][a] = run.NormEnergy
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +270,7 @@ func (c *SweepCache) figure11(s Scale, tr Trace) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	e, _, _ := c.entry(s, tr)
+	e := c.entry(s, tr)
 	plc, err := e.plcs[3]()
 	if err != nil {
 		return nil, err
@@ -280,16 +279,15 @@ func (c *SweepCache) figure11(s Scale, tr Trace) (*Table, error) {
 	pwr := storage.DefaultConfig().Power
 	na := len(s.Alphas)
 	runs := make([]Run, len(s.Betas)*na)
-	err = runParallel(len(runs), s.Parallelism,
-		s.Monitor.Track("figure11:"+tr.String(), len(runs)), func(i int) error {
-			alpha, beta := s.Alphas[i%na], s.Betas[i/na]
-			run, err := cell(s, reqs, plc, AlgoHeuristic, sched.CostConfig{Alpha: alpha, Beta: beta, Power: pwr})
-			if err != nil {
-				return fmt.Errorf("alpha=%v beta=%v: %w", alpha, beta, err)
-			}
-			runs[i] = run
-			return nil
-		})
+	err = runParallel(len(runs), s.Parallelism, func(i int) error {
+		alpha, beta := s.Alphas[i%na], s.Betas[i/na]
+		run, err := cell(s, reqs, plc, AlgoHeuristic, sched.CostConfig{Alpha: alpha, Beta: beta, Power: pwr})
+		if err != nil {
+			return fmt.Errorf("alpha=%v beta=%v: %w", alpha, beta, err)
+		}
+		runs[i] = run
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +314,7 @@ func (c *SweepCache) figure11(s Scale, tr Trace) (*Table, error) {
 func Figure12(s Scale, tr Trace) (*Table, error) { return defaultSweepCache.figure12(s, tr) }
 
 func (c *SweepCache) figure12(s Scale, tr Trace) (*Table, error) {
-	e, runs, err := c.lookup(s, tr, "figure12", gridCells(3, onlineAlgos()...))
+	e, runs, err := c.lookup(s, tr, gridCells(3, onlineAlgos()...))
 	if err != nil {
 		return nil, err
 	}

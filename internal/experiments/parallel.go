@@ -11,19 +11,8 @@ import (
 // further jobs start (in-flight jobs finish). Simulation cells share only
 // read-only inputs (request streams, placements), so cells parallelize
 // safely; workers default to just over half the CPUs (GOMAXPROCS/2 + 1) to
-// bound the memory of concurrent MWIS graphs. A non-nil tracker receives
-// each cell's start and completion (see Monitor); nil is a no-op.
-func runParallel(n, workers int, tk *SweepTracker, job func(i int) error) error {
-	defer tk.Finish()
-	if tk != nil {
-		inner := job
-		job = func(i int) error {
-			tk.cellStart(i)
-			err := inner(i)
-			tk.cellEnd(i, err)
-			return err
-		}
-	}
+// bound the memory of concurrent MWIS graphs.
+func runParallel(n, workers int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)/2 + 1
 	}

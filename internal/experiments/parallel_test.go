@@ -12,7 +12,7 @@ func TestRunParallelExecutesAllJobs(t *testing.T) {
 		workers := workers
 		var count atomic.Int64
 		seen := make([]atomic.Bool, 50)
-		err := runParallel(50, workers, nil, func(i int) error {
+		err := runParallel(50, workers, func(i int) error {
 			count.Add(1)
 			if seen[i].Swap(true) {
 				t.Errorf("job %d ran twice", i)
@@ -31,7 +31,7 @@ func TestRunParallelExecutesAllJobs(t *testing.T) {
 func TestRunParallelPropagatesError(t *testing.T) {
 	t.Parallel()
 	sentinel := errors.New("boom")
-	err := runParallel(20, 4, nil, func(i int) error {
+	err := runParallel(20, 4, func(i int) error {
 		if i == 13 {
 			return sentinel
 		}
@@ -44,7 +44,7 @@ func TestRunParallelPropagatesError(t *testing.T) {
 
 func TestRunParallelZeroJobs(t *testing.T) {
 	t.Parallel()
-	if err := runParallel(0, 4, nil, func(int) error { return errors.New("never") }); err != nil {
+	if err := runParallel(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestRunParallelFailsFast(t *testing.T) {
 	t.Parallel()
 	sentinel := errors.New("boom")
 	var started atomic.Int64
-	err := runParallel(100000, 2, nil, func(i int) error {
+	err := runParallel(100000, 2, func(i int) error {
 		started.Add(1)
 		return sentinel
 	})
@@ -73,7 +73,7 @@ func TestRunParallelFailsFast(t *testing.T) {
 func TestRunParallelSequentialStopsEarly(t *testing.T) {
 	t.Parallel()
 	ran := 0
-	err := runParallel(10, 1, nil, func(i int) error {
+	err := runParallel(10, 1, func(i int) error {
 		ran++
 		if i == 2 {
 			return errors.New("stop")

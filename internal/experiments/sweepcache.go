@@ -3,16 +3,12 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/storage"
@@ -29,26 +25,17 @@ import (
 // four online rf=3 cells and Figure10 the Random, Static and Heuristic
 // cells of every rf, its z=1 row, so each simulates only what no earlier
 // call did. Figure11 simulates cells of its own, but on the entry's request
-// stream and rf=3 placement.
-// An optional on-disk tier (SetDir) persists complete sweeps across
-// processes for cmd/figures; entries are keyed by the same canonical hash,
-// so any input change simply misses and old files become unreachable.
-// Corrupt or mismatched disk entries are ignored and recomputed.
+// stream and rf=3 placement. The cache lives only as long as the process,
+// so a code change can never be answered with an earlier build's runs.
 //
-// Two kinds of callers bypass the cache by construction: Scale.Doctor runs
-// (runtime verification must observe a live event stream, so a memoized
-// result would defeat the monitors) and, trivially, any key never seen.
-// Telemetry (Scale.Monitor) is excluded from the key — it never influences
-// results — and a lookup reports the cells it did not simulate to the
-// monitor as instantly completed.
+// Scale.Doctor runs bypass the cache: runtime verification must observe a
+// live event stream, so a memoized result would defeat the monitors.
 type SweepCache struct {
 	mu      sync.Mutex
 	entries map[string]*sweepEntry
 	layouts map[layoutKey]zipf1Placements
-	dir     string
 
 	hits     atomic.Uint64 // lookups served from memory
-	diskHits atomic.Uint64 // lookups served from the on-disk tier
 	misses   atomic.Uint64 // lookups that simulated at least one cell
 	bypasses atomic.Uint64 // doctored lookups served fresh, uncached
 }
@@ -57,8 +44,6 @@ type SweepCache struct {
 // ReplicationSweep.Runs lists them, and the inputs its cells share, each
 // built once on first use.
 type sweepEntry struct {
-	probe sync.Once // the disk-tier read, made by the entry's first lookup
-
 	mu    sync.Mutex
 	cells []*cellSlot // nil until a lookup claims the cell
 
@@ -106,7 +91,7 @@ type layoutKey struct {
 	seed                int64
 }
 
-// NewSweepCache returns an empty cache with no on-disk tier.
+// NewSweepCache returns an empty cache.
 func NewSweepCache() *SweepCache {
 	return &SweepCache{
 		entries: make(map[string]*sweepEntry),
@@ -114,7 +99,7 @@ func NewSweepCache() *SweepCache {
 	}
 }
 
-// defaultSweepCache is the process-wide tier shared by SweepReplication and
+// defaultSweepCache is the process-wide cache shared by SweepReplication and
 // every figure function.
 var defaultSweepCache = NewSweepCache()
 
@@ -122,25 +107,10 @@ var defaultSweepCache = NewSweepCache()
 // SweepReplication.
 func DefaultSweepCache() *SweepCache { return defaultSweepCache }
 
-// SetDir enables the on-disk tier rooted at dir (created if missing); an
-// empty dir disables it. Call before the first Sweep.
-func (c *SweepCache) SetDir(dir string) error {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	c.mu.Lock()
-	c.dir = dir
-	c.mu.Unlock()
-	return nil
-}
-
 // CacheStats is a point-in-time snapshot of the lookup counters. A lookup
 // is one Sweep, Figure9, Figure10 or Figure12 call.
 type CacheStats struct {
 	Hits     uint64 // served from memory
-	DiskHits uint64 // served from the on-disk tier
 	Misses   uint64 // simulated at least one cell
 	Bypasses uint64 // doctored, served fresh and uncached
 }
@@ -149,27 +119,18 @@ type CacheStats struct {
 func (c *SweepCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:     c.hits.Load(),
-		DiskHits: c.diskHits.Load(),
 		Misses:   c.misses.Load(),
 		Bypasses: c.bypasses.Load(),
 	}
 }
 
-// String renders the counters ("hits=3 disk_hits=0 misses=1 bypasses=0").
-func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d disk_hits=%d misses=%d bypasses=%d",
-		s.Hits, s.DiskHits, s.Misses, s.Bypasses)
-}
-
 // sweepKey computes the canonical content hash of everything a replication
 // sweep's results depend on: every Scale value field, the trace, the sweep
 // axes (replication factors, algorithm set), the cost function and the
-// storage system configuration. Monitor (telemetry) and Doctor
-// (verification) never influence results and are excluded — doctored runs
-// bypass the cache entirely.
+// storage system configuration. Doctor (verification) never influences
+// results and is excluded — doctored runs bypass the cache entirely.
 func sweepKey(s Scale, tr Trace, cost sched.CostConfig) string {
 	ks := s
-	ks.Monitor = nil // pointer: nondeterministic and result-neutral
 	ks.Doctor = false
 	ks.FlightDir = "" // recorder is an observer, never a participant
 	ks.Shards = 0     // deprecated no-op: shard counts share entries
@@ -194,7 +155,7 @@ func (c *SweepCache) Sweep(s Scale, tr Trace) (*ReplicationSweep, error) {
 	for i := range all {
 		all[i] = i
 	}
-	_, runs, err := c.lookup(s, tr, "replication", all)
+	_, runs, err := c.lookup(s, tr, all)
 	if err != nil {
 		return nil, err
 	}
@@ -202,65 +163,46 @@ func (c *SweepCache) Sweep(s Scale, tr Trace) (*ReplicationSweep, error) {
 }
 
 // lookup returns the runs of the grid cells want (see gridCells), in want's
-// order, and the entry holding them, whose inputs callers may reuse. A
-// lookup that wants the whole grid, in grid order, and simulated any of it
-// persists the sweep to the disk tier. name labels the lookup's telemetry.
-func (c *SweepCache) lookup(s Scale, tr Trace, name string, want []int) (*sweepEntry, []Run, error) {
+// order, and the entry holding them, whose inputs callers may reuse.
+func (c *SweepCache) lookup(s Scale, tr Trace, want []int) (*sweepEntry, []Run, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tk := s.Monitor.Track(name+":"+tr.String(), len(want))
-	defer tk.Finish()
-	e, key, dir := c.entry(s, tr)
-	if s.Doctor {
-		c.count(s, &c.bypasses, "bypass")
-		runs, _, err := e.runs(s, want, tk)
-		return e, runs, err
-	}
-	loaded := false
-	e.probe.Do(func() {
-		var runs []Run
-		if runs, loaded = loadSweepFile(dir, key); loaded {
-			e.fill(runs)
-		}
-	})
-	runs, simulated, err := e.runs(s, want, tk)
+	e := c.entry(s, tr)
+	runs, simulated, err := e.runs(s, want)
 	switch {
+	case s.Doctor:
+		c.bypasses.Add(1)
 	case simulated:
-		c.count(s, &c.misses, "miss")
-	case err != nil: // a cell another call claimed failed; counted there
-	case loaded:
-		c.count(s, &c.diskHits, "disk_hit")
-	default:
-		c.count(s, &c.hits, "hit")
+		c.misses.Add(1)
+	case err == nil: // else a cell another call claimed failed; counted there
+		c.hits.Add(1)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if simulated && len(want) == len(e.cells) {
-		writeSweepFile(dir, key, tr, runs)
-	}
 	return e, runs, nil
 }
 
-// entry returns (s, tr)'s entry, created empty on first use, with its key
-// and the disk tier's directory. A doctored scale gets a fresh entry that
-// no other call shares; only its placements are the cache's.
-func (c *SweepCache) entry(s Scale, tr Trace) (e *sweepEntry, key, dir string) {
+// entry returns (s, tr)'s entry, created empty on first use. A doctored
+// scale gets a fresh entry that no other call shares; only its placements
+// are the cache's.
+func (c *SweepCache) entry(s Scale, tr Trace) *sweepEntry {
+	var key string
 	if !s.Doctor {
 		key = sweepKey(s, tr, sched.DefaultCost(storage.DefaultConfig().Power))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s.Doctor {
-		return c.newEntry(s, tr), "", ""
+		return c.newEntry(s, tr)
 	}
 	e, ok := c.entries[key]
 	if !ok {
 		e = c.newEntry(s, tr)
 		c.entries[key] = e
 	}
-	return e, key, c.dir
+	return e
 }
 
 // runs returns the runs of the cells want, in want's order, and whether
@@ -269,15 +211,13 @@ func (c *SweepCache) entry(s Scale, tr Trace) (e *sweepEntry, key, dir string) {
 // cells, whose solve dominates a sweep, by descending replication factor,
 // then the rest), so the largest cell does not run alone at the end; then
 // it waits for the cells other lookups claimed.
-func (e *sweepEntry) runs(s Scale, want []int, tk *SweepTracker) ([]Run, bool, error) {
+func (e *sweepEntry) runs(s Scale, want []int) ([]Run, bool, error) {
 	slots := make([]*cellSlot, len(want))
-	own := make([]bool, len(want))
 	var mine []int // positions in want that this call claimed
 	e.mu.Lock()
 	for p, i := range want {
 		if e.cells[i] == nil {
 			e.cells[i] = &cellSlot{done: make(chan struct{})}
-			own[p] = true
 			mine = append(mine, p)
 		}
 		slots[p] = e.cells[i]
@@ -285,12 +225,10 @@ func (e *sweepEntry) runs(s Scale, want []int, tk *SweepTracker) ([]Run, bool, e
 	e.mu.Unlock()
 
 	slices.SortStableFunc(mine, func(a, b int) int { return mwisRank(want[b]) - mwisRank(want[a]) })
-	err := runParallel(len(mine), s.Parallelism, nil, func(j int) error {
+	err := runParallel(len(mine), s.Parallelism, func(j int) error {
 		p := mine[j]
-		tk.cellStart(p)
 		sl := slots[p]
 		sl.run, sl.err = e.simulate(s, want[p])
-		tk.cellEnd(p, sl.err)
 		close(sl.done)
 		return sl.err
 	})
@@ -315,10 +253,6 @@ func (e *sweepEntry) runs(s Scale, want []int, tk *SweepTracker) ([]Run, bool, e
 			return nil, claimed, sl.err
 		}
 		out[p] = sl.run
-		if !own[p] {
-			tk.cellStart(p)
-			tk.cellEnd(p, nil)
-		}
 	}
 	return out, claimed, nil
 }
@@ -351,16 +285,6 @@ func (e *sweepEntry) simulate(s Scale, i int) (Run, error) {
 	return run, nil
 }
 
-// fill stores a loaded sweep's runs, in grid order, as completed cells. It
-// runs inside the entry's probe, before any lookup claims a cell.
-func (e *sweepEntry) fill(runs []Run) {
-	done := make(chan struct{})
-	close(done)
-	for i, r := range runs {
-		e.cells[i] = &cellSlot{done: done, run: r}
-	}
-}
-
 // gridCells returns the grid indices of the given algorithms' cells at
 // replication factor rf.
 func gridCells(rf int, algos ...string) []int {
@@ -381,97 +305,4 @@ func gridRuns(runs []Run) map[int][]Run {
 		m[rf] = runs[k*n : (k+1)*n : (k+1)*n]
 	}
 	return m
-}
-
-// count records a lookup outcome in its counter and publishes it to the
-// scale's telemetry collector (if any), so live /metrics scrapes see
-// hit/miss rates.
-func (c *SweepCache) count(s Scale, n *atomic.Uint64, outcome string) {
-	n.Add(1)
-	if s.Monitor == nil {
-		return
-	}
-	s.Monitor.col.Counter("esched_sweepcache_lookups_total",
-		"Sweep-cache lookups by outcome.",
-		obs.Label{Key: "outcome", Value: outcome}).Inc()
-}
-
-// diskSweep is the on-disk entry format. Version and Key double-check the
-// filename so a renamed or truncated file is treated as corrupt, not
-// trusted.
-type diskSweep struct {
-	Version int
-	Key     string
-	Trace   Trace
-	RFs     []int
-	Runs    map[int][]Run
-}
-
-const diskSweepVersion = 1
-
-func sweepPath(dir, key string) string {
-	return filepath.Join(dir, "sweep-"+key+".json")
-}
-
-// loadSweepFile reads one on-disk entry and returns its runs in grid
-// order; any error (missing, corrupt JSON, version or key mismatch, a grid
-// it does not cover) reports a miss so the sweep is recomputed and the
-// entry rewritten.
-func loadSweepFile(dir, key string) ([]Run, bool) {
-	if dir == "" {
-		return nil, false
-	}
-	raw, err := os.ReadFile(sweepPath(dir, key))
-	if err != nil {
-		return nil, false
-	}
-	var d diskSweep
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, false
-	}
-	if d.Version != diskSweepVersion || d.Key != key {
-		return nil, false
-	}
-	var runs []Run
-	for _, rf := range ReplicationFactors() {
-		if len(d.Runs[rf]) != len(Algorithms()) {
-			return nil, false
-		}
-		runs = append(runs, d.Runs[rf]...)
-	}
-	return runs, true
-}
-
-// writeSweepFile persists a whole grid's runs, atomically via rename so a
-// crashed or concurrent writer never leaves a half-written file to be
-// misread (a corrupt file would only cost a recompute anyway). Errors are
-// deliberately dropped: the disk tier is an optimization, never a
-// correctness dependency.
-func writeSweepFile(dir, key string, tr Trace, runs []Run) {
-	if dir == "" {
-		return
-	}
-	raw, err := json.Marshal(diskSweep{
-		Version: diskSweepVersion,
-		Key:     key,
-		Trace:   tr,
-		RFs:     ReplicationFactors(),
-		Runs:    gridRuns(runs),
-	})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, "sweep-*.tmp")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(raw)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), sweepPath(dir, key)); err != nil {
-		os.Remove(tmp.Name())
-	}
 }

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
@@ -42,28 +41,6 @@ func (r *ResponseTimes) Grow(n int) {
 
 // Count returns the number of samples.
 func (r *ResponseTimes) Count() int { return len(r.samples) }
-
-// Append concatenates another accumulator's samples (in their insertion
-// order) onto r. Sharded runs use it to combine per-shard sample sets when
-// no canonical global order is being maintained.
-func (r *ResponseTimes) Append(o *ResponseTimes) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	r.samples = append(r.samples, o.samples...)
-}
-
-// MarshalJSON encodes the samples (in insertion order, nanoseconds) so
-// cached results round-trip bit-exactly.
-func (r ResponseTimes) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.samples)
-}
-
-// UnmarshalJSON restores samples written by MarshalJSON.
-func (r *ResponseTimes) UnmarshalJSON(b []byte) error {
-	r.samples = nil
-	return json.Unmarshal(b, &r.samples)
-}
 
 // Mean returns the average sample, or zero when empty.
 func (r *ResponseTimes) Mean() time.Duration {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,5 +243,30 @@ func TestMomentsMatchesTwoPass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResponseTimesQueriesAreReadOnly pins that no query writes to the
+// samples: an unordered value with repeats, a larger unordered value and
+// an empty one answer Percentile and CCDF with their samples left
+// unchanged, so cached results can be shared across goroutines.
+func TestResponseTimesQueriesAreReadOnly(t *testing.T) {
+	var repeats, added, empty ResponseTimes
+	for _, d := range []time.Duration{5, 2, 9, 2, 1, 7, 3, 3, 8, 0, 4, 6, 2, 5, 9, 1, 7, 3, 6, 4} {
+		repeats.Add(d)
+	}
+	for i := 0; i < 500; i++ {
+		added.Add(time.Duration((i * 7919) % 97))
+	}
+	thresholds := []time.Duration{0, 2, 5, 50}
+	for name, r := range map[string]*ResponseTimes{"added": &added, "repeats": &repeats, "empty": &empty} {
+		before := slices.Clone(r.samples)
+		_ = r.CCDF(thresholds)
+		for _, p := range []float64{1, 50, 90, 99, 100} {
+			_ = r.Percentile(p)
+		}
+		if !slices.Equal(before, r.samples) {
+			t.Errorf("%s: queries rewrote the samples:\n%v\n%v", name, before, r.samples)
+		}
 	}
 }
