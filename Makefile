@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race-hot ci bench bench-test bench-all replay-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary examples cover clean
+.PHONY: all build test vet check race-hot ci bench bench-test bench-all replay-gate serve-gate carbon-gate flight-gate doc-check fuzz figures figures-full summary cover clean
 
 all: build vet test
 
@@ -159,15 +159,6 @@ figures-full:
 # byte-identical.
 summary:
 	$(GO) run ./cmd/figures -scale full -ext -fig none -summary results/summary.md
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/offline-optimal
-	$(GO) run ./examples/tradeoff
-	$(GO) run ./examples/realtrace
-	$(GO) run ./examples/fullstack
-	$(GO) run ./examples/failures
-	$(GO) run ./examples/datacenter
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

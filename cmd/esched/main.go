@@ -181,7 +181,13 @@ func run() error {
 	return obsSet.Close(runErr)
 }
 
+// loadRequests reads the trace file, or generates the synthetic workload
+// when there is none. n caps a trace's reads (0 = all) and sizes a
+// synthetic stream; blocks sizes the synthetic block population.
 func loadRequests(traceFile, format, workload string, n, blocks int, seed int64) ([]repro.Request, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("-requests must not be negative, got %d", n)
+	}
 	if traceFile != "" {
 		f, err := os.Open(traceFile)
 		if err != nil {
@@ -208,6 +214,9 @@ func loadRequests(traceFile, format, workload string, n, blocks int, seed int64)
 		}
 		reqs, _, err := repro.LoadTrace(r, tf, n)
 		return reqs, err
+	}
+	if blocks <= 0 {
+		return nil, fmt.Errorf("-blocks must be positive, got %d", blocks)
 	}
 	switch workload {
 	case "cello":

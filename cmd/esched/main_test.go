@@ -22,6 +22,21 @@ func TestLoadRequestsSynthetic(t *testing.T) {
 	if _, err := loadRequests("", "spc", "nope", 10, 5, 1); err == nil {
 		t.Error("accepted unknown workload")
 	}
+	// Sizes the generators would panic on are errors.
+	for _, c := range []struct {
+		workload    string
+		n, blocks   int
+		wantMessage string
+	}{
+		{"cello", 10, 0, "-blocks must be positive, got 0"},
+		{"financial", 10, -3, "-blocks must be positive, got -3"},
+		{"cello", -5, 50, "-requests must not be negative, got -5"},
+	} {
+		_, err := loadRequests("", "spc", c.workload, c.n, c.blocks, 1)
+		if err == nil || err.Error() != c.wantMessage {
+			t.Errorf("%s n=%d blocks=%d: err %v, want %q", c.workload, c.n, c.blocks, err, c.wantMessage)
+		}
+	}
 }
 
 func TestLoadRequestsFromFileAndGzip(t *testing.T) {
@@ -59,6 +74,9 @@ func TestLoadRequestsFromFileAndGzip(t *testing.T) {
 		t.Fatalf("gzip: %d reqs, err %v", len(got), err)
 	}
 
+	if _, err := loadRequests(plain, "spc", "", -5, 0, 0); err == nil {
+		t.Error("accepted a negative request cap")
+	}
 	if _, err := loadRequests(plain, "nope", "", 0, 0, 0); err == nil {
 		t.Error("accepted unknown format")
 	}

@@ -1,7 +1,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro"
@@ -56,7 +58,7 @@ func ExampleEvaluateSchedule() {
 }
 
 // Running the full event-driven simulator with the energy-aware online
-// scheduler.
+// scheduler. This is the README's quick start.
 func ExampleRunOnline() {
 	plc, err := repro.GeneratePlacement(repro.PlacementConfig{
 		NumDisks: 12, NumBlocks: 500, ReplicationFactor: 3, ZipfExponent: 1, Seed: 1,
@@ -65,7 +67,7 @@ func ExampleRunOnline() {
 		panic(err)
 	}
 	reqs := repro.CelloLike(1000, 500, 1)
-	cfg := repro.DefaultSystemConfig()
+	cfg := repro.DefaultSystemConfig() // Cheetah mechanics, 2CPM
 	cfg.NumDisks = 12
 	res, err := repro.RunOnline(cfg, plc.Locations,
 		repro.NewHeuristicScheduler(plc.Locations, repro.DefaultCost(cfg.Power)), reqs)
@@ -96,4 +98,65 @@ func ExampleCompetitiveRatio() {
 	ratio := repro.CompetitiveRatio(cfg, gaps, repro.FixedGapPolicy(tau))
 	fmt.Printf("worst-case ratio <= 2: %v\n", ratio <= 2)
 	// Output: worst-case ratio <= 2: true
+}
+
+// smallSystem is ExampleRunOnline's 12-disk system and 1,000-request
+// Cello-like stream.
+func smallSystem() (*repro.Placement, repro.SystemConfig, []repro.Request) {
+	plc, err := repro.GeneratePlacement(repro.PlacementConfig{
+		NumDisks: 12, NumBlocks: 500, ReplicationFactor: 3, ZipfExponent: 1, Seed: 1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	cfg := repro.DefaultSystemConfig()
+	cfg.NumDisks = 12
+	return plc, cfg, repro.CelloLike(1000, 500, 1)
+}
+
+// Tracing a run: the tracer records the request lifecycle, the traced
+// scheduler adds one decision event per placement, and the collector
+// exports the run's metric catalog in the Prometheus text format. The
+// default ring holds 65,536 events, enough for this run's whole log.
+func ExampleNewTracer() {
+	plc, cfg, reqs := smallSystem()
+	tr := repro.NewTracer(0) // flight recorder, default ring
+	c := repro.NewCollector()
+	_, err := repro.RunOnline(cfg, plc.Locations,
+		repro.NewTracedHeuristicScheduler(plc.Locations, repro.DefaultCost(cfg.Power), tr), // decision events
+		reqs, repro.WithTracer(tr), repro.WithCollector(c))
+	if err != nil {
+		panic(err)
+	}
+	var log, metrics bytes.Buffer
+	if err := tr.WriteJSONL(&log); err != nil { // drain the ring
+		panic(err)
+	}
+	if _, err := c.WriteTo(&metrics); err != nil { // Prometheus text snapshot
+		panic(err)
+	}
+	fmt.Println("decision events:", strings.Count(log.String(), `"kind":"decision"`))
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if strings.HasPrefix(line, "esched_scheduler_decisions_total ") {
+			fmt.Println(line)
+		}
+	}
+	// Output:
+	// decision events: 1000
+	// esched_scheduler_decisions_total 1000
+}
+
+// Checking a live run against the runtime invariants: power-state
+// legality, bit-exact energy conservation, request conservation, replica
+// validity, 2CPM threshold compliance and latency sanity.
+func ExampleNewDoctor() {
+	plc, cfg, reqs := smallSystem()
+	suite := repro.NewDoctor(repro.DoctorConfig{Power: cfg.Power, Mech: cfg.Mech,
+		Policy: cfg.Policy, Locations: plc.Locations})
+	s := repro.NewHeuristicScheduler(plc.Locations, repro.DefaultCost(cfg.Power))
+	if _, err := repro.RunOnline(cfg, plc.Locations, s, reqs, repro.WithDoctor(suite)); err != nil {
+		panic(err)
+	}
+	fmt.Printf("doctor passed: %v, violations: %d\n", suite.Passed(), len(suite.Violations()))
+	// Output: doctor passed: true, violations: 0
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/diskmodel"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/storage"
@@ -267,5 +269,46 @@ func TestOffloadingSavesEnergyOnMixedWorkload(t *testing.T) {
 	}
 	if st.Writes != 0 && st.HomeWrites+st.Offloaded+st.ForcedWakes != st.Writes {
 		t.Errorf("write accounting inconsistent: %+v", st)
+	}
+}
+
+// The three layers in front of the disks compose in one run: writes go
+// through the off-load manager, reads through the power-aware cache and
+// then the heuristic over the manager's live locations, and each disk
+// serves its queue shortest-seek-first.
+func TestOffloadComposesWithCacheAndSSTF(t *testing.T) {
+	t.Parallel()
+	plc, err := placement.Generate(placement.GenerateConfig{
+		NumDisks: 16, NumBlocks: 1000, ReplicationFactor: 3, ZipfExponent: 1, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := WithWrites(workload.CelloLike(2500, 1000, 7), 0.3, 7)
+	cfg := storage.DefaultConfig()
+	cfg.NumDisks = 16
+	cfg.Discipline = diskmodel.SSTF
+
+	m, err := NewManager(plc.Locations, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cache.New(100, cache.PowerAware, m.Locations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Scheduler{Manager: m, Reads: sched.Heuristic{Locations: m.Locations, Cost: sched.DefaultCost(cfg.Power)}}
+	res, err := storage.RunOnline(cfg, m.Locations, s, reqs, storage.WithCache(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != 2500 {
+		t.Errorf("served %d", res.Served)
+	}
+	if m.Stats().Writes == 0 {
+		t.Error("no writes routed")
+	}
+	if c.Stats().Hits == 0 {
+		t.Error("no cache hits")
 	}
 }

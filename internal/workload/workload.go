@@ -188,7 +188,9 @@ func blockLBA(b core.BlockID) int64 {
 
 // CelloLike generates a bursty stream with the Cello trace's scale: by
 // default 70,000 requests over 30,000+ blocks (Section 4.1) arriving in
-// bursts separated by heavy-tailed quiet periods.
+// bursts separated by heavy-tailed quiet periods. It panics when
+// numRequests < 0, or when numBlocks <= 0 and numRequests > 0; callers
+// taking the sizes from flags check them first.
 func CelloLike(numRequests, numBlocks int, seed int64) []core.Request {
 	reqs, err := Generate(Config{
 		NumRequests:    numRequests,
@@ -203,13 +205,14 @@ func CelloLike(numRequests, numBlocks int, seed int64) []core.Request {
 		Seed: seed,
 	})
 	if err != nil {
-		panic(err) // static config: unreachable
+		panic(err) // only the sizes can be invalid
 	}
 	return reqs
 }
 
 // FinancialLike generates a smoother OLTP-style stream with the Financial1
-// trace's scale: Poisson arrivals with moderate popularity skew.
+// trace's scale: Poisson arrivals with moderate popularity skew. It panics
+// on the sizes CelloLike panics on.
 func FinancialLike(numRequests, numBlocks int, seed int64) []core.Request {
 	reqs, err := Generate(Config{
 		NumRequests:    numRequests,
@@ -219,7 +222,7 @@ func FinancialLike(numRequests, numBlocks int, seed int64) []core.Request {
 		Seed:           seed,
 	})
 	if err != nil {
-		panic(err) // static config: unreachable
+		panic(err) // only the sizes can be invalid
 	}
 	return reqs
 }

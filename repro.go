@@ -15,19 +15,25 @@
 //     states, 2CPM) replacing the paper's OMNeT++/DiskSim setup;
 //   - synthetic Cello-like and Financial1-like workload generators plus
 //     SPC and SRT-text trace parsers for real traces;
-//   - an experiment harness regenerating every figure of the paper's
-//     evaluation (see internal/experiments and cmd/figures).
+//   - runtime observability: event tracing, metrics export and the
+//     invariant doctor.
 //
-// Quick start:
+// The harness regenerating every figure of the paper's evaluation is
+// cmd/figures (internal/experiments); this package does not expose it.
+//
+// Quick start (ExampleRunOnline in example_test.go runs it, with the
+// errors checked):
 //
 //	plc, _ := repro.GeneratePlacement(repro.PlacementConfig{
-//		NumDisks: 180, NumBlocks: 30000, ReplicationFactor: 3, ZipfExponent: 1,
+//		NumDisks: 12, NumBlocks: 500, ReplicationFactor: 3, ZipfExponent: 1, Seed: 1,
 //	})
-//	reqs := repro.CelloLike(70000, 30000, 1)
+//	reqs := repro.CelloLike(1000, 500, 1)
 //	cfg := repro.DefaultSystemConfig()
+//	cfg.NumDisks = 12
 //	res, _ := repro.RunOnline(cfg, plc.Locations,
 //		repro.NewHeuristicScheduler(plc.Locations, repro.DefaultCost(cfg.Power)), reqs)
-//	fmt.Printf("energy vs always-on: %.2f\n", res.NormalizedEnergy())
+//	fmt.Printf("served %d requests, energy below always-on: %v\n",
+//		res.Served, res.NormalizedEnergy() < 1)
 package repro
 
 import (
@@ -36,7 +42,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
+	"repro/internal/dpm"
 	"repro/internal/offline"
 	"repro/internal/placement"
 	"repro/internal/power"
@@ -56,20 +62,13 @@ type (
 	BlockID = core.BlockID
 	// DiskID identifies a disk d_k.
 	DiskID = core.DiskID
-	// DiskState is a disk power state.
-	DiskState = core.DiskState
 	// Schedule maps every request to its serving disk.
 	Schedule = core.Schedule
 )
 
-// Disk power states.
-const (
-	StateStandby  = core.StateStandby
-	StateSpinUp   = core.StateSpinUp
-	StateIdle     = core.StateIdle
-	StateActive   = core.StateActive
-	StateSpinDown = core.StateSpinDown
-)
+// StateIdle is the spinning, idle disk power state: the initial state of
+// an always-on run.
+const StateIdle = core.StateIdle
 
 // Power management.
 type (
@@ -115,13 +114,14 @@ func NewPlacement(numDisks int, locs [][]DiskID) (*Placement, error) {
 // Workloads.
 
 // CelloLike generates a bursty request stream with the HP Cello trace's
-// characteristics (Section 4.1).
+// characteristics (Section 4.1). It panics when numRequests < 0, or when
+// numBlocks <= 0 and numRequests > 0.
 func CelloLike(numRequests, numBlocks int, seed int64) []Request {
 	return workload.CelloLike(numRequests, numBlocks, seed)
 }
 
 // FinancialLike generates a smoother OLTP stream with the Financial1
-// trace's characteristics.
+// trace's characteristics. It panics on the sizes CelloLike panics on.
 func FinancialLike(numRequests, numBlocks int, seed int64) []Request {
 	return workload.FinancialLike(numRequests, numBlocks, seed)
 }
@@ -216,10 +216,11 @@ func NewWSCScheduler(loc Locator, cost CostConfig) BatchScheduler {
 	return sched.WSC{Locations: loc, Cost: cost}
 }
 
-// NewPrecomputedScheduler wraps a complete schedule (e.g. from
-// SolveOffline) as an online scheduler.
-func NewPrecomputedScheduler(label string, s Schedule) OnlineScheduler {
-	return sched.Precomputed{Label: label, Assignments: s}
+// NewPredictiveScheduler returns the Section 3.3 extension: the composite
+// cost discounted by each disk's decayed access frequency. gamma in [0,1)
+// scales the discount; halfLife controls how fast history fades.
+func NewPredictiveScheduler(loc Locator, cost CostConfig, gamma float64, halfLife time.Duration) (OnlineScheduler, error) {
+	return sched.NewPredictive(loc, cost, gamma, halfLife)
 }
 
 // Offline scheduling (Section 3.1).
@@ -259,7 +260,7 @@ type (
 func DefaultSystemConfig() SystemConfig { return storage.DefaultConfig() }
 
 // RunOnline simulates the online scheduling model over a request stream.
-// Options (e.g. WithCache) add layers in front of the scheduler.
+// Options (e.g. WithTracer) attach observers to the run.
 func RunOnline(cfg SystemConfig, loc Locator, s OnlineScheduler, reqs []Request, opts ...RunOption) (*Result, error) {
 	return storage.RunOnline(cfg, loc, s, reqs, opts...)
 }
@@ -269,31 +270,28 @@ func RunBatch(cfg SystemConfig, loc Locator, s BatchScheduler, reqs []Request, i
 	return storage.RunBatch(cfg, loc, s, reqs, interval, opts...)
 }
 
-// Experiments (the paper's evaluation).
-type (
-	// ExperimentScale sizes an experiment run.
-	ExperimentScale = experiments.Scale
-	// ExperimentTrace selects the evaluation workload.
-	ExperimentTrace = experiments.Trace
-	// ReplicationSweep holds the shared Figures 6-8/13-16 measurements.
-	ReplicationSweep = experiments.ReplicationSweep
-	// FigureTable is a rendered experiment result.
-	FigureTable = experiments.Table
-)
+// RunOption configures RunOnline/RunBatch.
+type RunOption = storage.RunOption
 
-// Evaluation workloads.
-const (
-	TraceCello     = experiments.Cello
-	TraceFinancial = experiments.Financial
-)
+// WithStateLog streams every disk power-state transition to w as CSV
+// ("seconds,disk,from,to").
+func WithStateLog(w io.Writer) RunOption { return storage.WithStateLog(w) }
 
-// FullScale reproduces the paper's experimental scale (180 disks, 70,000
-// requests); SmallScale keeps the trends at a fraction of the runtime.
-func FullScale() ExperimentScale  { return experiments.FullScale() }
-func SmallScale() ExperimentScale { return experiments.SmallScale() }
+// Single-disk power-management analysis.
 
-// SweepReplication runs the replication-factor sweep behind Figures 6-8
-// and 13-16.
-func SweepReplication(s ExperimentScale, tr ExperimentTrace) (*ReplicationSweep, error) {
-	return experiments.SweepReplication(s, tr)
+// GapPolicy is a single-disk spin-down policy over idle gaps.
+type GapPolicy = dpm.GapPolicy
+
+// FixedGapPolicy returns the fixed-threshold policy (2CPM when tau is
+// OptimalGapThreshold).
+func FixedGapPolicy(tau time.Duration) GapPolicy { return dpm.Fixed{Tau: tau} }
+
+// OptimalGapThreshold returns tau* = E_up/down / (P_I - P_s), the
+// 2-competitive threshold.
+func OptimalGapThreshold(cfg PowerConfig) time.Duration { return dpm.OptimalThreshold(cfg) }
+
+// CompetitiveRatio returns policy cost over oracle cost for a gap
+// sequence.
+func CompetitiveRatio(cfg PowerConfig, gaps []time.Duration, p GapPolicy) float64 {
+	return dpm.CompetitiveRatio(cfg, gaps, p)
 }

@@ -80,27 +80,6 @@ func TestFacadeOfflinePipeline(t *testing.T) {
 	if st.Energy <= 0 || st.DisksUsed == 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	// Replaying through the simulator matches the analytic model within
-	// the gap between prescient and reactive spin-ups plus standby draw.
-	sys := DefaultSystemConfig()
-	sys.NumDisks = 16
-	replay, err := RunOnline(sys, plc.Locations,
-		NewPrecomputedScheduler("mwis", schedule), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Served != len(reqs) {
-		t.Errorf("replay served %d", replay.Served)
-	}
-	// The analytic model trades energy for zero spin-up latency (it idles
-	// through sub-window gaps where the reactive simulator sleeps), and it
-	// omits standby draw; the two can differ either way but must agree on
-	// the regime.
-	ratio := st.Energy / replay.Energy
-	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("analytic %.0f J vs simulated %.0f J: ratio %.2f outside [0.5, 2]",
-			st.Energy, replay.Energy, ratio)
-	}
 }
 
 func TestFacadeEvaluateScheduleWorkedExample(t *testing.T) {
@@ -154,39 +133,6 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeExtensionsCompose(t *testing.T) {
-	t.Parallel()
-	plc := examplePlacement(t)
-	reqs := WithWrites(CelloLike(2500, 1000, 7), 0.3, 7)
-	cfg := DefaultSystemConfig()
-	cfg.NumDisks = 16
-	cfg.Discipline = QueueSSTF
-
-	m, err := NewOffloadManager(plc.Locations, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCache(100, CachePowerAware, m.Locations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunOnline(cfg, m.Locations,
-		NewOffloadScheduler(m, NewHeuristicScheduler(m.Locations, DefaultCost(cfg.Power))),
-		reqs, WithCache(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Served != 2500 {
-		t.Errorf("served %d", res.Served)
-	}
-	if m.Stats().Writes == 0 {
-		t.Error("no writes routed")
-	}
-	if c.Stats().Hits == 0 {
-		t.Error("no cache hits")
-	}
-}
-
 func TestFacadePredictiveScheduler(t *testing.T) {
 	t.Parallel()
 	plc := examplePlacement(t)
@@ -206,58 +152,10 @@ func TestFacadePredictiveScheduler(t *testing.T) {
 	}
 }
 
-func TestFacadeDPMHelpers(t *testing.T) {
-	t.Parallel()
-	cfg := DefaultPowerConfig()
-	tau := OptimalGapThreshold(cfg)
-	if tau <= 0 {
-		t.Fatalf("tau = %v", tau)
-	}
-	gaps := []time.Duration{time.Second, 10 * time.Minute, tau}
-	policy := FixedGapPolicy(tau)
-	alg := GapPolicyCost(cfg, gaps, policy)
-	opt := GapOracleCost(cfg, gaps)
-	if alg < opt {
-		t.Error("policy beat the oracle")
-	}
-	if r := CompetitiveRatio(cfg, gaps, policy); r > 2 {
-		t.Errorf("competitive ratio %v > 2", r)
-	}
-}
-
-func TestFacadeRackAware(t *testing.T) {
-	t.Parallel()
-	plc, err := GenerateRackAwarePlacement(RackPlacementConfig{
-		NumDisks: 12, NumRacks: 3, NumBlocks: 100, ReplicationFactor: 3, ZipfExponent: 1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 100; b++ {
-		ls := plc.Locations(BlockID(b))
-		if RackOf(ls[0], 12, 3) != RackOf(ls[1], 12, 3) {
-			t.Fatal("second replica not in the original rack")
-		}
-	}
-}
-
 func TestFacadeWorkloadStats(t *testing.T) {
 	t.Parallel()
 	ws := AnalyzeWorkload(CelloLike(5000, 1000, 9))
 	if ws.Count != 5000 || ws.CoV < 2 {
 		t.Errorf("stats = %+v", ws)
-	}
-}
-
-func TestFacadeExperimentScales(t *testing.T) {
-	t.Parallel()
-	if FullScale().NumDisks != 180 {
-		t.Error("full scale disks != 180")
-	}
-	if err := SmallScale().Validate(); err != nil {
-		t.Error(err)
-	}
-	if TraceCello.String() != "cello" || TraceFinancial.String() != "financial1" {
-		t.Error("trace names wrong")
 	}
 }
