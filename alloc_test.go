@@ -58,7 +58,7 @@ func TestFlightRecorderAllocs(t *testing.T) {
 	skipUnderRace(t)
 	reqs, plc, cfg := benchFixture(t, 3)
 	rec := flight.New(flight.Config{Dir: t.TempDir()})
-	run := func(reqs []Request, rec *flight.Recorder) float64 {
+	run := func(reqs []core.Request, rec *flight.Recorder) float64 {
 		return testing.AllocsPerRun(3, func() {
 			tr := obs.NewTracer(512)
 			tr.SetSink(io.Discard, true)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/diskmodel"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
@@ -19,7 +20,7 @@ import (
 // benchFixture is the 12-disk fixture the ablations, the replay benchmark
 // and the allocation pins (alloc_test.go) share: 1,500 Cello-like requests over 800
 // Zipf-placed blocks at replication factor rf.
-func benchFixture(tb testing.TB, rf int) ([]Request, *placement.Placement, storage.Config) {
+func benchFixture(tb testing.TB, rf int) ([]core.Request, *placement.Placement, storage.Config) {
 	tb.Helper()
 	const disks, blocks, requests = 12, 800, 1500
 	plc, err := placement.Generate(placement.GenerateConfig{

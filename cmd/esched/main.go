@@ -17,56 +17,75 @@
 // the printed totals are byte-identical to a `tracelens carbon` replay of
 // the -events log. On error, whatever events and metrics were collected
 // are still flushed before exiting non-zero.
+//
+// Exit codes: 0 for success or -h, 1 for a failed run (or a doctor
+// violation), 2 for a usage error.
 package main
 
 import (
 	"bufio"
 	"compress/gzip"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"time"
 
-	"repro"
+	"repro/cmd/internal/cli"
 	"repro/cmd/internal/runobs"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/obs"
+	"repro/internal/offline"
+	"repro/internal/placement"
+	"repro/internal/power"
+	"repro/internal/sched"
+	"repro/internal/storage"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "esched:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
+// run is the command's entry point; see the package comment for its exit
+// codes.
+func run(args []string, stdout, stderr io.Writer) int {
+	return cli.Exit("esched", esched(args, stdout, stderr), stderr)
+}
+
+func esched(args []string, stdout, stderr io.Writer) (err error) {
+	fs := cli.NewFlagSet("esched", stderr)
 	var (
-		disks     = flag.Int("disks", 180, "number of disks")
-		requests  = flag.Int("requests", 70000, "number of requests (synthetic workloads)")
-		blocks    = flag.Int("blocks", 30000, "number of blocks (synthetic workloads)")
-		rf        = flag.Int("rf", 3, "data replication factor")
-		zipf      = flag.Float64("z", 1, "data locality Zipf exponent (0 = uniform)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		schedName = flag.String("scheduler", "heuristic", "random | static | heuristic | wsc | mwis | always-on")
-		alpha     = flag.Float64("alpha", 0.2, "cost-function energy/performance mix")
-		beta      = flag.Float64("beta", 10, "cost-function unit scale")
-		interval  = flag.Duration("interval", 100*time.Millisecond, "batch scheduling interval (wsc)")
-		workload  = flag.String("workload", "cello", "synthetic workload: cello | financial")
-		traceFile = flag.String("trace", "", "real trace file (overrides -workload)")
-		format    = flag.String("format", "spc", "trace format: spc | cellotext")
-		compare   = flag.Bool("compare", false, "run every scheduler and print a comparison table")
-		stateLog  = flag.String("statelog", "", "write per-disk state transitions as CSV to this file")
-		events    = flag.String("events", "", "stream the structured event log to this file (JSONL; .bin = binary)")
-		metrics   = flag.String("metrics", "", `write a Prometheus text metrics snapshot at exit ("-" = stdout)`)
-		doctor    = flag.Bool("doctor", false, "run live invariant monitors over the run; non-zero exit on any violation")
-		grid      = flag.String("grid", "", "price the run's energy under this carbon grid profile: flat | diurnal | coal | profile.json")
-		costName  = flag.String("cost", "default", "cost model for -grid: default | model.json")
-		flightDir = flag.String("flight", "", "flight-recorder dump directory: ring of recent events, dumped on doctor violations (off when empty)")
+		disks     = fs.Int("disks", 180, "number of disks")
+		requests  = fs.Int("requests", 70000, "number of requests (synthetic workloads)")
+		blocks    = fs.Int("blocks", 30000, "number of blocks (synthetic workloads)")
+		rf        = fs.Int("rf", 3, "data replication factor")
+		zipf      = fs.Float64("z", 1, "data locality Zipf exponent (0 = uniform)")
+		seed      = fs.Int64("seed", 1, "random seed")
+		schedName = fs.String("scheduler", "heuristic", "random | static | heuristic | wsc | mwis | always-on")
+		alpha     = fs.Float64("alpha", 0.2, "cost-function energy/performance mix")
+		beta      = fs.Float64("beta", 10, "cost-function unit scale")
+		interval  = fs.Duration("interval", 100*time.Millisecond, "batch scheduling interval (wsc)")
+		wl        = fs.String("workload", "cello", "synthetic workload: cello | financial")
+		traceFile = fs.String("trace", "", "real trace file (overrides -workload)")
+		format    = fs.String("format", "spc", "trace format: spc | cellotext")
+		compare   = fs.Bool("compare", false, "run every scheduler and print a comparison table")
+		stateLog  = fs.String("statelog", "", "write per-disk state transitions as CSV to this file")
+		events    = fs.String("events", "", "stream the structured event log to this file (JSONL; .bin = binary)")
+		metrics   = fs.String("metrics", "", `write a Prometheus text metrics snapshot at exit ("-" = stdout)`)
+		doctor    = fs.Bool("doctor", false, "run live invariant monitors over the run; non-zero exit on any violation")
+		grid      = fs.String("grid", "", "price the run's energy under this carbon grid profile: flat | diurnal | coal | profile.json")
+		costName  = fs.String("cost", "default", "cost model for -grid: default | model.json")
+		flightDir = fs.String("flight", "", "flight-recorder dump directory: ring of recent events, dumped on doctor violations (off when empty)")
 	)
-	var prof repro.Profiles
-	prof.RegisterFlagsTraceName(flag.CommandLine, "tracefile")
-	flag.Parse()
+	var prof obs.Profiles
+	prof.RegisterFlagsTraceName(fs, "tracefile")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -74,11 +93,11 @@ func run() error {
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "esched: profiles:", err)
+			fmt.Fprintln(stderr, "esched: profiles:", err)
 		}
 	}()
 
-	reqs, err := loadRequests(*traceFile, *format, *workload, *requests, *blocks, *seed)
+	reqs, err := loadRequests(*traceFile, *format, *wl, *requests, *blocks, *seed)
 	if err != nil {
 		return err
 	}
@@ -86,39 +105,42 @@ func run() error {
 	if mb := int(maxBlock(reqs)) + 1; mb > nblocks {
 		nblocks = mb // traces may reference more blocks than -blocks
 	}
-	plc, err := repro.GeneratePlacement(repro.PlacementConfig{
+	plc, err := placement.Generate(placement.GenerateConfig{
 		NumDisks: *disks, NumBlocks: nblocks,
 		ReplicationFactor: *rf, ZipfExponent: *zipf, Seed: *seed,
 	})
 	if err != nil {
-		return err
+		return cli.UsageError(err.Error())
 	}
 
-	cfg := repro.DefaultSystemConfig()
+	cfg := storage.DefaultConfig()
 	cfg.NumDisks = *disks
-	cost := repro.CostConfig{Alpha: *alpha, Beta: *beta, Power: cfg.Power}
+	cost := sched.CostConfig{Alpha: *alpha, Beta: *beta, Power: cfg.Power}
 	if err := cost.Validate(); err != nil {
-		return err
+		return cli.UsageError(err.Error())
 	}
 
-	var runOpts []repro.RunOption
+	var runOpts []storage.RunOption
 	if *stateLog != "" {
-		f, err := os.Create(*stateLog)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*stateLog)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
 		bw := bufio.NewWriter(f)
-		defer bw.Flush()
+		defer func() {
+			if werr := errors.Join(bw.Flush(), f.Close()); werr != nil && err == nil {
+				err = fmt.Errorf("state log %s: %w", *stateLog, werr)
+			}
+		}()
 		fmt.Fprintln(bw, "seconds,disk,from,to")
-		runOpts = append(runOpts, repro.WithStateLog(bw))
+		runOpts = append(runOpts, storage.WithStateLog(bw))
 	}
 
 	// The always-on baseline swaps the power policy; decide it before the
 	// doctor snapshots the policy for its threshold monitor.
 	if *schedName == "always-on" && !*compare {
-		cfg.Policy = repro.AlwaysOnPolicy()
-		cfg.InitialState = repro.StateIdle
+		cfg.Policy = power.AlwaysOn{}
+		cfg.InitialState = core.StateIdle
 	}
 	// -grid prices the energy so the printed totals are byte-identical to a
 	// `tracelens carbon` replay of the -events log; on a batch run the
@@ -126,55 +148,54 @@ func run() error {
 	spec := runobs.Spec{Events: *events, Metrics: *metrics, Doctor: *doctor,
 		Grid: *grid, Cost: *costName, FlightDir: *flightDir}
 	if (*compare || *schedName == "mwis") && (spec.Grid != "" || spec.Doctor || spec.FlightDir != "") {
-		return fmt.Errorf("-grid, -doctor and -flight apply to one simulated run, not to -compare or the offline analytic MWIS model")
+		return cli.UsageError("-grid, -doctor and -flight apply to one simulated run, not to -compare or the offline analytic MWIS model")
 	}
-	obsSet, err := runobs.Open("esched", spec, cfg, plc.Locations, nil)
+	obsSet, err := runobs.Open("esched", stdout, stderr, spec, cfg, plc.Locations, nil)
 	if err != nil {
 		return err
 	}
 	runOpts = append(runOpts, obsSet.Options()...)
 	tracer := obsSet.Tracer
 
-	ws := repro.AnalyzeWorkload(reqs)
-	fmt.Printf("workload: %d requests, %d unique blocks, %s span, inter-arrival CoV %.1f\n",
+	ws := workload.Analyze(reqs)
+	fmt.Fprintf(stdout, "workload: %d requests, %d unique blocks, %s span, inter-arrival CoV %.1f\n",
 		ws.Count, ws.UniqueBlocks, ws.Duration.Round(time.Second), ws.CoV)
 
 	runErr := func() error {
 		if *compare {
-			return runComparison(cfg, plc, cost, reqs, *interval, *seed)
+			return runComparison(stdout, cfg, plc.Locations, cost, reqs, *interval, *seed)
 		}
-		var res *repro.Result
+		var res *storage.Result
 		var err error
 		switch *schedName {
 		case "mwis":
-			_, st, err := repro.SolveOffline(reqs, plc.Locations, cfg.Power, repro.OfflineOptions{
-				MaxSuccessors: 4, MaxNodes: 5_000_000,
-			})
+			st, err := solveOffline(reqs, plc.Locations, cfg.Power)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("scheduler: energy-aware MWIS (offline analytic model)\n")
-			fmt.Printf("energy: %.0f J using %d disks, %d spin-ups / %d spin-downs\n",
+			fmt.Fprintf(stdout, "scheduler: energy-aware MWIS (offline analytic model)\n")
+			fmt.Fprintf(stdout, "energy: %.0f J using %d disks, %d spin-ups / %d spin-downs\n",
 				st.Energy, st.DisksUsed, st.SpinUps, st.SpinDowns)
-			fmt.Printf("energy saving vs per-request worst case: %.0f J\n", st.Saving)
+			fmt.Fprintf(stdout, "energy saving vs per-request worst case: %.0f J\n", st.Saving)
 			return nil
 		case "wsc":
-			res, err = repro.RunBatch(cfg, plc.Locations,
-				repro.NewTracedWSCScheduler(plc.Locations, cost, tracer), reqs, *interval, runOpts...)
+			res, err = storage.RunBatch(cfg, plc.Locations,
+				sched.WSC{Locations: plc.Locations, Cost: cost, Tracer: tracer, Scratch: &sched.CoverScratch{}},
+				reqs, *interval, runOpts...)
 		case "random":
-			res, err = repro.RunOnline(cfg, plc.Locations, repro.NewRandomScheduler(plc.Locations, *seed+1), reqs, runOpts...)
+			res, err = storage.RunOnline(cfg, plc.Locations, sched.NewRandom(plc.Locations, *seed+1), reqs, runOpts...)
 		case "static", "always-on":
-			res, err = repro.RunOnline(cfg, plc.Locations, repro.NewStaticScheduler(plc.Locations), reqs, runOpts...)
+			res, err = storage.RunOnline(cfg, plc.Locations, sched.Static{Locations: plc.Locations}, reqs, runOpts...)
 		case "heuristic":
-			res, err = repro.RunOnline(cfg, plc.Locations,
-				repro.NewTracedHeuristicScheduler(plc.Locations, cost, tracer), reqs, runOpts...)
+			res, err = storage.RunOnline(cfg, plc.Locations,
+				sched.Heuristic{Locations: plc.Locations, Cost: cost, Tracer: tracer}, reqs, runOpts...)
 		default:
-			return fmt.Errorf("unknown scheduler %q", *schedName)
+			return cli.Usagef("unknown scheduler %q", *schedName)
 		}
 		if err != nil {
 			return err
 		}
-		report(res)
+		report(stdout, res)
 		return nil
 	}()
 
@@ -184,11 +205,15 @@ func run() error {
 // loadRequests reads the trace file, or generates the synthetic workload
 // when there is none. n caps a trace's reads (0 = all) and sizes a
 // synthetic stream; blocks sizes the synthetic block population.
-func loadRequests(traceFile, format, workload string, n, blocks int, seed int64) ([]repro.Request, error) {
+func loadRequests(traceFile, format, wl string, n, blocks int, seed int64) ([]core.Request, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("-requests must not be negative, got %d", n)
+		return nil, cli.Usagef("-requests must not be negative, got %d", n)
 	}
 	if traceFile != "" {
+		tf, err := trace.ParseFormat(format)
+		if err != nil {
+			return nil, cli.UsageError(err.Error())
+		}
 		f, err := os.Open(traceFile)
 		if err != nil {
 			return nil, err
@@ -203,33 +228,24 @@ func loadRequests(traceFile, format, workload string, n, blocks int, seed int64)
 			defer gz.Close()
 			r = gz
 		}
-		var tf repro.TraceFormat
-		switch format {
-		case "spc":
-			tf = repro.FormatSPC
-		case "cellotext":
-			tf = repro.FormatCelloText
-		default:
-			return nil, fmt.Errorf("unknown trace format %q", format)
-		}
-		reqs, _, err := repro.LoadTrace(r, tf, n)
+		reqs, _, err := trace.LoadRequests(r, tf, n)
 		return reqs, err
 	}
 	if blocks <= 0 {
-		return nil, fmt.Errorf("-blocks must be positive, got %d", blocks)
+		return nil, cli.Usagef("-blocks must be positive, got %d", blocks)
 	}
-	switch workload {
+	switch wl {
 	case "cello":
-		return repro.CelloLike(n, blocks, seed), nil
+		return workload.CelloLike(n, blocks, seed), nil
 	case "financial":
-		return repro.FinancialLike(n, blocks, seed), nil
+		return workload.FinancialLike(n, blocks, seed), nil
 	default:
-		return nil, fmt.Errorf("unknown workload %q", workload)
+		return nil, cli.Usagef("unknown workload %q", wl)
 	}
 }
 
-func maxBlock(reqs []repro.Request) repro.BlockID {
-	var m repro.BlockID
+func maxBlock(reqs []core.Request) core.BlockID {
+	var m core.BlockID
 	for _, r := range reqs {
 		if r.Block > m {
 			m = r.Block
@@ -238,13 +254,24 @@ func maxBlock(reqs []repro.Request) repro.BlockID {
 	return m
 }
 
-func report(res *repro.Result) {
-	fmt.Printf("scheduler: %s\n", res.Scheduler)
-	fmt.Printf("energy: %.0f J (%.3f of always-on %.0f J) over %s\n",
+// solveOffline runs the MWIS offline pipeline (GWMIN greedy and
+// local-search refinement) under the paper-scale caps of
+// experiments.FullScale.
+func solveOffline(reqs []core.Request, loc sched.Locator, pc power.Config) (offline.Stats, error) {
+	s := experiments.FullScale()
+	_, st, err := offline.SolveRefined(reqs, loc, pc, offline.BuildOptions{
+		MaxSuccessors: s.MWISSuccessors, MaxNodes: s.MWISMaxNodes,
+	}, s.MWISPasses)
+	return st, err
+}
+
+func report(w io.Writer, res *storage.Result) {
+	fmt.Fprintf(w, "scheduler: %s\n", res.Scheduler)
+	fmt.Fprintf(w, "energy: %.0f J (%.3f of always-on %.0f J) over %s\n",
 		res.Energy, res.NormalizedEnergy(), res.AlwaysOnEnergy, res.Horizon.Round(time.Second))
-	fmt.Printf("spin operations: %d up / %d down\n", res.SpinUps, res.SpinDowns)
-	fmt.Printf("requests: %d served, %d dropped\n", res.Served, res.Dropped)
-	fmt.Printf("response time: mean %s, p90 %s, p99 %s, max %s\n",
+	fmt.Fprintf(w, "spin operations: %d up / %d down\n", res.SpinUps, res.SpinDowns)
+	fmt.Fprintf(w, "requests: %d served, %d dropped\n", res.Served, res.Dropped)
+	fmt.Fprintf(w, "response time: mean %s, p90 %s, p99 %s, max %s\n",
 		res.Response.Mean().Round(time.Millisecond),
 		res.Response.Percentile(90).Round(time.Millisecond),
 		res.Response.Percentile(99).Round(time.Millisecond),
@@ -253,35 +280,35 @@ func report(res *repro.Result) {
 
 // runComparison runs every scheduler against the same workload and prints
 // one row per algorithm.
-func runComparison(cfg repro.SystemConfig, plc *repro.Placement, cost repro.CostConfig, reqs []repro.Request, interval time.Duration, seed int64) error {
-	fmt.Printf("\n%-26s %-12s %-10s %-14s %-10s\n", "scheduler", "norm energy", "spin-ups", "mean response", "p90")
+func runComparison(w io.Writer, cfg storage.Config, loc sched.Locator, cost sched.CostConfig, reqs []core.Request, interval time.Duration, seed int64) error {
+	fmt.Fprintf(w, "\n%-26s %-12s %-10s %-14s %-10s\n", "scheduler", "norm energy", "spin-ups", "mean response", "p90")
 	row := func(name string, norm float64, spins int, mean, p90 time.Duration) {
-		fmt.Printf("%-26s %-12.3f %-10d %-14v %-10v\n", name, norm, spins,
+		fmt.Fprintf(w, "%-26s %-12.3f %-10d %-14v %-10v\n", name, norm, spins,
 			mean.Round(time.Millisecond), p90.Round(time.Millisecond))
 	}
 	type runner struct {
 		name string
-		run  func() (*repro.Result, error)
+		run  func() (*storage.Result, error)
 	}
 	runners := []runner{
-		{"random", func() (*repro.Result, error) {
-			return repro.RunOnline(cfg, plc.Locations, repro.NewRandomScheduler(plc.Locations, seed+1), reqs)
+		{"random", func() (*storage.Result, error) {
+			return storage.RunOnline(cfg, loc, sched.NewRandom(loc, seed+1), reqs)
 		}},
-		{"static", func() (*repro.Result, error) {
-			return repro.RunOnline(cfg, plc.Locations, repro.NewStaticScheduler(plc.Locations), reqs)
+		{"static", func() (*storage.Result, error) {
+			return storage.RunOnline(cfg, loc, sched.Static{Locations: loc}, reqs)
 		}},
-		{"heuristic", func() (*repro.Result, error) {
-			return repro.RunOnline(cfg, plc.Locations, repro.NewHeuristicScheduler(plc.Locations, cost), reqs)
+		{"heuristic", func() (*storage.Result, error) {
+			return storage.RunOnline(cfg, loc, sched.Heuristic{Locations: loc, Cost: cost}, reqs)
 		}},
-		{"predictive", func() (*repro.Result, error) {
-			p, err := repro.NewPredictiveScheduler(plc.Locations, cost, 0.5, cfg.Power.Breakeven())
+		{"predictive", func() (*storage.Result, error) {
+			p, err := sched.NewPredictive(loc, cost, 0.5, cfg.Power.Breakeven())
 			if err != nil {
 				return nil, err
 			}
-			return repro.RunOnline(cfg, plc.Locations, p, reqs)
+			return storage.RunOnline(cfg, loc, p, reqs)
 		}},
-		{"wsc (batch)", func() (*repro.Result, error) {
-			return repro.RunBatch(cfg, plc.Locations, repro.NewWSCScheduler(plc.Locations, cost), reqs, interval)
+		{"wsc (batch)", func() (*storage.Result, error) {
+			return storage.RunBatch(cfg, loc, sched.WSC{Locations: loc, Cost: cost}, reqs, interval)
 		}},
 	}
 	for _, r := range runners {
@@ -293,13 +320,11 @@ func runComparison(cfg repro.SystemConfig, plc *repro.Placement, cost repro.Cost
 			res.Response.Mean(), res.Response.Percentile(90))
 	}
 	// Offline MWIS, analytic model.
-	_, st, err := repro.SolveOffline(reqs, plc.Locations, cfg.Power, repro.OfflineOptions{
-		MaxSuccessors: 4, MaxNodes: 5_000_000,
-	})
+	st, err := solveOffline(reqs, loc, cfg.Power)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-26s %-12s %-10d %-14s %-10s  (offline analytic: %.0f J)\n",
+	fmt.Fprintf(w, "%-26s %-12s %-10d %-14s %-10s  (offline analytic: %.0f J)\n",
 		"mwis (offline)", "-", st.SpinUps, "-", "-", st.Energy)
 	return nil
 }

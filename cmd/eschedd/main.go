@@ -24,8 +24,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -38,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/cmd/internal/runobs"
 	"repro/internal/core"
 	"repro/internal/diskmodel"
@@ -60,35 +59,16 @@ const usageText = `usage: eschedd <serve|loadgen|probe> [flags]
   loadgen  drive a running daemon and print an SLO report (eschedd loadgen -h)
   probe    check /healthz and /metrics of a running daemon (eschedd probe -h)`
 
-// usageError marks a command-line mistake; run maps it to exit code 2. An
-// empty message means the diagnostics are already on stderr.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
 // run is the CLI entry point. Its exit codes: 0 for success or -h, 1 for
 // an operational failure, 2 for a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
-	err := dispatch(args, stdout, stderr)
-	var ue usageError
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.As(err, &ue):
-		if ue != "" {
-			fmt.Fprintln(stderr, "eschedd:", ue.Error())
-		}
-		return 2
-	default:
-		fmt.Fprintln(stderr, "eschedd:", err)
-		return 1
-	}
+	return cli.Exit("eschedd", dispatch(args, stdout, stderr), stderr)
 }
 
 func dispatch(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, usageText)
-		return usageError("")
+		return cli.UsageError("")
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "serve":
@@ -102,23 +82,12 @@ func dispatch(args []string, stdout, stderr io.Writer) error {
 		return nil
 	default:
 		fmt.Fprintln(stderr, usageText)
-		return usageError(fmt.Sprintf("unknown subcommand %q", cmd))
+		return cli.Usagef("unknown subcommand %q", cmd)
 	}
-}
-
-// parseFlags parses a subcommand's flags, reporting on stderr: -h passes
-// through, any other failure is a usage error the flag set has printed.
-func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
-	fs.SetOutput(stderr)
-	err := fs.Parse(args)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return err
-	}
-	return usageError("")
 }
 
 func runServe(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("eschedd serve", flag.ContinueOnError)
+	fs := cli.NewFlagSet("eschedd serve", stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address (\":0\" = ephemeral)")
 		addrFile  = fs.String("addrfile", "", "write the bound address to this file (for scripts)")
@@ -141,7 +110,7 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 		flightDir = fs.String("flight", "", "flight-recorder dump directory (off when empty; SIGQUIT forces a dump)")
 		flightSLO = fs.Duration("flight-slo", 0, "submit-to-reply bound whose first breach triggers a flight dump (0 = off)")
 	)
-	if err := parseFlags(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -173,12 +142,12 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	case "wsc":
 		cfg.Mode = serve.ModeWSC
 	default:
-		return usageError(fmt.Sprintf("unknown -mode %q", *mode))
+		return cli.Usagef("unknown -mode %q", *mode)
 	}
 
 	// The daemon always owns a collector: /metrics serves it.
 	col := obs.NewCollector()
-	obsSet, err := runobs.Open("eschedd", runobs.Spec{Events: *events, Metrics: *metrics,
+	obsSet, err := runobs.Open("eschedd", stdout, stderr, runobs.Spec{Events: *events, Metrics: *metrics,
 		Doctor: *doctor, Grid: *grid, Cost: *costName, FlightDir: *flightDir},
 		cfg.System, plc.Locations, col)
 	if err != nil {
@@ -243,7 +212,7 @@ wait:
 }
 
 func runLoadgen(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("eschedd loadgen", flag.ContinueOnError)
+	fs := cli.NewFlagSet("eschedd loadgen", stderr)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "daemon address")
 		requests = fs.Int("requests", 10000, "number of requests to send")
@@ -255,14 +224,14 @@ func runLoadgen(args []string, stdout, stderr io.Writer) error {
 		rate     = fs.Float64("rate", 5000, "open-loop arrival rate, requests/sec")
 		batch    = fs.Int("batch", 1, "requests per POST (>1 uses the compact batch endpoint)")
 	)
-	if err := parseFlags(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if *batch < 1 {
-		return usageError("-batch must be >= 1")
+		return cli.UsageError("-batch must be >= 1")
 	}
 	if *loop == "open" && *rate <= 0 {
-		return usageError("-rate must be positive for the open loop")
+		return cli.UsageError("-rate must be positive for the open loop")
 	}
 
 	// Draw the block sequence from the workload model so popularity skew
@@ -280,7 +249,7 @@ func runLoadgen(args []string, stdout, stderr io.Writer) error {
 			seq[i] = core.BlockID(rng.Intn(*blocks))
 		}
 	default:
-		return usageError(fmt.Sprintf("unknown -workload %q", *wl))
+		return cli.Usagef("unknown -workload %q", *wl)
 	}
 
 	base := "http://" + *addr
@@ -581,9 +550,9 @@ func report(w io.Writer, lat, service []time.Duration, open bool, batch int, wal
 }
 
 func runProbe(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("eschedd probe", flag.ContinueOnError)
+	fs := cli.NewFlagSet("eschedd probe", stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "daemon address")
-	if err := parseFlags(fs, args, stderr); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	base := "http://" + *addr

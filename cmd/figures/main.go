@@ -25,8 +25,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -34,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/account"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -45,34 +44,14 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// usageError marks a command-line mistake; run maps it to exit code 2. An
-// empty message means the flag set has already printed the diagnostics.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
 // run is the command's entry point; see the package comment for its exit
 // codes.
 func run(args []string, stdout, stderr io.Writer) int {
-	err := figures(args, stdout, stderr)
-	var ue usageError
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.As(err, &ue):
-		if ue != "" {
-			fmt.Fprintln(stderr, "figures:", ue.Error())
-		}
-		return 2
-	default:
-		fmt.Fprintln(stderr, "figures:", err)
-		return 1
-	}
+	return cli.Exit("figures", figures(args, stdout, stderr), stderr)
 }
 
 func figures(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("figures", stderr)
 	var (
 		scaleName = fs.String("scale", "small", "small | full")
 		figList   = fs.String("fig", "all", "comma-separated figure numbers (2-17) or 'all'")
@@ -90,23 +69,20 @@ func figures(args []string, stdout, stderr io.Writer) error {
 	)
 	var prof obs.Profiles
 	prof.RegisterFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return usageError("")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if *fleet {
 		if *flightDir != "" {
-			return usageError("-flight applies to figure regenerations, not -fleet (fleet runs are untraced)")
+			return cli.UsageError("-flight applies to figure regenerations, not -fleet (fleet runs are untraced)")
 		}
 	} else {
 		if *kstats != "" {
-			return usageError("-kernelstats applies to the -fleet benchmark only")
+			return cli.UsageError("-kernelstats applies to the -fleet benchmark only")
 		}
 		if *shards != 0 {
-			return usageError("-shards applies to the -fleet benchmark only (figure cells each run on one kernel engine)")
+			return cli.UsageError("-shards applies to the -fleet benchmark only (figure cells each run on one kernel engine)")
 		}
 	}
 	var scale experiments.Scale
@@ -116,12 +92,12 @@ func figures(args []string, stdout, stderr io.Writer) error {
 	case "full":
 		scale = experiments.FullScale()
 	default:
-		return usageError(fmt.Sprintf("unknown scale %q", *scaleName))
+		return cli.Usagef("unknown scale %q", *scaleName)
 	}
 	scale.Doctor = *doctor
 	if *flightDir != "" {
 		if !*doctor {
-			return usageError("-flight requires -doctor: without the monitors no trigger can fire")
+			return cli.UsageError("-flight requires -doctor: without the monitors no trigger can fire")
 		}
 		scale.FlightDir = *flightDir
 	}

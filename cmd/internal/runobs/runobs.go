@@ -8,6 +8,7 @@ package runobs
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -43,18 +44,20 @@ type Set struct {
 	Accounting *account.Accumulator
 	Recorder   *flight.Recorder
 
-	prog string
-	spec Spec
-	file *os.File
-	buf  *bufio.Writer
+	prog           string
+	stdout, stderr io.Writer
+	spec           Spec
+	file           *os.File
+	buf            *bufio.Writer
 }
 
 // Open builds the observers spec asks for, for a run of sys whose blocks
-// live where loc says. prog prefixes the progress lines Close prints. col
+// live where loc says. prog prefixes the progress lines Close prints to
+// stderr; the carbon and cost lines and a "-" metrics export go to stdout. col
 // is the run's collector when the caller already owns one (eschedd serves
 // it on /metrics); otherwise Open creates one for spec.Metrics.
-func Open(prog string, spec Spec, sys storage.Config, loc sched.Locator, col *obs.Collector) (*Set, error) {
-	s := &Set{prog: prog, spec: spec, Collector: col}
+func Open(prog string, stdout, stderr io.Writer, spec Spec, sys storage.Config, loc sched.Locator, col *obs.Collector) (*Set, error) {
+	s := &Set{prog: prog, stdout: stdout, stderr: stderr, spec: spec, Collector: col}
 	if spec.Grid != "" {
 		g, err := account.ResolveGrid(spec.Grid)
 		if err != nil {
@@ -122,8 +125,8 @@ func (s *Set) Close(runErr error) error {
 	}
 	if s.Accounting != nil && runErr == nil {
 		rep := s.Accounting.Finalize()
-		fmt.Println(rep.CarbonLine())
-		fmt.Println(rep.CostLine())
+		fmt.Fprintln(s.stdout, rep.CarbonLine())
+		fmt.Fprintln(s.stdout, rep.CostLine())
 	}
 	if s.file != nil {
 		for _, err := range []error{s.Tracer.Flush(), s.buf.Flush(), s.file.Close()} {
@@ -131,10 +134,10 @@ func (s *Set) Close(runErr error) error {
 				keep(fmt.Errorf("event log %s: %w", s.spec.Events, err))
 			}
 		}
-		fmt.Fprintf(os.Stderr, "%s: event log flushed to %s\n", s.prog, s.spec.Events)
+		fmt.Fprintf(s.stderr, "%s: event log flushed to %s\n", s.prog, s.spec.Events)
 	}
 	if path := s.spec.Metrics; path == "-" {
-		_, err := s.Collector.WriteTo(os.Stdout)
+		_, err := s.Collector.WriteTo(s.stdout)
 		keep(err)
 	} else if path != "" {
 		f, err := os.Create(path)
@@ -147,7 +150,7 @@ func (s *Set) Close(runErr error) error {
 		if err != nil {
 			keep(fmt.Errorf("metrics %s: %w", path, err))
 		} else {
-			fmt.Fprintf(os.Stderr, "%s: metrics snapshot written to %s\n", s.prog, path)
+			fmt.Fprintf(s.stderr, "%s: metrics snapshot written to %s\n", s.prog, path)
 		}
 	}
 	if rec := s.Recorder; rec != nil {
@@ -156,13 +159,13 @@ func (s *Set) Close(runErr error) error {
 		_, err := rec.MaybeDump()
 		keep(err)
 		if n := rec.Dumps(); n > 0 {
-			fmt.Fprintf(os.Stderr, "%s: flight recorder wrote %d dump(s) under %s (tracelens last %s)\n",
+			fmt.Fprintf(s.stderr, "%s: flight recorder wrote %d dump(s) under %s (tracelens last %s)\n",
 				s.prog, n, s.spec.FlightDir, s.spec.FlightDir)
 		}
 		keep(rec.Err())
 	}
 	if s.Doctor != nil && runErr == nil {
-		if _, err := s.Doctor.WriteReport(os.Stderr); err != nil {
+		if _, err := s.Doctor.WriteReport(s.stderr); err != nil {
 			return err
 		}
 		if !s.Doctor.Passed() {

@@ -11,87 +11,59 @@ package main
 
 import (
 	"compress/gzip"
-	"errors"
-	"flag"
-	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro"
+	"repro/cmd/internal/cli"
+	"repro/internal/core"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// usageError marks a command-line mistake; run maps it to exit code 2. An
-// empty message means the flag set has already printed the diagnostics.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
 // run is the command's entry point; see the package comment for its exit
 // codes.
 func run(args []string, stdout, stderr io.Writer) int {
-	err := tracegen(args, stdout, stderr)
-	var ue usageError
-	switch {
-	case err == nil || errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.As(err, &ue):
-		if ue != "" {
-			fmt.Fprintln(stderr, "tracegen:", ue.Error())
-		}
-		return 2
-	default:
-		fmt.Fprintln(stderr, "tracegen:", err)
-		return 1
-	}
+	return cli.Exit("tracegen", tracegen(args, stdout, stderr), stderr)
 }
 
 func tracegen(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.NewFlagSet("tracegen", stderr)
 	var (
-		n        = fs.Int("n", 70000, "number of requests")
-		blocks   = fs.Int("blocks", 30000, "number of unique blocks")
-		seed     = fs.Int64("seed", 1, "random seed")
-		workload = fs.String("workload", "cello", "cello | financial")
-		format   = fs.String("format", "spc", "spc | cellotext")
-		out      = fs.String("o", "-", "output file (- = stdout; a .gz name is gzip-compressed)")
+		n      = fs.Int("n", 70000, "number of requests")
+		blocks = fs.Int("blocks", 30000, "number of unique blocks")
+		seed   = fs.Int64("seed", 1, "random seed")
+		wl     = fs.String("workload", "cello", "cello | financial")
+		format = fs.String("format", "spc", "spc | cellotext")
+		out    = fs.String("o", "-", "output file (- = stdout; a .gz name is gzip-compressed)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return usageError("")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *n < 0 {
-		return usageError(fmt.Sprintf("-n must not be negative, got %d", *n))
+		return cli.Usagef("-n must not be negative, got %d", *n)
 	}
 	if *blocks <= 0 {
-		return usageError(fmt.Sprintf("-blocks must be positive, got %d", *blocks))
+		return cli.Usagef("-blocks must be positive, got %d", *blocks)
 	}
 
-	var reqs []repro.Request
-	switch *workload {
+	var reqs []core.Request
+	switch *wl {
 	case "cello":
-		reqs = repro.CelloLike(*n, *blocks, *seed)
+		reqs = workload.CelloLike(*n, *blocks, *seed)
 	case "financial":
-		reqs = repro.FinancialLike(*n, *blocks, *seed)
+		reqs = workload.FinancialLike(*n, *blocks, *seed)
 	default:
-		return usageError(fmt.Sprintf("unknown workload %q", *workload))
+		return cli.Usagef("unknown workload %q", *wl)
 	}
 
-	var tf repro.TraceFormat
-	switch *format {
-	case "spc":
-		tf = repro.FormatSPC
-	case "cellotext":
-		tf = repro.FormatCelloText
-	default:
-		return usageError(fmt.Sprintf("unknown format %q", *format))
+	tf, err := trace.ParseFormat(*format)
+	if err != nil {
+		return cli.UsageError(err.Error())
 	}
 
 	if *out == "-" {
@@ -108,15 +80,15 @@ func tracegen(args []string, stdout, stderr io.Writer) error {
 	return err
 }
 
-// writeTrace renders reqs to w (repro.WriteTrace buffers and flushes),
+// writeTrace renders reqs to w (trace.WriteRequests buffers and flushes),
 // gzip-compressed when gz is set. A failed gzip footer write is returned,
 // so a truncated .gz never passes for a complete one.
-func writeTrace(w io.Writer, tf repro.TraceFormat, reqs []repro.Request, gz bool) error {
+func writeTrace(w io.Writer, tf trace.Format, reqs []core.Request, gz bool) error {
 	if !gz {
-		return repro.WriteTrace(w, tf, reqs)
+		return trace.WriteRequests(w, tf, reqs)
 	}
 	zw := gzip.NewWriter(w)
-	if err := repro.WriteTrace(zw, tf, reqs); err != nil {
+	if err := trace.WriteRequests(zw, tf, reqs); err != nil {
 		return err
 	}
 	return zw.Close()

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestRunExitCodes(t *testing.T) {
@@ -65,7 +67,7 @@ func TestRunWritesGzipSPCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, blocks, err := repro.LoadTrace(zr, repro.FormatSPC, 0)
+	got, blocks, err := trace.LoadRequests(zr, trace.FormatSPC, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +75,11 @@ func TestRunWritesGzipSPCRoundTrip(t *testing.T) {
 		t.Fatalf("gzip stream incomplete: %v", err)
 	}
 
-	want := repro.FinancialLike(500, 200, 3)
+	want := workload.FinancialLike(500, 200, 3)
 	if len(got) != len(want) {
 		t.Fatalf("loaded %d requests, want %d", len(got), len(want))
 	}
-	blockOf := map[repro.BlockID]repro.BlockID{}
+	blockOf := map[core.BlockID]core.BlockID{}
 	for i, w := range want {
 		g := got[i]
 		if g.LBA != w.LBA || g.Size != w.Size {
@@ -111,11 +113,11 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // header, so only the compressed body and footer written at Close fail:
 // writeTrace must return that error instead of leaving a truncated .gz.
 func TestWriteTraceReportsGzipFooterError(t *testing.T) {
-	reqs := repro.CelloLike(10, 10, 1)
-	if err := writeTrace(&failAfter{n: 1}, repro.FormatSPC, reqs, true); err == nil {
+	reqs := workload.CelloLike(10, 10, 1)
+	if err := writeTrace(&failAfter{n: 1}, trace.FormatSPC, reqs, true); err == nil {
 		t.Fatal("gzip footer write error dropped")
 	}
-	if err := writeTrace(&failAfter{n: 1 << 20}, repro.FormatSPC, reqs, true); err != nil {
+	if err := writeTrace(&failAfter{n: 1 << 20}, trace.FormatSPC, reqs, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -64,13 +64,12 @@
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/account"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -88,41 +87,15 @@ func main() {
 const usageText = `usage: tracelens <summary|timeline|attribute|carbon|whatif|diff|verify|doctor|shards|last> [flags] LOG...
 run 'tracelens <subcommand> -h' for flags`
 
-// usageError marks a command-line mistake (as opposed to an operational
-// failure): run maps it to exit code 2 with the message on stderr. An
-// empty message means the flag package already printed the diagnostics.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
-func usagef(format string, a ...any) error {
-	return usageError(fmt.Sprintf(format, a...))
-}
-
 // run is the CLI entry point: it dispatches the subcommand and maps its
 // error to the exit code contract documented above.
 func run(args []string, stderr io.Writer) int {
-	err := dispatch(args, stderr)
-	var ue usageError
-	switch {
-	case err == nil:
-		return 0
-	case errors.Is(err, flag.ErrHelp):
-		return 0
-	case errors.As(err, &ue):
-		if ue != "" {
-			fmt.Fprintln(stderr, "tracelens:", ue.Error())
-		}
-		return 2
-	default:
-		fmt.Fprintln(stderr, "tracelens:", err)
-		return 1
-	}
+	return cli.Exit("tracelens", dispatch(args, stderr), stderr)
 }
 
 func dispatch(args []string, stderr io.Writer) error {
 	if len(args) == 0 {
-		return usageError(usageText)
+		return cli.UsageError(usageText)
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "summary":
@@ -152,27 +125,8 @@ func dispatch(args []string, stderr io.Writer) error {
 		fmt.Fprintln(stderr, usageText)
 		return nil
 	default:
-		return usagef("unknown subcommand %q\n%s", cmd, usageText)
+		return cli.Usagef("unknown subcommand %q\n%s", cmd, usageText)
 	}
-}
-
-// newFlagSet builds a subcommand flag set that reports parse errors and
-// -h output on the dispatcher's stderr.
-func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	return fs
-}
-
-// parse classifies flag-set outcomes: help passes through (exit 0), any
-// other parse failure is a usage error whose diagnostics the flag set
-// already printed.
-func parse(fs *flag.FlagSet, args []string) error {
-	err := fs.Parse(args)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return err
-	}
-	return usageError("")
 }
 
 // load reads and reconstructs one run log.
@@ -192,12 +146,12 @@ func load(path string) (*analyze.Run, error) {
 }
 
 func cmdSummary(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens summary", stderr)
-	if err := parse(fs, args); err != nil {
+	fs := cli.NewFlagSet("tracelens summary", stderr)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens summary LOG")
+		return cli.Usagef("usage: tracelens summary LOG")
 	}
 	evs, err := analyze.Load(fs.Arg(0))
 	if err != nil {
@@ -239,14 +193,14 @@ func cmdSummary(args []string, stderr io.Writer) error {
 }
 
 func cmdTimeline(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens timeline", stderr)
+	fs := cli.NewFlagSet("tracelens timeline", stderr)
 	disk := fs.Int("disk", -1, "show only this disk (-1 = all)")
 	max := fs.Int("max", 0, "show at most this many segments per disk (0 = all)")
-	if err := parse(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens timeline [-disk N] [-max N] LOG")
+		return cli.Usagef("usage: tracelens timeline [-disk N] [-max N] LOG")
 	}
 	r, err := load(fs.Arg(0))
 	if err != nil {
@@ -303,14 +257,14 @@ func cmdTimeline(args []string, stderr io.Writer) error {
 }
 
 func cmdAttribute(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens attribute", stderr)
+	fs := cli.NewFlagSet("tracelens attribute", stderr)
 	top := fs.Int("top", 10, "show this many causes (0 = all)")
 	metricsFile := fs.String("metrics", "", "check by-state totals bit-exactly against this exported snapshot")
-	if err := parse(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens attribute [-top N] [-metrics FILE] LOG")
+		return cli.Usagef("usage: tracelens attribute [-top N] [-metrics FILE] LOG")
 	}
 	r, err := load(fs.Arg(0))
 	if err != nil {
@@ -389,16 +343,16 @@ func cmdAttribute(args []string, stderr io.Writer) error {
 // model), so its report — windows, gCO2e, dollars — is byte-identical to
 // what the live run printed and exported.
 func cmdCarbon(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens carbon", stderr)
+	fs := cli.NewFlagSet("tracelens carbon", stderr)
 	grid := fs.String("grid", "flat", "grid profile: flat | diurnal | coal | profile.json")
 	costName := fs.String("cost", "default", "cost model: default | model.json")
 	windows := fs.Int("windows", 12, "show at most this many window rows (0 = all)")
 	metricsFile := fs.String("metrics", "", "check carbon/cost totals bit-exactly against this exported snapshot")
-	if err := parse(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens carbon [-grid P] [-cost M] [-windows N] [-metrics FILE] LOG")
+		return cli.Usagef("usage: tracelens carbon [-grid P] [-cost M] [-windows N] [-metrics FILE] LOG")
 	}
 	g, err := account.ResolveGrid(*grid)
 	if err != nil {
@@ -470,16 +424,16 @@ func cmdCarbon(args []string, stderr io.Writer) error {
 // cmdWhatif renders the consolidation what-if table: cached sweep cells
 // re-priced per policy and consolidation ratio, no re-simulation.
 func cmdWhatif(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens whatif", stderr)
+	fs := cli.NewFlagSet("tracelens whatif", stderr)
 	grid := fs.String("grid", "flat", "grid profile: flat | diurnal | coal | profile.json")
 	costName := fs.String("cost", "default", "cost model: default | model.json")
 	traceName := fs.String("trace", "cello", "workload trace: cello | financial")
 	scaleName := fs.String("scale", "small", "experiment scale: small | full")
-	if err := parse(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return usagef("usage: tracelens whatif [-grid P] [-cost M] [-trace T] [-scale small|full]")
+		return cli.Usagef("usage: tracelens whatif [-grid P] [-cost M] [-trace T] [-scale small|full]")
 	}
 	g, err := account.ResolveGrid(*grid)
 	if err != nil {
@@ -496,7 +450,7 @@ func cmdWhatif(args []string, stderr io.Writer) error {
 	case "financial":
 		tr = experiments.Financial
 	default:
-		return usagef("unknown -trace %q (want cello or financial)", *traceName)
+		return cli.Usagef("unknown -trace %q (want cello or financial)", *traceName)
 	}
 	var scale experiments.Scale
 	switch *scaleName {
@@ -505,7 +459,7 @@ func cmdWhatif(args []string, stderr io.Writer) error {
 	case "full":
 		scale = experiments.FullScale()
 	default:
-		return usagef("unknown -scale %q (want small or full)", *scaleName)
+		return cli.Usagef("unknown -scale %q (want small or full)", *scaleName)
 	}
 	t, err := experiments.WhatIfTable(scale, tr, g, cm)
 	if err != nil {
@@ -516,12 +470,12 @@ func cmdWhatif(args []string, stderr io.Writer) error {
 }
 
 func cmdDiff(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens diff", stderr)
-	if err := parse(fs, args); err != nil {
+	fs := cli.NewFlagSet("tracelens diff", stderr)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 2 {
-		return usagef("usage: tracelens diff A.LOG B.LOG")
+		return cli.Usagef("usage: tracelens diff A.LOG B.LOG")
 	}
 	a, err := load(fs.Arg(0))
 	if err != nil {
@@ -537,13 +491,13 @@ func cmdDiff(args []string, stderr io.Writer) error {
 }
 
 func cmdVerify(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens verify", stderr)
+	fs := cli.NewFlagSet("tracelens verify", stderr)
 	metricsFile := fs.String("metrics", "", "exported metrics snapshot to verify against (required)")
-	if err := parse(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 || *metricsFile == "" {
-		return usagef("usage: tracelens verify -metrics FILE LOG")
+		return cli.Usagef("usage: tracelens verify -metrics FILE LOG")
 	}
 	r, err := load(fs.Arg(0))
 	if err != nil {
@@ -569,7 +523,7 @@ func cmdVerify(args []string, stderr io.Writer) error {
 // deterministic from its generation parameters — pass the same
 // -disks/-blocks/-rf/-z/-seed the run used to enable it.
 func cmdDoctor(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens doctor", stderr)
+	fs := cli.NewFlagSet("tracelens doctor", stderr)
 	var (
 		disks   = fs.Int("disks", 0, "placement: number of disks (0 = skip the replica-validity monitor)")
 		blocks  = fs.Int("blocks", 0, "placement: number of blocks")
@@ -580,11 +534,11 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 		nonFIFO = fs.Bool("nonfifo", false, "the run used a non-FIFO queue discipline (skip FIFO-order checks)")
 		max     = fs.Int("max", 8, "violations kept verbatim per monitor (all are counted)")
 	)
-	if err := parse(fs, args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens doctor [flags] LOG  (or: tracelens doctor fidelity)")
+		return cli.Usagef("usage: tracelens doctor [flags] LOG  (or: tracelens doctor fidelity)")
 	}
 
 	cfg := storage.DefaultConfig()
@@ -600,7 +554,7 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 	case "always-on":
 		mcfg.Policy = power.AlwaysOn{}
 	default:
-		return usagef("unknown policy %q (want 2cpm or always-on)", *policy)
+		return cli.Usagef("unknown policy %q (want 2cpm or always-on)", *policy)
 	}
 	if *disks > 0 {
 		plc, err := placement.Generate(placement.GenerateConfig{
@@ -642,12 +596,12 @@ func cmdDoctor(args []string, stderr io.Writer) error {
 // Every simulated cell also runs under live invariant monitoring, so a pass
 // certifies both the claims and the invariants.
 func cmdDoctorFidelity(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens doctor fidelity", stderr)
-	if err := parse(fs, args); err != nil {
+	fs := cli.NewFlagSet("tracelens doctor fidelity", stderr)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return usagef("usage: tracelens doctor fidelity")
+		return cli.Usagef("usage: tracelens doctor fidelity")
 	}
 	scale := experiments.FullScale()
 	scale.Doctor = true

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/obs/flight"
 	"repro/internal/simkernel"
 )
@@ -15,12 +16,12 @@ import (
 // KernelStats JSON snapshot (figures -fleet -kernelstats FILE, eschedd
 // /state, or a flight dump's telemetry.json).
 func cmdShards(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens shards", stderr)
-	if err := parse(fs, args); err != nil {
+	fs := cli.NewFlagSet("tracelens shards", stderr)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens shards STATS.json")
+		return cli.Usagef("usage: tracelens shards STATS.json")
 	}
 	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
@@ -94,12 +95,12 @@ func writeShardReport(w io.Writer, ks *simkernel.KernelStats) error {
 
 // cmdLast inspects the most recent flight-recorder dump under a directory.
 func cmdLast(args []string, stderr io.Writer) error {
-	fs := newFlagSet("tracelens last", stderr)
-	if err := parse(fs, args); err != nil {
+	fs := cli.NewFlagSet("tracelens last", stderr)
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return usagef("usage: tracelens last DIR")
+		return cli.Usagef("usage: tracelens last DIR")
 	}
 	dir, err := flight.FindLatest(fs.Arg(0))
 	if err != nil {

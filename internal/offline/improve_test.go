@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/placement"
 	"repro/internal/power"
+	"repro/internal/workload"
 )
 
 func TestImproveNeverWorsensAndMatchesEvaluate(t *testing.T) {
@@ -148,6 +150,30 @@ func TestSolveRefinedNotWorseThanSolve(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSolveRefinedCappedCelloStream runs the refined pipeline with the
+// successor cap the evaluation uses on a Cello-like stream over a
+// generated placement: the schedule is valid and uses energy and disks.
+func TestSolveRefinedCappedCelloStream(t *testing.T) {
+	t.Parallel()
+	plc, err := placement.Generate(placement.GenerateConfig{
+		NumDisks: 16, NumBlocks: 1000, ReplicationFactor: 3, ZipfExponent: 1, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.CelloLike(1500, 1000, 4)
+	schedule, st, err := SolveRefined(reqs, plc.Locations, power.DefaultConfig(), BuildOptions{MaxSuccessors: 4}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !schedule.Valid(reqs, plc.Locations) {
+		t.Fatal("offline schedule invalid")
+	}
+	if st.Energy <= 0 || st.DisksUsed == 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -337,23 +337,16 @@ func (w WSC) ScheduleBatch(reqs []core.Request, v View) []core.DiskID {
 		panic(fmt.Sprintf("sched: greedy cover on coverable instance failed: %v", err))
 	}
 	applyCover(in, chosen, disks, covIdx, out, scratch)
-	traceBatchDecisions(w.Tracer, w.Cost, reqs, out, v)
-	return out
-}
-
-// traceBatchDecisions emits one decision event per placed request of a
-// batch assignment; a nil or disabled tracer costs one branch per tick.
-func traceBatchDecisions(tr *obs.Tracer, cost CostConfig, reqs []core.Request, out []core.DiskID, v View) {
-	if !tr.Enabled() {
-		return
-	}
-	for i, r := range reqs {
-		d := out[i]
-		if d == core.InvalidDisk {
-			continue
+	// One decision event per placed request; a nil or disabled tracer
+	// costs one branch per tick.
+	if w.Tracer.Enabled() {
+		for i, r := range reqs {
+			if d := out[i]; d != core.InvalidDisk {
+				w.Tracer.Decision(v.Now(), r.ID, r.Block, d, w.Cost.Cost(v, d), w.Cost.EnergyCost(v, d), v.Load(d))
+			}
 		}
-		tr.Decision(v.Now(), r.ID, r.Block, d, cost.Cost(v, d), cost.EnergyCost(v, d), v.Load(d))
 	}
+	return out
 }
 
 // WSCExact is the batch scheduler with an optimal set-cover solver: each
@@ -367,10 +360,6 @@ type WSCExact struct {
 	// MaxExpansions caps the branch-and-bound search per batch
 	// (0 = a conservative default).
 	MaxExpansions int
-	// Scratch is reused across batch ticks when set, as in WSC.
-	Scratch *CoverScratch
-	// Tracer receives per-request decision events, as in WSC.
-	Tracer *obs.Tracer
 }
 
 // Name implements Batch.
@@ -381,10 +370,7 @@ func (w WSCExact) ScheduleBatch(reqs []core.Request, v View) []core.DiskID {
 	if len(reqs) == 0 {
 		return nil
 	}
-	scratch := w.Scratch
-	if scratch == nil {
-		scratch = &CoverScratch{}
-	}
+	scratch := &CoverScratch{}
 	in, disks, covIdx, out := buildCover(w.Locations, w.Cost, reqs, v, scratch)
 	limit := w.MaxExpansions
 	if limit == 0 {
@@ -400,7 +386,6 @@ func (w WSCExact) ScheduleBatch(reqs []core.Request, v View) []core.DiskID {
 		}
 	}
 	applyCover(in, chosen, disks, covIdx, out, scratch)
-	traceBatchDecisions(w.Tracer, w.Cost, reqs, out, v)
 	return out
 }
 

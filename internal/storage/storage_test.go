@@ -150,6 +150,52 @@ func TestRunBatchWSC(t *testing.T) {
 	}
 }
 
+// TestRunBatchWSCBeatsRandom runs the batch set-cover scheduler and the
+// uniform-replica baseline over one Financial1-like stream: WSC must spend
+// less energy.
+func TestRunBatchWSCBeatsRandom(t *testing.T) {
+	t.Parallel()
+	p, err := placement.Generate(placement.GenerateConfig{
+		NumDisks: 16, NumBlocks: 1000, ReplicationFactor: 3, ZipfExponent: 1, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := workload.FinancialLike(2000, 1000, 3)
+	cfg := smallConfig(16)
+	wsc, err := RunBatch(cfg, p.Locations,
+		sched.WSC{Locations: p.Locations, Cost: sched.DefaultCost(cfg.Power)}, reqs, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, err := RunOnline(cfg, p.Locations, sched.NewRandom(p.Locations, 5), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wsc.Energy >= rnd.Energy {
+		t.Errorf("WSC energy %.0f not below random %.0f", wsc.Energy, rnd.Energy)
+	}
+}
+
+// TestRunOnlinePredictiveServesAll runs the frequency-discounted
+// predictive scheduler through the simulator: every request is served.
+func TestRunOnlinePredictiveServesAll(t *testing.T) {
+	t.Parallel()
+	reqs, p := smallWorkload(t, 16, 1000, 2000, 3, 8)
+	cfg := smallConfig(16)
+	ps, err := sched.NewPredictive(p.Locations, sched.DefaultCost(cfg.Power), 0.5, cfg.Power.Breakeven())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunOnline(cfg, p.Locations, ps, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != 2000 {
+		t.Errorf("served %d of 2000", res.Served)
+	}
+}
+
 func TestRunBatchRejectsBadInterval(t *testing.T) {
 	t.Parallel()
 	_, p := smallWorkload(t, 4, 10, 10, 1, 6)

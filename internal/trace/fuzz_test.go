@@ -76,7 +76,7 @@ func FuzzToRequests(f *testing.F) {
 				Write: write && i%2 == 0,
 			}
 		}
-		reqs, blocks := ToRequests(recs, ConvertOptions{})
+		reqs, blocks := ToRequests(recs, 0)
 		if blocks < 0 || len(reqs) > len(recs) {
 			t.Fatalf("blocks=%d reqs=%d recs=%d", blocks, len(reqs), len(recs))
 		}

@@ -176,21 +176,13 @@ func WriteCelloText(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// ConvertOptions controls trace-to-request conversion.
-type ConvertOptions struct {
-	// MaxRequests truncates the stream after this many read requests
-	// (0 = unlimited). The paper uses the first 70,000.
-	MaxRequests int
-	// KeepWrites includes write records as requests. The paper drops
-	// writes (handled by write off-loading); leave false to match it.
-	KeepWrites bool
-}
-
 // ToRequests converts trace records into a simulator request stream sorted
 // by time, with dense request IDs and dense BlockIDs assigned in order of
-// first appearance of each unique (device, LBA) pair. It returns the stream
-// and the number of distinct blocks.
-func ToRequests(recs []Record, opts ConvertOptions) ([]core.Request, int) {
+// first appearance of each unique (device, LBA) pair. Writes are dropped,
+// as the paper does (they are handled by write off-loading), and the stream
+// stops after maxRequests reads (0 = unlimited; the paper uses the first
+// 70,000). It returns the stream and the number of distinct blocks.
+func ToRequests(recs []Record, maxRequests int) ([]core.Request, int) {
 	sorted := append([]Record(nil), recs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 
@@ -203,10 +195,10 @@ func ToRequests(recs []Record, opts ConvertOptions) ([]core.Request, int) {
 	var start time.Duration
 	first := true
 	for _, rec := range sorted {
-		if rec.Write && !opts.KeepWrites {
+		if rec.Write {
 			continue
 		}
-		if opts.MaxRequests > 0 && len(reqs) >= opts.MaxRequests {
+		if maxRequests > 0 && len(reqs) >= maxRequests {
 			break
 		}
 		if first {
@@ -242,4 +234,65 @@ func FromRequests(reqs []core.Request) []Record {
 		}
 	}
 	return recs
+}
+
+// Format is an on-disk trace format.
+type Format int
+
+// The supported trace formats.
+const (
+	// FormatSPC is the UMass storage repository format (Financial1):
+	// "ASU,LBA,Size,Opcode,Timestamp".
+	FormatSPC Format = iota + 1
+	// FormatCelloText is a whitespace text rendering of HP SRT traces:
+	// "<seconds> <device> <lba> <bytes> <R|W>".
+	FormatCelloText
+)
+
+// formats is the one table of trace formats: the name a -format flag
+// gives each, and its record reader and writer.
+var formats = [...]struct {
+	name  string
+	read  func(io.Reader) ([]Record, error)
+	write func(io.Writer, []Record) error
+}{
+	FormatSPC:       {"spc", ReadSPC, WriteSPC},
+	FormatCelloText: {"cellotext", ReadCelloText, WriteCelloText},
+}
+
+// ParseFormat returns the format a -format flag names: "spc" or
+// "cellotext".
+func ParseFormat(name string) (Format, error) {
+	for f, e := range formats {
+		if f > 0 && e.name == name {
+			return Format(f), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown format %q", name)
+}
+
+func (f Format) valid() bool { return f > 0 && int(f) < len(formats) }
+
+// LoadRequests parses a trace in format f and converts it to a request
+// stream with ToRequests: writes dropped, each unique (device, LBA) pair
+// one block, at most maxRequests reads (0 = all). It returns the stream
+// and the number of distinct blocks.
+func LoadRequests(r io.Reader, f Format, maxRequests int) ([]core.Request, int, error) {
+	if !f.valid() {
+		return nil, 0, fmt.Errorf("trace: unknown format %d", f)
+	}
+	recs, err := formats[f].read(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	reqs, blocks := ToRequests(recs, maxRequests)
+	return reqs, blocks, nil
+}
+
+// WriteRequests renders a request stream in format f (via FromRequests).
+func WriteRequests(w io.Writer, f Format, reqs []core.Request) error {
+	if !f.valid() {
+		return fmt.Errorf("trace: unknown format %d", f)
+	}
+	return formats[f].write(w, FromRequests(reqs))
 }

@@ -3,11 +3,14 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/workload"
 )
 
 const spcSample = `0,20941264,8192,W,0.551706
@@ -181,7 +184,7 @@ func TestToRequestsDropsWritesAndAssignsBlocks(t *testing.T) {
 		{Time: 4 * time.Second, Device: 0, LBA: 100, Size: 512},
 		{Time: 5 * time.Second, Device: 1, LBA: 100, Size: 512},
 	}
-	reqs, blocks := ToRequests(recs, ConvertOptions{})
+	reqs, blocks := ToRequests(recs, 0)
 	if len(reqs) != 4 {
 		t.Fatalf("requests = %d, want 4 (write dropped)", len(reqs))
 	}
@@ -206,20 +209,52 @@ func TestToRequestsDropsWritesAndAssignsBlocks(t *testing.T) {
 	}
 }
 
-func TestToRequestsKeepWritesAndLimit(t *testing.T) {
+func TestToRequestsLimitCountsReads(t *testing.T) {
 	t.Parallel()
 	recs := []Record{
 		{Time: 1 * time.Second, LBA: 1, Size: 512, Write: true},
 		{Time: 2 * time.Second, LBA: 2, Size: 512},
 		{Time: 3 * time.Second, LBA: 3, Size: 512},
 	}
-	reqs, _ := ToRequests(recs, ConvertOptions{KeepWrites: true})
-	if len(reqs) != 3 {
-		t.Errorf("KeepWrites: %d requests, want 3", len(reqs))
-	}
-	reqs, _ = ToRequests(recs, ConvertOptions{MaxRequests: 1})
+	reqs, _ := ToRequests(recs, 1)
 	if len(reqs) != 1 || reqs[0].LBA != 2 {
-		t.Errorf("MaxRequests: %+v", reqs)
+		t.Errorf("maxRequests 1: %+v", reqs)
+	}
+}
+
+// TestRequestsRoundTripEveryFormat writes a generated stream in each
+// format and loads it back: every read returns, and a format outside the
+// table is rejected on both paths.
+func TestRequestsRoundTripEveryFormat(t *testing.T) {
+	t.Parallel()
+	reqs := workload.FinancialLike(500, 200, 6)
+	for _, name := range []string{"spc", "cellotext"} {
+		f, err := ParseFormat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteRequests(&buf, f, reqs); err != nil {
+			t.Fatal(err)
+		}
+		loaded, blocks, err := LoadRequests(&buf, f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(loaded) != 500 || blocks == 0 {
+			t.Errorf("%s: loaded %d requests over %d blocks", name, len(loaded), blocks)
+		}
+	}
+	if _, err := ParseFormat("nope"); err == nil || err.Error() != `unknown format "nope"` {
+		t.Errorf("ParseFormat(nope) err = %v", err)
+	}
+	for _, f := range []Format{0, 9} {
+		if _, _, err := LoadRequests(strings.NewReader(""), f, 0); err == nil {
+			t.Errorf("LoadRequests accepted format %d", f)
+		}
+		if err := WriteRequests(io.Discard, f, nil); err == nil {
+			t.Errorf("WriteRequests accepted format %d", f)
+		}
 	}
 }
 
@@ -229,7 +264,7 @@ func TestFromRequestsRoundTrip(t *testing.T) {
 		{Time: 1 * time.Second, LBA: 10, Size: 512},
 		{Time: 2 * time.Second, LBA: 20, Size: 1024},
 	}
-	reqs, _ := ToRequests(recs, ConvertOptions{})
+	reqs, _ := ToRequests(recs, 0)
 	back := FromRequests(reqs)
 	if len(back) != 2 {
 		t.Fatalf("len = %d", len(back))
@@ -244,7 +279,7 @@ func TestFromRequestsRoundTrip(t *testing.T) {
 
 func TestToRequestsEmpty(t *testing.T) {
 	t.Parallel()
-	reqs, blocks := ToRequests(nil, ConvertOptions{})
+	reqs, blocks := ToRequests(nil, 0)
 	if len(reqs) != 0 || blocks != 0 {
 		t.Errorf("empty conversion: %v, %d", reqs, blocks)
 	}
